@@ -21,6 +21,10 @@ class MaskFormatError(DataError):
     """Corrupt or truncated mask byte stream."""
 
 
+class FeatureIdError(DataError, IndexError):
+    """Feature id outside its field's embedding table."""
+
+
 class CheckpointFormatError(DataError):
     """Corrupt or incompatible checkpoint file."""
 

@@ -11,17 +11,21 @@ from .model import Task
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
+    """1-based ranks with ties sharing their average rank.
+
+    A tie group is a run of equal values in the stable sort; NaN equals
+    nothing, so each NaN is a group of its own. A group spanning sorted
+    positions start..end gets ``0.5 * (start + end) + 1.0``.
+    """
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    n = len(scores)
+    new_group = np.ones(n, dtype=bool)
+    new_group[1:] = sorted_scores[1:] != sorted_scores[:-1]
+    starts = np.flatnonzero(new_group)
+    ends = np.append(starts[1:] - 1, n - 1) if n else starts
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -6,16 +6,17 @@ weight matrices only; embeddings and biases are always fully shared.
 
 from __future__ import annotations
 
-import copy
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from . import nn
-from .errors import CheckpointFormatError, ConfigError, ShapeError, StateError
+from .errors import (CheckpointFormatError, ConfigError, FeatureIdError, ShapeError,
+                     StateError)
 
 CKPT_MAGIC = b"LTCK"
 CKPT_VERSION = 1
@@ -200,10 +201,30 @@ def embed(ids: np.ndarray, embeddings: list[np.ndarray],
         bad = (fid < 0) | (fid >= table.shape[0])
         if bad.any():
             which = int(fid[bad][0])
-            raise IndexError(f"feature id {which} out of range for field {f} "
-                             f"(cardinality {table.shape[0]})")
+            raise FeatureIdError(f"feature id {which} out of range for field {f} "
+                                 f"(cardinality {table.shape[0]})")
         cols.append(table[fid])
     return np.stack(cols, axis=1)
+
+
+@lru_cache(maxsize=None)
+def _cross_tables(F: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables for F fields: ``(pi, pj, partner, pcol)``.
+
+    ``pi, pj`` are ``np.triu_indices(F, k=1)``, the pair order of the cross
+    output. Row t of ``partner`` (F-1, F) holds field k's t-th partner,
+    ``(k + 1 + t) % F``, and the same row of ``pcol`` holds the index of the
+    pair {k, partner} in the cross output. The arrays are shared: read only.
+    """
+    pi, pj = np.triu_indices(F, k=1)
+    pair_of = np.zeros((F, F), dtype=np.intp)
+    pair_of[pi, pj] = pair_of[pj, pi] = np.arange(len(pi))
+    k = np.arange(F)
+    partner = (k[None, :] + 1 + np.arange(F - 1)[:, None]) % F
+    pcol = pair_of[k[None, :], partner]
+    for a in (pi, pj, partner, pcol):
+        a.flags.writeable = False
+    return pi, pj, partner, pcol
 
 
 def feature_cross(emb: np.ndarray, cross_kind: CrossKind) -> np.ndarray:
@@ -213,7 +234,7 @@ def feature_cross(emb: np.ndarray, cross_kind: CrossKind) -> np.ndarray:
     kind = CrossKind(cross_kind)
     if kind is CrossKind.NONE or F == 1:
         return flat
-    pi, pj = np.triu_indices(F, k=1)
+    pi, pj, _, _ = _cross_tables(F)
     if kind is CrossKind.PAIRWISE_DOT:
         dots = np.einsum("npd,npd->np", emb[:, pi, :], emb[:, pj, :])
         return np.concatenate([flat, dots], axis=1)
@@ -223,22 +244,32 @@ def feature_cross(emb: np.ndarray, cross_kind: CrossKind) -> np.ndarray:
 
 def _feature_cross_backward(emb: np.ndarray, d_x: np.ndarray,
                             cross_kind: CrossKind) -> np.ndarray:
-    """Gradient through feature_cross: d_x (n, width) -> d_emb (n, F, d)."""
+    """Gradient through feature_cross: d_x (n, width) -> d_emb (n, F, d).
+
+    Accumulation-order invariant: each ``d_emb[s, k, c]`` starts from its
+    flat-part gradient and then receives one product per partner field, in
+    the order ``k+1, ..., F-1, 0, ..., k-1``. That is the order in which an
+    unbuffered scatter-add (``ufunc.at``) over the pairs ``(k, j>k)`` and
+    then ``(i<k, k)`` adds them, one at a time. Step t below adds every
+    field's t-th partner term in one whole-array in-place add, so each
+    element sees the same float additions in the same sequence, and the
+    result is bit-identical to the scatter-add formulation.
+    """
     n, F, d = emb.shape
     flat_w = F * d
     d_emb = d_x[:, :flat_w].reshape(n, F, d).copy()
     kind = CrossKind(cross_kind)
     if kind is CrossKind.NONE or F == 1:
         return d_emb
-    pi, pj = np.triu_indices(F, k=1)
+    _, _, partner, pcol = _cross_tables(F)
     if kind is CrossKind.PAIRWISE_DOT:
         g = d_x[:, flat_w:]                       # (n, n_pairs)
-        np.add.at(d_emb, (slice(None), pi), g[:, :, None] * emb[:, pj, :])
-        np.add.at(d_emb, (slice(None), pj), g[:, :, None] * emb[:, pi, :])
+        for part, col in zip(partner, pcol):
+            d_emb += g[:, col][:, :, None] * emb[:, part, :]
     else:
-        g = d_x[:, flat_w:].reshape(n, len(pi), d)
-        np.add.at(d_emb, (slice(None), pi), g * emb[:, pj, :])
-        np.add.at(d_emb, (slice(None), pj), g * emb[:, pi, :])
+        g = d_x[:, flat_w:].reshape(n, -1, d)     # (n, n_pairs, d)
+        for part, col in zip(partner, pcol):
+            d_emb += g[:, col, :] * emb[:, part, :]
     return d_emb
 
 
@@ -265,9 +296,11 @@ class Grads:
     head_biases: dict[Task, list[np.ndarray]] | None = None
 
     @classmethod
-    def zeros_like(cls, params: ModelParams) -> "Grads":
+    def zeros_mlp(cls, params: ModelParams) -> "Grads":
+        """Zero MLP gradients shaped like ``params``; ``embeddings`` starts
+        empty, for ``backward`` to fill with its scatter's output."""
         return cls(
-            embeddings=[np.zeros_like(e) for e in params.embeddings],
+            embeddings=[],
             mlp_weights=[np.zeros_like(w) for w in params.mlp_weights],
             mlp_biases=[np.zeros_like(b) for b in params.mlp_biases],
             head_weights=None if params.head_weights is None else {
@@ -339,9 +372,37 @@ def forward(ids: np.ndarray, params: ModelParams, cfg: ModelConfig, task: Task,
     return preds, cache
 
 
+def _embedding_grads(ids: np.ndarray, d_emb: np.ndarray,
+                     cardinalities: tuple[int, ...]) -> list[np.ndarray]:
+    """Scatter d_emb (n, F, d) onto the rows named by ids (n, F), per field.
+
+    One ``np.bincount`` over all fields: element (s, f, c) goes to bin
+    ``offset[f] + ids[s, f] * d + c``. bincount starts every bin at 0.0 and
+    adds its weights in input order, i.e. in sample order per bin, which is
+    what a scatter-add (``ufunc.at``) into a zeroed table does, so the bits
+    are the same. ids must be in range, which ``embed`` checks: here an id
+    past the end of one field's table would land in the next field's rows.
+    """
+    d = d_emb.shape[2]
+    sizes = np.array(cardinalities) * d
+    offsets = np.cumsum(sizes) - sizes
+    bins = (ids * d + offsets)[:, :, None] + np.arange(d)
+    flat = np.bincount(bins.ravel(), weights=d_emb.ravel(), minlength=int(sizes.sum()))
+    return [block.reshape(-1, d) for block in np.split(flat, offsets[1:])]
+
+
 def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
              cfg: ModelConfig, mask=None) -> Grads:
-    """Gradients of a scalar loss given d loss / d logit per sample."""
+    """Gradients of a scalar loss given d loss / d logit per sample.
+
+    The embedding-side gradients are bit-identical to a formulation with
+    scatter-adds (``ufunc.at``): ``_feature_cross_backward`` adds each
+    field's partner terms in the order the scatter-add would, and
+    ``_embedding_grads`` sums each table row in sample order from 0.0, as a
+    scatter-add into a zeroed table would. Any change here must keep both
+    orders, or checkpoints and reports stop being byte-identical across
+    versions.
+    """
     if cache is None or not cache.layer_inputs:
         raise StateError("backward called without a cached forward pass")
     task = cache.task
@@ -355,7 +416,7 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
     else:
         eff_weights = weights
 
-    grads = Grads.zeros_like(params)
+    grads = Grads.zeros_mlp(params)
     if cache.used_tower:
         g_w = grads.mlp_weights + grads.head_weights[task]
         g_b = grads.mlp_biases + grads.head_biases[task]
@@ -374,8 +435,7 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
         d_out = d_in
 
     d_emb = _feature_cross_backward(cache.emb, d_out, cfg.cross_kind)
-    for f in range(cfg.n_fields):
-        np.add.at(grads.embeddings[f], cache.ids[:, f], d_emb[:, f, :])
+    grads.embeddings = _embedding_grads(cache.ids, d_emb, cfg.field_cardinalities)
     return grads
 
 

@@ -6,7 +6,7 @@ Everything is float64 numpy. All randomness goes through an explicit
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,6 +4,7 @@ import pytest
 from lotshare import data as data_mod
 from lotshare import masking, model
 from lotshare.cli import comparison_table, main
+from lotshare.config import load_experiment
 from lotshare.metrics import MetricsReport
 from lotshare.model import Task
 
@@ -97,7 +98,13 @@ class TestTrain:
         rc, _, _ = run(capsys, "train", "--config", cfg_file,
                        "--dataset", str(dpath), "--out", str(out))
         assert rc == 0
-        assert "dataset = " in (out / "report.kv").read_text() or True
+        # config.cfg is a verbatim copy of --config, so the dataset shows only
+        # through the fingerprint, which hashes the resolved "dataset = <path>"
+        report = MetricsReport.from_kv_lines((out / "report.kv").read_text().splitlines())
+        with_ds = load_experiment(cfg_file, {"dataset": str(dpath)})
+        assert f"dataset = {dpath}" in with_ds.to_kv_lines()
+        assert report.config_fingerprint == with_ds.fingerprint()
+        assert report.config_fingerprint != load_experiment(cfg_file, {}).fingerprint()
         assert (out / "model.ckpt").exists()
 
     def test_missing_dataset_exit_3(self, cfg_file, capsys):
@@ -218,6 +225,14 @@ class TestScore:
                    if l.startswith("rank=")]
         assert order_a == order_b
 
+    def test_out_of_range_id_is_data_error(self, tmp_path, ckpts, capsys):
+        p = tmp_path / "bad.tsv"
+        p.write_text("0,0,0,1000000\t10\n")
+        rc, _, err = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
+                         "--cvr-checkpoint", ckpts[1], str(p))
+        assert rc == 3
+        assert "data error: feature id 1000000 out of range for field 3" in err
+
     def test_malformed_candidates_exit_3(self, tmp_path, ckpts, capsys):
         p = tmp_path / "bad.tsv"
         p.write_text("0,1,2\t30\n")  # 3 ids for 4 fields
@@ -245,7 +260,7 @@ class TestMaskStats:
         p = tmp_path / "junk.mask"
         p.write_bytes(b"not a mask")
         rc, _, _ = run(capsys, "mask", "stats", str(p), str(p))
-        assert rc == 4 or rc == 3
+        assert rc == 3
 
 
 class TestDeterminism:

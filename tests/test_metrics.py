@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from lotshare import nn
 from lotshare.errors import UndefinedMetricError
-from lotshare.metrics import (MetricsReport, RankInput, auc, format_gain, mse,
-                              mtl_gain, rank_score, rank_top_k)
+from lotshare.metrics import (MetricsReport, RankInput, _average_ranks, auc, format_gain,
+                              mse, mtl_gain, rank_score, rank_top_k)
 from lotshare.model import Task
 
 
@@ -58,6 +58,42 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):
             auc([1, 1], [0.2, 0.3])
+
+
+def loop_average_ranks(scores):
+    """Reference: walk the stable sort and give each tie group its mean rank."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("scores", [
+        [],
+        [0.3],
+        [0.0, -0.0, 0.0, -0.0, 1.0, -1.0],
+        [np.nan, 0.5, np.nan, 0.5, -np.inf, np.inf, np.nan],
+        [1.0, 1.0, 1.0, 1.0],
+        [2.0, 1.0],
+    ], ids=["empty", "single", "signed_zeros", "nan", "all_tied", "two"])
+    def test_matches_loop_bytes(self, scores):
+        scores = np.asarray(scores, dtype=np.float64)
+        assert _average_ranks(scores).tobytes() == loop_average_ranks(scores).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_heavy_matches_loop_bytes(self, seed):
+        rng = nn.make_rng(seed)
+        scores = rng.integers(0, 3 + 40 * seed, 2000).astype(np.float64)
+        scores[rng.random(2000) < 0.05] = np.nan
+        assert _average_ranks(scores).tobytes() == loop_average_ranks(scores).tobytes()
 
 
 class TestMse:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lotshare import model, nn
-from lotshare.errors import CheckpointFormatError, ConfigError, ShapeError
+from lotshare.errors import CheckpointFormatError, ConfigError, DataError, ShapeError
 from lotshare.masking import TaskMask
 from lotshare.model import (CrossKind, ModelConfig, SharingMode, Task,
                             cross_output_width, default_mlp_dims)
@@ -56,6 +56,12 @@ class TestEmbed:
         p = model.init_params(cfg, 1)
         with pytest.raises(IndexError, match=r"id 9.*field 2"):
             model.embed(np.array([[0, 0, 9]]), p.embeddings)
+
+    def test_out_of_range_is_data_error(self):
+        cfg = small_config()
+        p = model.init_params(cfg, 1)
+        with pytest.raises(DataError, match=r"id -1.*field 0"):
+            model.embed(np.array([[-1, 0, 0]]), p.embeddings)
 
 
 class TestFeatureCross:
@@ -207,6 +213,90 @@ class TestGradients:
             num[j] = (lp - lm) / (2 * h)
         np.testing.assert_allclose(grads.embeddings[0][2], num, rtol=1e-4, atol=1e-10)
         assert (grads.embeddings[0][4] == 0).all()  # untouched row
+
+
+def scatter_cross_backward(emb, d_x, cross_kind):
+    """Reference: the cross backward as two unbuffered scatter-adds per kind."""
+    n, F, d = emb.shape
+    flat_w = F * d
+    d_emb = d_x[:, :flat_w].reshape(n, F, d).copy()
+    kind = CrossKind(cross_kind)
+    if kind is CrossKind.NONE or F == 1:
+        return d_emb
+    pi, pj = np.triu_indices(F, k=1)
+    if kind is CrossKind.PAIRWISE_DOT:
+        g = d_x[:, flat_w:]
+        np.add.at(d_emb, (slice(None), pi), g[:, :, None] * emb[:, pj, :])
+        np.add.at(d_emb, (slice(None), pj), g[:, :, None] * emb[:, pi, :])
+    else:
+        g = d_x[:, flat_w:].reshape(n, len(pi), d)
+        np.add.at(d_emb, (slice(None), pi), g * emb[:, pj, :])
+        np.add.at(d_emb, (slice(None), pj), g * emb[:, pi, :])
+    return d_emb
+
+
+def scatter_embedding_grads(ids, d_emb, cardinalities):
+    """Reference: per-field unbuffered scatter-add into zeroed tables."""
+    out = [np.zeros((card, d_emb.shape[2])) for card in cardinalities]
+    for f, table in enumerate(out):
+        np.add.at(table, ids[:, f], d_emb[:, f, :])
+    return out
+
+
+class TestBackwardBitIdentity:
+    """The ordered-add cross backward and the bincount scatter reproduce the
+    scatter-add references bit for bit; a wrong partner order for F >= 4
+    would pass the gradient check but fail here."""
+
+    @pytest.mark.parametrize("cross", list(CrossKind))
+    @pytest.mark.parametrize("F", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 7, 256])
+    def test_cross_backward(self, cross, F, d, n):
+        rng = nn.make_rng(1000 * F + 10 * d + n)
+        # wide exponent spread so that any change of summation order moves bits
+        emb = rng.standard_normal((n, F, d)) * 10.0 ** rng.integers(-6, 7, (n, F, d))
+        width = cross_output_width(F, d, cross)
+        d_x = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-6, 7, (n, width))
+        got = model._feature_cross_backward(emb, d_x, cross)
+        want = scatter_cross_backward(emb, d_x, cross)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("F", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 7, 256])
+    def test_embedding_grads(self, F, d, n):
+        rng = nn.make_rng(7000 + 1000 * F + 10 * d + n)
+        # cardinality 1 tables and few-row tables make ids repeat heavily
+        cards = tuple(int(c) for c in rng.choice([1, 2, 3, 40], size=F))
+        ids = np.stack([rng.integers(0, c, n) for c in cards], axis=1)
+        d_emb = rng.standard_normal((n, F, d)) * 10.0 ** rng.integers(-6, 7, (n, F, d))
+        got = model._embedding_grads(ids, d_emb, cards)
+        want = scatter_embedding_grads(ids, d_emb, cards)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("cross", list(CrossKind))
+    def test_backward_embedding_blocks(self, cross):
+        cfg = small_config(n_fields=5, dim=3, hidden=(6, 4), cross=cross,
+                           cards=(1, 2, 7, 3, 1))
+        p = model.init_params(cfg, 21)
+        ids = random_ids(cfg, 64, seed=22)
+        _, cache = model.forward(ids, p, cfg, Task.CTR, want_cache=True)
+        dlogit = nn.make_rng(23).standard_normal(64)
+        grads = model.backward(dlogit, cache, p, cfg)
+        d_out = dlogit[:, None]
+        for li in range(len(p.mlp_weights) - 1, -1, -1):
+            if li < len(p.mlp_weights) - 1:
+                d_out = d_out * (cache.pre_activations[li] > 0)
+            d_out = d_out @ p.mlp_weights[li].T
+        d_emb = scatter_cross_backward(cache.emb, d_out, cross)
+        want = scatter_embedding_grads(ids, d_emb, cfg.field_cardinalities)
+        for g, w in zip(grads.embeddings, want):
+            assert g.tobytes() == w.tobytes()
 
 
 class TestSnapshot:
