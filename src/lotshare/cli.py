@@ -12,8 +12,7 @@ import numpy as np
 from . import data as data_mod
 from . import masking, metrics, model, training
 from .config import ExperimentConfig, load_experiment
-from .errors import (ConfigError, DataError, InvariantError, LotshareError,
-                     StateError)
+from .errors import ConfigError, DataError, LotshareError
 from .metrics import MetricsReport, RankInput, format_gain, mtl_gain
 from .model import SharingMode, Task, TASKS
 
@@ -338,7 +337,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         click.echo(f"data error: {exc}", err=True)
         return EXIT_DATA
-    except (InvariantError, StateError, LotshareError) as exc:
+    except LotshareError as exc:
         click.echo(f"internal error: {exc}", err=True)
         return EXIT_INTERNAL
     except (IndexError, OSError) as exc:

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field
 
 from .data import SyntheticSpec
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .model import CrossKind, ModelConfig, SharingMode, cross_output_width
 from .training import TrainConfig
 
@@ -99,9 +99,27 @@ class ExperimentConfig:
         return "\n".join(self.to_kv_lines()) + "\n"
 
     def fingerprint(self) -> str:
-        # output_dir does not change the experiment, only where it lands
-        lines = [l for l in self.to_kv_lines() if not l.startswith("output_dir")]
+        """Hash of the experiment. output_dir does not change the experiment,
+        only where it lands; a dataset enters by its bytes, not its path."""
+        lines = []
+        for line in self.to_kv_lines():
+            if line.startswith("output_dir"):
+                continue
+            if line.startswith("dataset = "):
+                line = f"dataset_sha256 = {_file_sha256(self.dataset_path)}"
+            lines.append(line)
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+
+
+def _file_sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+    return digest.hexdigest()
 
 
 def _train_kv(t: TrainConfig) -> list[str]:

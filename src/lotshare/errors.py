@@ -33,9 +33,5 @@ class StateError(LotshareError, RuntimeError):
     """Operation called in the wrong lifecycle state."""
 
 
-class InvariantError(LotshareError, RuntimeError):
-    """Internal invariant violated (CLI exit code 4)."""
-
-
 class UndefinedMetricError(LotshareError, ValueError):
     """Metric not defined for the given inputs (e.g. single-class AUC)."""

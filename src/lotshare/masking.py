@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn
 from .errors import MaskFormatError, ShapeError
 from .model import ModelParams, Task
 
@@ -24,14 +25,27 @@ class TaskMask:
     layers: list[np.ndarray]  # float64 {0,1}, shape-matching mlp_weights
     task: Task
     pruning_round: int = 0
+    _gates: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.task = Task(self.task)
         self.layers = [np.asarray(m, dtype=np.float64) for m in self.layers]
         for m in self.layers:
-            vals = np.unique(m)
-            if not np.isin(vals, (0.0, 1.0)).all():
+            if not ((m == 0.0) | (m == 1.0)).all():
                 raise ValueError("mask entries must be 0 or 1")
+
+    def update_gate(self, params: ModelParams) -> nn.UpdateGate:
+        """The optimizer gate of this mask over ``params``' blocks: the MLP
+        weights, which follow the embeddings, are gated by the mask, and
+        every other block is ungated. Built on first use per layout."""
+        gate = self._gates.get(params.layout)
+        if gate is None:
+            blocks = params.blocks()
+            per_block = [None] * len(params.embeddings) + list(self.layers)
+            per_block += [None] * (len(blocks) - len(per_block))
+            gate = nn.UpdateGate(per_block, [b.size for b in blocks])
+            self._gates[params.layout] = gate
+        return gate
 
     @classmethod
     def all_ones(cls, mlp_weights: list[np.ndarray], task: Task) -> "TaskMask":
@@ -119,7 +133,8 @@ def apply_mask(params: ModelParams, mask: TaskMask) -> ModelParams:
     """Hadamard-mask the MLP weights; embeddings and biases pass through."""
     _check_shapes(params.mlp_weights, mask)
     out = params.copy()
-    out.mlp_weights = [w * m for w, m in zip(params.mlp_weights, mask.layers)]
+    for w, m in zip(out.mlp_weights, mask.layers):
+        w *= m
     return out
 
 

@@ -7,10 +7,11 @@ weight matrices only; embeddings and biases are always fully shared.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -93,10 +94,6 @@ class ModelConfig:
     def n_fields(self) -> int:
         return len(self.field_cardinalities)
 
-    @property
-    def n_transitions(self) -> int:
-        return len(self.mlp_dims) - 1
-
     def to_json_dict(self) -> dict:
         return {
             "field_cardinalities": list(self.field_cardinalities),
@@ -124,19 +121,88 @@ def default_mlp_dims(n_fields: int, embedding_dim: int,
     return (cross_output_width(n_fields, embedding_dim, cross_kind), *hidden, 1)
 
 
-@dataclass
-class ModelParams:
-    """All trainable weights, plus the frozen rewind snapshot."""
+@dataclass(frozen=True)
+class ParamLayout:
+    """Shapes of every parameter block, grouped as ModelParams groups them.
 
+    ``spans`` places them in ``blocks()`` order: embeddings, MLP weights,
+    MLP biases, then per task (CTR, CVR) its tower weights and biases. That
+    is the order of the flat vector and of the checkpoint payload.
+    """
+
+    embeddings: tuple[tuple[int, ...], ...]
+    mlp_weights: tuple[tuple[int, ...], ...]   # trunk only in layer_share mode
+    mlp_biases: tuple[tuple[int, ...], ...]
+    head_weights: tuple[tuple[int, ...], ...] = ()  # per task; layer_share only
+    head_biases: tuple[tuple[int, ...], ...] = ()
+
+    @classmethod
+    def of(cls, cfg: ModelConfig) -> "ParamLayout":
+        dims, tower = cfg.mlp_dims, ()
+        if cfg.sharing_mode is SharingMode.LAYER_SHARE:
+            split = len(dims) - TOWER_TRANSITIONS
+            dims, tower = dims[:split], dims[split - 1:]
+        return cls(
+            embeddings=tuple((c, cfg.embedding_dim) for c in cfg.field_cardinalities),
+            mlp_weights=tuple(zip(dims, dims[1:])),
+            mlp_biases=tuple((d,) for d in dims[1:]),
+            head_weights=tuple(zip(tower, tower[1:])),
+            head_biases=tuple((d,) for d in tower[1:]),
+        )
+
+    @cached_property
+    def spans(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """``(start, stop, shape)`` of every block in the flat vector."""
+        heads = [*self.head_weights, *self.head_biases] * len(TASKS)
+        out, start = [], 0
+        for shape in [*self.embeddings, *self.mlp_weights, *self.mlp_biases, *heads]:
+            stop = start + math.prod(shape)
+            out.append((start, stop, shape))
+            start = stop
+        return tuple(out)
+
+    @property
+    def size(self) -> int:
+        return self.spans[-1][1]
+
+
+@dataclass
+class _FlatBlocks:
+    """Parameter-shaped arrays stored back to back in one contiguous float64
+    vector ``flat``, in ``blocks()`` order. The named lists hold views into
+    ``flat``: write through them in place (``w[...] = x``, ``w *= m``).
+    Rebinding a list entry detaches it, and ``nn.check_views`` rejects it."""
+
+    layout: ParamLayout
+    flat: np.ndarray
     embeddings: list[np.ndarray]            # per field: (cardinality, dim)
     mlp_weights: list[np.ndarray]           # trunk only in layer_share mode
     mlp_biases: list[np.ndarray]
     head_weights: dict[Task, list[np.ndarray]] | None = None  # layer_share only
     head_biases: dict[Task, list[np.ndarray]] | None = None
-    init_snapshot: "ModelParams | None" = None
+
+    @classmethod
+    def on(cls, layout: ParamLayout, flat: np.ndarray | None = None):
+        """Views of ``flat`` (zeros when None) laid out by ``layout``."""
+        flat = np.zeros(layout.size, dtype=nn.DTYPE) if flat is None else flat
+        if flat.shape != (layout.size,):
+            raise ShapeError(f"flat vector {flat.shape} for a layout of {layout.size} entries")
+        views = iter([flat[start:stop].reshape(shape) for start, stop, shape in layout.spans])
+
+        def take(shapes):
+            return [next(views) for _ in shapes]
+
+        out = cls(layout, flat, take(layout.embeddings), take(layout.mlp_weights),
+                  take(layout.mlp_biases))
+        if layout.head_weights:
+            out.head_weights, out.head_biases = {}, {}
+            for task in TASKS:
+                out.head_weights[task] = take(layout.head_weights)
+                out.head_biases[task] = take(layout.head_biases)
+        return out
 
     def blocks(self) -> list[np.ndarray]:
-        """All parameter arrays in fixed declaration order."""
+        """All arrays in fixed declaration order."""
         out = [*self.embeddings, *self.mlp_weights, *self.mlp_biases]
         if self.head_weights is not None:
             for task in TASKS:
@@ -144,17 +210,18 @@ class ModelParams:
                 out.extend(self.head_biases[task])
         return out
 
+    def __iter__(self):
+        return iter(self.blocks())
+
+
+@dataclass
+class ModelParams(_FlatBlocks):
+    """All trainable weights, plus the frozen rewind snapshot."""
+
+    init_snapshot: "ModelParams | None" = None
+
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            embeddings=[e.copy() for e in self.embeddings],
-            mlp_weights=[w.copy() for w in self.mlp_weights],
-            mlp_biases=[b.copy() for b in self.mlp_biases],
-            head_weights=None if self.head_weights is None else {
-                t: [w.copy() for w in ws] for t, ws in self.head_weights.items()},
-            head_biases=None if self.head_biases is None else {
-                t: [b.copy() for b in bs] for t, bs in self.head_biases.items()},
-            init_snapshot=None,
-        )
+        return ModelParams.on(self.layout, self.flat.copy())
 
     def take_snapshot(self) -> None:
         """Freeze a deep copy of the current weights as the rewind point."""
@@ -164,33 +231,22 @@ class ModelParams:
         """Restore live weights to the frozen snapshot, bit-exactly."""
         if self.init_snapshot is None:
             raise StateError("rewind called before a snapshot was taken")
-        for live, snap in zip(self.blocks(), self.init_snapshot.blocks()):
-            np.copyto(live, snap)
+        np.copyto(self.flat, self.init_snapshot.flat)
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     """Xavier-uniform weights, zero biases, deterministic under seed."""
     rng = nn.make_rng(seed)
-    embeddings = [nn.xavier_init(card, cfg.embedding_dim, rng)
-                  for card in cfg.field_cardinalities]
-    dims = cfg.mlp_dims
-    if cfg.sharing_mode is SharingMode.LAYER_SHARE:
-        trunk_dims = dims[:len(dims) - TOWER_TRANSITIONS]
-        tower_dims = dims[len(dims) - TOWER_TRANSITIONS - 1:]
-        mlp_weights = [nn.xavier_init(a, b, rng) for a, b in zip(trunk_dims, trunk_dims[1:])]
-        mlp_biases = [np.zeros(b, dtype=nn.DTYPE) for b in trunk_dims[1:]]
-        head_weights, head_biases = {}, {}
-        for task in TASKS:
-            head_weights[task] = [nn.xavier_init(a, b, rng) for a, b in zip(tower_dims, tower_dims[1:])]
-            head_biases[task] = [np.zeros(b, dtype=nn.DTYPE) for b in tower_dims[1:]]
-        return ModelParams(embeddings, mlp_weights, mlp_biases, head_weights, head_biases)
-    mlp_weights = [nn.xavier_init(a, b, rng) for a, b in zip(dims, dims[1:])]
-    mlp_biases = [np.zeros(b, dtype=nn.DTYPE) for b in dims[1:]]
-    return ModelParams(embeddings, mlp_weights, mlp_biases)
+    params = ModelParams.on(ParamLayout.of(cfg))
+    weights = [*params.embeddings, *params.mlp_weights]
+    if params.head_weights is not None:
+        weights += [w for task in TASKS for w in params.head_weights[task]]
+    for w in weights:
+        w[...] = nn.xavier_init(*w.shape, rng)
+    return params
 
 
-def embed(ids: np.ndarray, embeddings: list[np.ndarray],
-          cardinalities: tuple[int, ...] | None = None) -> np.ndarray:
+def embed(ids: np.ndarray, embeddings: list[np.ndarray]) -> np.ndarray:
     """Row lookup per field: (n, F) int ids -> (n, F, dim)."""
     ids = np.asarray(ids)
     if ids.ndim != 2 or ids.shape[1] != len(embeddings):
@@ -285,37 +341,9 @@ class ForwardCache:
     used_tower: bool
 
 
-@dataclass
-class Grads:
-    """Gradient arrays mirroring ModelParams (zeros for untouched blocks)."""
-
-    embeddings: list[np.ndarray]
-    mlp_weights: list[np.ndarray]
-    mlp_biases: list[np.ndarray]
-    head_weights: dict[Task, list[np.ndarray]] | None = None
-    head_biases: dict[Task, list[np.ndarray]] | None = None
-
-    @classmethod
-    def zeros_mlp(cls, params: ModelParams) -> "Grads":
-        """Zero MLP gradients shaped like ``params``; ``embeddings`` starts
-        empty, for ``backward`` to fill with its scatter's output."""
-        return cls(
-            embeddings=[],
-            mlp_weights=[np.zeros_like(w) for w in params.mlp_weights],
-            mlp_biases=[np.zeros_like(b) for b in params.mlp_biases],
-            head_weights=None if params.head_weights is None else {
-                t: [np.zeros_like(w) for w in ws] for t, ws in params.head_weights.items()},
-            head_biases=None if params.head_biases is None else {
-                t: [np.zeros_like(b) for b in bs] for t, bs in params.head_biases.items()},
-        )
-
-    def blocks(self) -> list[np.ndarray]:
-        out = [*self.embeddings, *self.mlp_weights, *self.mlp_biases]
-        if self.head_weights is not None:
-            for task in TASKS:
-                out.extend(self.head_weights[task])
-                out.extend(self.head_biases[task])
-        return out
+class Grads(_FlatBlocks):
+    """Gradient arrays laid out like ModelParams (zeros for untouched
+    blocks). Iterating yields the blocks in order."""
 
 
 def _mask_layers(mask) -> list[np.ndarray] | None:
@@ -373,8 +401,10 @@ def forward(ids: np.ndarray, params: ModelParams, cfg: ModelConfig, task: Task,
 
 
 def _embedding_grads(ids: np.ndarray, d_emb: np.ndarray,
-                     cardinalities: tuple[int, ...]) -> list[np.ndarray]:
-    """Scatter d_emb (n, F, d) onto the rows named by ids (n, F), per field.
+                     cardinalities: tuple[int, ...], size: int) -> np.ndarray:
+    """Scatter d_emb (n, F, d) onto the rows named by ids (n, F), per field,
+    into a flat vector of ``size`` entries: the tables back to back from
+    entry 0, then zeros up to ``size``.
 
     One ``np.bincount`` over all fields: element (s, f, c) goes to bin
     ``offset[f] + ids[s, f] * d + c``. bincount starts every bin at 0.0 and
@@ -387,8 +417,7 @@ def _embedding_grads(ids: np.ndarray, d_emb: np.ndarray,
     sizes = np.array(cardinalities) * d
     offsets = np.cumsum(sizes) - sizes
     bins = (ids * d + offsets)[:, :, None] + np.arange(d)
-    flat = np.bincount(bins.ravel(), weights=d_emb.ravel(), minlength=int(sizes.sum()))
-    return [block.reshape(-1, d) for block in np.split(flat, offsets[1:])]
+    return np.bincount(bins.ravel(), weights=d_emb.ravel(), minlength=size)
 
 
 def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
@@ -416,38 +445,41 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
     else:
         eff_weights = weights
 
-    grads = Grads.zeros_mlp(params)
-    if cache.used_tower:
-        g_w = grads.mlp_weights + grads.head_weights[task]
-        g_b = grads.mlp_biases + grads.head_biases[task]
-    else:
-        g_w, g_b = grads.mlp_weights, grads.mlp_biases
-
     d_out = d_logits[:, None]
+    d_mlp = []
     for li in range(len(eff_weights) - 1, -1, -1):
         if li < len(eff_weights) - 1:
             d_out = d_out * (cache.pre_activations[li] > 0)
         d_w, d_b, d_in = nn.affine_backward(cache.layer_inputs[li], eff_weights[li], d_out)
         if layers is not None:
             d_w *= layers[li]  # masked connections get exactly zero gradient
-        g_w[li] += d_w
-        g_b[li] += d_b
+        d_mlp.append((li, d_w, d_b))
         d_out = d_in
 
     d_emb = _feature_cross_backward(cache.emb, d_out, cfg.cross_kind)
-    grads.embeddings = _embedding_grads(cache.ids, d_emb, cfg.field_cardinalities)
+    grads = Grads.on(params.layout, _embedding_grads(
+        cache.ids, d_emb, cfg.field_cardinalities, params.layout.size))
+    if cache.used_tower:
+        g_w = grads.mlp_weights + grads.head_weights[task]
+        g_b = grads.mlp_biases + grads.head_biases[task]
+    else:
+        g_w, g_b = grads.mlp_weights, grads.mlp_biases
+    for li, d_w, d_b in d_mlp:  # onto the zeros past the tables: -0.0 becomes +0.0
+        g_w[li] += d_w
+        g_b[li] += d_b
     return grads
 
 
 def save_checkpoint(path, params: ModelParams, cfg: ModelConfig) -> None:
-    """Binary checkpoint: magic, version, config JSON, 64-bit LE blocks."""
+    """Binary checkpoint: magic, version, config JSON, then the flat vector
+    as 64-bit LE floats, i.e. every block in ``blocks()`` order."""
+    nn.check_views(params.flat, params.blocks())
     header = json.dumps(cfg.to_json_dict(), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<II", CKPT_VERSION, len(header)))
         fh.write(header)
-        for block in params.blocks():
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
@@ -462,15 +494,11 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
         cfg = ModelConfig.from_json_dict(json.loads(raw[12:12 + hlen].decode("utf-8")))
     except (ValueError, KeyError) as exc:
         raise CheckpointFormatError(f"{path}: bad checkpoint header: {exc}") from exc
-    params = init_params(cfg, seed=0)  # shapes only; values overwritten below
-    offset = 12 + hlen
-    for block in params.blocks():
-        nbytes = block.size * 8
-        if offset + nbytes > len(raw):
-            raise CheckpointFormatError(f"{path}: truncated checkpoint")
-        block[...] = np.frombuffer(raw, dtype="<f8", count=block.size,
-                                   offset=offset).reshape(block.shape)
-        offset += nbytes
-    if offset != len(raw):
+    layout = ParamLayout.of(cfg)
+    payload = len(raw) - 12 - hlen
+    if payload < layout.size * 8:
+        raise CheckpointFormatError(f"{path}: truncated checkpoint")
+    if payload > layout.size * 8:
         raise CheckpointFormatError(f"{path}: trailing bytes in checkpoint")
-    return cfg, params
+    flat = np.frombuffer(raw, dtype="<f8", count=layout.size, offset=12 + hlen)
+    return cfg, ModelParams.on(layout, flat.astype(nn.DTYPE))

@@ -6,8 +6,6 @@ Everything is float64 numpy. All randomness goes through an explicit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
@@ -64,95 +62,177 @@ def affine_backward(inp: np.ndarray, weights: np.ndarray, d_out: np.ndarray):
     return d_w, d_b, d_in
 
 
-@dataclass
-class AdamState:
-    """Per-parameter-block Adam moments and step counter.
+# Entries per slice of an Adam step: the slice's working arrays stay in L2.
+_CHUNK = 32768
 
-    ``t_entry`` is allocated on first gated step: a frozen entry must keep its
-    bias-correction clock stopped too, so gated blocks count steps per entry.
+
+def check_views(flat: np.ndarray, blocks) -> None:
+    """Raise ShapeError unless ``blocks`` are views of the contiguous 1-D
+    float64 vector ``flat``, back to back from its start, covering it."""
+    if flat.ndim != 1 or flat.dtype != DTYPE or not flat.flags.c_contiguous:
+        raise ShapeError(f"flat parameters must be a contiguous 1-D float64 vector, "
+                         f"got {flat.dtype} {flat.shape}")
+    base = flat.__array_interface__["data"][0]
+    offset = 0
+    for i, block in enumerate(blocks):
+        if (block.dtype != DTYPE or not block.flags.c_contiguous
+                or block.__array_interface__["data"][0] != base + 8 * offset):
+            raise ShapeError(f"block {i} {block.shape} is not a view of the flat vector "
+                             f"at entry {offset}")
+        offset += block.size
+    if offset != flat.size:
+        raise ShapeError(f"blocks cover {offset} of {flat.size} flat entries")
+
+
+def _bias_table(beta: float, n: int) -> np.ndarray:
+    """``1 - beta ** t`` for t < n by numpy's array pow, as a gated entry's
+    clock takes it. Entry 0 is set to 1.0: only entries that have never
+    stepped read it, and those are frozen, so it just keeps their scratch
+    arithmetic finite."""
+    table = 1.0 - beta ** np.arange(n)
+    table[0] = 1.0
+    return table
+
+
+class UpdateGate:
+    """Which entries of a flat parameter vector an Adam step may change.
+
+    Built once from one entry per block, in order: ``None`` for an ungated
+    block, or a 0/1 array for a gated one. Iterating yields those entries.
+    ``chunks`` covers the vector in slices of at most ``_CHUNK`` entries,
+    each ``(start, stop, active)``: ``active`` is None in ungated blocks,
+    True where a gated slice is all open, and the slice's bool array
+    otherwise. Fully closed gated blocks get no slice: nothing in them
+    changes.
     """
 
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t_entry: np.ndarray | None = None
+    def __init__(self, per_block, sizes):
+        self.per_block = tuple(per_block)
+        self.sizes = tuple(sizes)
+        if len(self.per_block) != len(self.sizes):
+            raise ShapeError(f"gate has {len(self.per_block)} blocks, "
+                             f"parameters have {len(self.sizes)}")
+        runs: list[tuple[int, int, object]] = []
+        start = 0
+        for i, (gate, n) in enumerate(zip(self.per_block, self.sizes)):
+            stop = start + n
+            active = None
+            if gate is not None:
+                if np.size(gate) != n:
+                    raise ShapeError(f"gate {i} has {np.size(gate)} entries, block has {n}")
+                active = np.asarray(gate).ravel() != 0
+                active = True if active.all() else (active if active.any() else False)
+            if active is not False:
+                if runs and runs[-1][1] == start and type(runs[-1][2]) is type(active):
+                    first, _, prev = runs.pop()
+                    if isinstance(active, np.ndarray):
+                        active = np.concatenate([prev, active])
+                    start = first
+                runs.append((start, stop, active))
+            start = stop
+        self.chunks = [
+            (lo, min(lo + _CHUNK, stop),
+             act[lo - start:lo - start + _CHUNK] if isinstance(act, np.ndarray) else act)
+            for start, stop, act in runs for lo in range(start, stop, _CHUNK)]
 
-    @classmethod
-    def for_param(cls, param: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param))
-
-
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    update_mask: np.ndarray | None = None,
-) -> None:
-    """One in-place Adam update with bias correction.
-
-    When ``update_mask`` is given, entries where it is 0 are frozen completely:
-    neither the parameter nor its moments change. This is what lets a task
-    leave the other task's private weights bit-identical.
-    """
-    if params.shape != grads.shape:
-        raise ShapeError(f"adam_step: params {params.shape} vs grads {grads.shape}")
-    if state.m.shape != params.shape or state.v.shape != params.shape:
-        raise ShapeError(
-            f"adam_step: moment shape {state.m.shape} vs params {params.shape}"
-        )
-    state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    if update_mask is None:
-        bc1 = 1.0 - b1 ** state.t
-        bc2 = 1.0 - b2 ** state.t
-        state.m *= b1
-        state.m += (1.0 - b1) * grads
-        state.v *= b2
-        state.v += (1.0 - b2) * np.square(grads)
-        params -= lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + eps)
-    else:
-        if update_mask.shape != params.shape:
-            raise ShapeError(
-                f"adam_step: update_mask {update_mask.shape} vs params {params.shape}"
-            )
-        if state.t_entry is None:
-            state.t_entry = np.zeros(params.shape, dtype=np.int64)
-        active = update_mask != 0
-        state.t_entry[active] += 1
-        t = state.t_entry[active]
-        bc1 = 1.0 - b1 ** t
-        bc2 = 1.0 - b2 ** t
-        g = grads[active]
-        m = b1 * state.m[active] + (1.0 - b1) * g
-        v = b2 * state.v[active] + (1.0 - b2) * np.square(g)
-        state.m[active] = m
-        state.v[active] = v
-        params[active] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    def __iter__(self):
+        return iter(self.per_block)
 
 
 class Adam:
-    """Adam over a flat list of parameter blocks, one AdamState each."""
+    """Adam over one flat float64 parameter vector, updated in place.
 
-    def __init__(self, params: list[np.ndarray], lr: float,
+    ``params`` holds that vector as ``flat`` and returns views of it, back
+    to back, from ``blocks()`` (a ``model.ModelParams``). The moments ``m``
+    and ``v`` and the per-entry clocks ``t_entry`` share its layout.
+
+    Every step advances the step count ``t``. An ungated block updates every
+    entry and takes its bias correction from Python's scalar ``b ** t``. A
+    gated block updates only the entries whose gate is nonzero, and freezes
+    the others completely: parameter, moments and clock. That is what lets
+    a task leave the other task's private weights bit-identical. Each open
+    entry counts its own steps in ``t_entry`` and takes its bias correction
+    from numpy's array pow, read from tables. The two pows can differ in the
+    last bit, so each block keeps its flavour, and every entry follows the
+    same float operations, in the same order, as a per-block update would.
+    """
+
+    def __init__(self, params, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.lr = lr
-        self.states = [
-            AdamState(m=np.zeros_like(p), v=np.zeros_like(p),
-                      beta1=beta1, beta2=beta2, eps=eps)
-            for p in params
-        ]
-        self._params = params
+        blocks = params.blocks()
+        check_views(params.flat, blocks)
+        self.flat = params.flat
+        self.sizes = tuple(b.size for b in blocks)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.t = 0
+        self.t_entry: np.ndarray | None = None   # allocated on the first gated step
+        self._bc1 = self._bc2 = np.empty(0)
+        self._ungated = UpdateGate([None] * len(blocks), self.sizes)
+        self._scratch = np.empty((5, min(self.flat.size, _CHUNK)))
 
-    def step(self, grads: list[np.ndarray],
-             update_masks: list[np.ndarray | None] | None = None) -> None:
-        if len(grads) != len(self._params):
-            raise ShapeError(
-                f"Adam.step: {len(grads)} grads for {len(self._params)} params"
-            )
-        for i, (p, g, s) in enumerate(zip(self._params, grads, self.states)):
-            mask = update_masks[i] if update_masks is not None else None
-            adam_step(p, g, s, self.lr, update_mask=mask)
+    def step(self, grads, update_masks=None) -> None:
+        """One update from ``grads``, whose ``flat`` has this layout and
+        which iterates over its blocks (a ``model.Grads``). ``update_masks``
+        is None (all blocks ungated), an ``UpdateGate``, or a per-block
+        sequence to build one from."""
+        g = grads.flat
+        if g.shape != self.flat.shape:
+            raise ShapeError(f"Adam.step: grads {g.shape} for params {self.flat.shape}")
+        gate = self._ungated if update_masks is None else update_masks
+        if not isinstance(gate, UpdateGate):
+            gate = UpdateGate(gate, self.sizes)
+        elif gate.sizes != self.sizes:
+            raise ShapeError(f"Adam.step: gate block sizes {gate.sizes} vs {self.sizes}")
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1, bc2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
+        if gate is not self._ungated:
+            if self.t_entry is None:
+                self.t_entry = np.zeros(self.flat.shape, dtype=np.int64)
+            if len(self._bc1) <= self.t:   # t_entry never exceeds t
+                n = max(1024, 2 * self.t)
+                self._bc1, self._bc2 = _bias_table(b1, n), _bias_table(b2, n)
+        for start, stop, active in gate.chunks:
+            self._update(slice(start, stop), g, active, bc1, bc2)
+
+    def _update(self, sl: slice, grads: np.ndarray, active, bc1, bc2) -> None:
+        """Adam on one slice. The ops and their operand order match
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*square(g)`` and
+        ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, each rounded as numpy
+        rounds it on whole arrays. A partly open slice computes every entry
+        in scratch and writes back only the open ones."""
+        p, g, m, v = self.flat[sl], grads[sl], self.m[sl], self.v[sl]
+        t1, t2, m_new, v_new, upd = self._scratch[:, :sl.stop - sl.start]
+        if active is None or active is True:
+            m_new, v_new = m, v
+        if active is not None:
+            te = self.t_entry[sl]
+            if active is True:
+                te += 1
+            else:
+                np.add(te, active, out=te)
+            bc1 = np.take(self._bc1, te, out=t1, mode="clip")
+            bc2 = np.take(self._bc2, te, out=t2, mode="clip")
+        b1, b2 = self.beta1, self.beta2
+        np.multiply(m, b1, out=m_new)
+        np.multiply(g, 1.0 - b1, out=upd)
+        np.add(m_new, upd, out=m_new)
+        np.multiply(v, b2, out=v_new)
+        np.square(g, out=upd)
+        np.multiply(upd, 1.0 - b2, out=upd)
+        np.add(v_new, upd, out=v_new)
+        np.divide(m_new, bc1, out=upd)
+        np.multiply(upd, self.lr, out=upd)
+        den = np.divide(v_new, bc2, out=t2)
+        np.sqrt(den, out=den)
+        np.add(den, self.eps, out=den)
+        np.divide(upd, den, out=upd)
+        if active is None or active is True:
+            np.subtract(p, upd, out=p)
+            return
+        np.subtract(p, upd, out=upd)
+        np.putmask(m, active, m_new)
+        np.putmask(v, active, v_new)
+        np.putmask(p, active, upd)

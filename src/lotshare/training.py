@@ -57,21 +57,6 @@ class TrainConfig:
     def omega(self, task: Task) -> float:
         return self.omega_ctr if Task(task) is Task.CTR else self.omega_cvr
 
-    def to_kv_lines(self) -> list[str]:
-        return [
-            f"learning_rate={self.learning_rate!r}",
-            f"batch_size={self.batch_size}",
-            f"omega_ctr={self.omega_ctr!r}",
-            f"omega_cvr={self.omega_cvr!r}",
-            f"prune_fraction={self.prune_fraction!r}",
-            f"n_pruning={self.n_pruning}",
-            f"warmup_epochs={self.warmup_epochs}",
-            f"mask_epochs={self.mask_epochs}",
-            f"joint_epochs={self.joint_epochs}",
-            f"seed={self.seed}",
-            f"sharing_mode={self.sharing_mode.value}",
-        ]
-
 
 def _loss_and_dlogit(logits: np.ndarray, preds: np.ndarray, labels: np.ndarray,
                      task: Task) -> tuple[float, np.ndarray]:
@@ -104,20 +89,6 @@ def joint_loss(batch: Batch, params: ModelParams, cfg: ModelConfig,
     return tcfg.omega(batch.task) * task_loss(batch, params, cfg, mask)
 
 
-def _mlp_update_masks(params: ModelParams, mask: TaskMask | None):
-    """Per-block optimizer gates in params.blocks() order; None = ungated."""
-    if mask is None:
-        return None
-    gates: list[np.ndarray | None] = [None] * len(params.embeddings)
-    gates.extend(mask.layers)
-    gates.extend([None] * len(params.mlp_biases))
-    if params.head_weights is not None:
-        for task in TASKS:
-            gates.extend([None] * (len(params.head_weights[task])
-                                   + len(params.head_biases[task])))
-    return gates
-
-
 def _train_step(params: ModelParams, cfg: ModelConfig, tcfg: TrainConfig,
                 opt: nn.Adam, batch: Batch, mask: TaskMask | None,
                 weight: float) -> float:
@@ -125,7 +96,7 @@ def _train_step(params: ModelParams, cfg: ModelConfig, tcfg: TrainConfig,
                                  mask=mask, want_cache=True)
     loss, dlogit = _loss_and_dlogit(cache.logits, preds, batch.labels, batch.task)
     grads = model.backward(weight * dlogit, cache, params, cfg, mask=mask)
-    opt.step(grads.blocks(), _mlp_update_masks(params, mask))
+    opt.step(grads, None if mask is None else mask.update_gate(params))
     return weight * loss
 
 
@@ -152,7 +123,7 @@ def warmup(params: ModelParams, dataset: Dataset, cfg: ModelConfig,
     trained weights as the rewind snapshot."""
     if all(dataset.task(t).n == 0 for t in TASKS):
         raise ConfigError("warmup: empty dataset")
-    opt = nn.Adam(params.blocks(), tcfg.learning_rate)
+    opt = nn.Adam(params, tcfg.learning_rate)
     for epoch in range(tcfg.warmup_epochs):
         total, count = 0.0, 0
         for batch in batches(dataset, TASKS, tcfg.batch_size, tcfg.seed,
@@ -197,7 +168,7 @@ def generate_masks(params: ModelParams, dataset: Dataset, cfg: ModelConfig,
         scores = []
         for rnd in range(tcfg.n_pruning + 1):
             params.rewind()
-            opt = nn.Adam(params.blocks(), tcfg.learning_rate)
+            opt = nn.Adam(params, tcfg.learning_rate)
             for epoch in range(tcfg.mask_epochs):
                 stream_epoch = (_MASKGEN_EPOCH_BASE + ti * 10_000
                                 + rnd * tcfg.mask_epochs + epoch)
@@ -242,10 +213,6 @@ class TrainedArtifacts:
             return self.params[Task(task)]
         return self.params
 
-    def predictions(self, cfg: ModelConfig, task: Task, ids: np.ndarray) -> np.ndarray:
-        return predict(self.params_for(task), cfg, task, ids,
-                       mask=self.best_mask(task))
-
 
 def joint_train(params: ModelParams, best_masks: dict[Task, TaskMask],
                 dataset: Dataset, cfg: ModelConfig, tcfg: TrainConfig,
@@ -257,7 +224,7 @@ def joint_train(params: ModelParams, best_masks: dict[Task, TaskMask],
         if task not in best_masks:
             raise StateError(f"joint_train: missing best mask for task {task.value}")
     params.rewind()
-    opt = nn.Adam(params.blocks(), tcfg.learning_rate)
+    opt = nn.Adam(params, tcfg.learning_rate)
     for epoch in range(tcfg.joint_epochs):
         total, count = 0.0, 0
         for batch in batches(dataset, TASKS, tcfg.batch_size, tcfg.seed,
@@ -285,7 +252,7 @@ def train_baseline(dataset: Dataset, cfg: ModelConfig,
             if dataset.task(task).n == 0:
                 raise ConfigError(f"train_baseline: no samples for task {task.value}")
             p = model.init_params(cfg, tcfg.seed + ti)
-            opt = nn.Adam(p.blocks(), tcfg.learning_rate)
+            opt = nn.Adam(p, tcfg.learning_rate)
             for epoch in range(tcfg.joint_epochs):
                 total, count = 0.0, 0
                 for batch in batches(dataset, [task], tcfg.batch_size, tcfg.seed,
@@ -298,7 +265,7 @@ def train_baseline(dataset: Dataset, cfg: ModelConfig,
         return TrainedArtifacts(mode, per_task, history=history)
     if mode is SharingMode.LAYER_SHARE:
         p = model.init_params(cfg, tcfg.seed)
-        opt = nn.Adam(p.blocks(), tcfg.learning_rate)
+        opt = nn.Adam(p, tcfg.learning_rate)
         for epoch in range(tcfg.joint_epochs):
             total, count = 0.0, 0
             for batch in batches(dataset, TASKS, tcfg.batch_size, tcfg.seed,

@@ -152,23 +152,24 @@ def test_criterion_5_layer_share_special_case(capsys):
     halves = [(slice(0, h1), slice(h1, 2 * h1)), (slice(0, h2), slice(h2, 2 * h2))]
     masks = _disjoint_masks(shared.mlp_weights, halves)
 
-    # separate towers: slices of the shared init, same embeddings and biases
+    # separate towers: slices of the shared init, same embeddings and biases,
+    # written into the tower's own parameter views
     towers = {}
     for hi, task in enumerate((Task.CTR, Task.CVR)):
         t = model.init_params(sub_cfg, 3)
-        t.embeddings = [e.copy() for e in shared.embeddings]
         hid, out_h = halves[0][hi], halves[1][hi]
-        t.mlp_weights = [shared.mlp_weights[0][:, hid].copy(),
-                         shared.mlp_weights[1][hid, out_h].copy(),
-                         shared.mlp_weights[2][out_h, :].copy()]
-        t.mlp_biases = [shared.mlp_biases[0][hid].copy(),
-                        shared.mlp_biases[1][out_h].copy(),
-                        shared.mlp_biases[2].copy()]
+        sources = [*shared.embeddings,
+                   shared.mlp_weights[0][:, hid], shared.mlp_weights[1][hid, out_h],
+                   shared.mlp_weights[2][out_h, :],
+                   shared.mlp_biases[0][hid], shared.mlp_biases[1][out_h],
+                   shared.mlp_biases[2]]
+        for dst, src in zip(t.blocks(), sources, strict=True):
+            dst[...] = src
         towers[task] = t
 
     lr = 1e-3
-    shared_opt = nn.Adam(shared.blocks(), lr)
-    tower_opts = {t: nn.Adam(towers[t].blocks(), lr) for t in towers}
+    shared_opt = nn.Adam(shared, lr)
+    tower_opts = {t: nn.Adam(towers[t], lr) for t in towers}
     zero_emb = [np.zeros_like(e) for e in shared.embeddings]
     zero_bias = [np.zeros_like(b) for b in shared.mlp_biases]
     zero_bias_sub = {t: [np.zeros_like(b) for b in towers[t].mlp_biases]
@@ -192,7 +193,7 @@ def test_criterion_5_layer_share_special_case(capsys):
             else:
                 dlogit = 2 * (preds - batch.labels) * preds * (1 - preds) / batch.n
             grads = model.backward(dlogit, cache, shared, cfg, mask=masks[task])
-            shared_opt.step(grads.blocks(), zero_emb + masks[task].layers + zero_bias)
+            shared_opt.step(grads, zero_emb + masks[task].layers + zero_bias)
 
             # the task's own half-width tower on the same batch
             tw = towers[task]
@@ -202,7 +203,7 @@ def test_criterion_5_layer_share_special_case(capsys):
             else:
                 d2 = 2 * (p2 - batch.labels) * p2 * (1 - p2) / batch.n
             g2 = model.backward(d2, c2, tw, sub_cfg)
-            tower_opts[task].step(g2.blocks(),
+            tower_opts[task].step(g2,
                                   zero_emb + ones_w[task] + zero_bias_sub[task])
 
             for t in (Task.CTR, Task.CVR):

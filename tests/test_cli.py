@@ -99,13 +99,39 @@ class TestTrain:
                        "--dataset", str(dpath), "--out", str(out))
         assert rc == 0
         # config.cfg is a verbatim copy of --config, so the dataset shows only
-        # through the fingerprint, which hashes the resolved "dataset = <path>"
+        # through the fingerprint, which hashes the dataset file's bytes
         report = MetricsReport.from_kv_lines((out / "report.kv").read_text().splitlines())
         with_ds = load_experiment(cfg_file, {"dataset": str(dpath)})
         assert f"dataset = {dpath}" in with_ds.to_kv_lines()
         assert report.config_fingerprint == with_ds.fingerprint()
         assert report.config_fingerprint != load_experiment(cfg_file, {}).fingerprint()
         assert (out / "model.ckpt").exists()
+
+    def test_fingerprint_hashes_dataset_bytes_not_path(self, tmp_path, cfg_file):
+        a, b = tmp_path / "a" / "d.tsv", tmp_path / "b" / "other.tsv"
+        a.parent.mkdir()
+        b.parent.mkdir()
+        payload = b"0\ttrain\t1\t0\t3\t1\t2\t0\n"
+        a.write_bytes(payload)
+        b.write_bytes(payload)
+        fa = load_experiment(cfg_file, {"dataset": str(a)}).fingerprint()
+        assert fa == load_experiment(cfg_file, {"dataset": str(b)}).fingerprint()
+        assert fa != load_experiment(cfg_file, {}).fingerprint()
+
+    def test_fingerprint_without_dataset_is_stable(self, monkeypatch):
+        # values of the releases that hashed "dataset = <path>": configs
+        # without a dataset must keep them
+        monkeypatch.delenv("LOTSHARE_SEED", raising=False)
+        assert load_experiment(None).fingerprint() == "4c5f39fe52515463"
+        assert load_experiment(None, {"mode": "layer_share", "train.q": "0.3"}
+                               ).fingerprint() == "71481c6f3031058c"
+
+    def test_fingerprint_changes_with_one_dataset_byte(self, tmp_path, cfg_file):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(b"0\ttrain\t1\t0\t3\t1\t2\t0\n")
+        before = load_experiment(cfg_file, {"dataset": str(path)}).fingerprint()
+        path.write_bytes(b"0\ttrain\t1\t0\t3\t1\t2\t1\n")
+        assert load_experiment(cfg_file, {"dataset": str(path)}).fingerprint() != before
 
     def test_missing_dataset_exit_3(self, cfg_file, capsys):
         rc, _, _ = run(capsys, "train", "--config", cfg_file,

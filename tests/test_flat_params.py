@@ -1,0 +1,316 @@
+"""The flat parameter vector and the fused Adam update against per-block
+references: the per-block Adam that nn.Adam replaced, and the per-block
+checkpoint writer. Every comparison is on bytes."""
+
+import json
+import struct
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from lotshare import model, nn, training
+from lotshare.data import SyntheticSpec, batches, generate
+from lotshare.errors import ShapeError
+from lotshare.masking import TaskMask
+from lotshare.model import CrossKind, ModelConfig, SharingMode, Task, cross_output_width
+
+
+@dataclass
+class AdamState:
+    """Per-parameter-block Adam moments and step counter.
+
+    ``t_entry`` is allocated on first gated step: a frozen entry must keep its
+    bias-correction clock stopped too, so gated blocks count steps per entry.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
+    t: int = 0
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    t_entry: np.ndarray | None = None
+
+    @classmethod
+    def for_param(cls, param: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(param), v=np.zeros_like(param))
+
+
+def adam_step(params, grads, state, lr, update_mask=None):
+    """One in-place per-block Adam update, as lotshare ran it before the
+    flat vector: entries where ``update_mask`` is 0 are frozen completely."""
+    assert params.shape == grads.shape == state.m.shape == state.v.shape
+    state.t += 1
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    if update_mask is None:
+        bc1 = 1.0 - b1 ** state.t
+        bc2 = 1.0 - b2 ** state.t
+        state.m *= b1
+        state.m += (1.0 - b1) * grads
+        state.v *= b2
+        state.v += (1.0 - b2) * np.square(grads)
+        params -= lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + eps)
+    else:
+        assert update_mask.shape == params.shape
+        if state.t_entry is None:
+            state.t_entry = np.zeros(params.shape, dtype=np.int64)
+        active = update_mask != 0
+        state.t_entry[active] += 1
+        t = state.t_entry[active]
+        bc1 = 1.0 - b1 ** t
+        bc2 = 1.0 - b2 ** t
+        g = grads[active]
+        m = b1 * state.m[active] + (1.0 - b1) * g
+        v = b2 * state.v[active] + (1.0 - b2) * np.square(g)
+        state.m[active] = m
+        state.v[active] = v
+        params[active] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+class PerBlockAdam:
+    """One AdamState per block, one adam_step per block and step."""
+
+    def __init__(self, blocks, lr):
+        self.blocks, self.lr = blocks, lr
+        self.states = [AdamState.for_param(b) for b in blocks]
+
+    def step(self, grads, gates=None):
+        for i, (p, g, s) in enumerate(zip(self.blocks, grads, self.states, strict=True)):
+            adam_step(p, g, s, self.lr, None if gates is None else gates[i])
+
+
+def reference_save_checkpoint(path, params, cfg):
+    """The per-block checkpoint writer."""
+    header = json.dumps(cfg.to_json_dict(), sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(model.CKPT_MAGIC)
+        fh.write(struct.pack("<II", model.CKPT_VERSION, len(header)))
+        fh.write(header)
+        for block in params.blocks():
+            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+
+
+def reference_init_blocks(cfg, seed):
+    """The per-block init: Xavier draws for embeddings, then trunk weights,
+    then each task's tower weights; zero biases; in blocks() order."""
+    rng = nn.make_rng(seed)
+    emb = [nn.xavier_init(c, cfg.embedding_dim, rng) for c in cfg.field_cardinalities]
+    dims, tower = cfg.mlp_dims, ()
+    if cfg.sharing_mode is SharingMode.LAYER_SHARE:
+        dims, tower = dims[:-model.TOWER_TRANSITIONS], dims[-model.TOWER_TRANSITIONS - 1:]
+    weights = [nn.xavier_init(a, b, rng) for a, b in zip(dims, dims[1:])]
+    blocks = emb + weights + [np.zeros(b) for b in dims[1:]]
+    for _ in range(2 if tower else 0):
+        blocks += [nn.xavier_init(a, b, rng) for a, b in zip(tower, tower[1:])]
+        blocks += [np.zeros(b) for b in tower[1:]]
+    return blocks
+
+
+def flat_bytes(blocks) -> bytes:
+    return np.concatenate([b.ravel() for b in blocks]).tobytes()
+
+
+def make_cfg(mode=SharingMode.CONNECTION_SHARE, cards=(5, 3, 7), emb=3, hidden=(12, 6)):
+    width = cross_output_width(len(cards), emb, CrossKind.PAIRWISE_DOT)
+    return ModelConfig(cards, emb, (width, *hidden, 1), CrossKind.PAIRWISE_DOT, mode)
+
+
+def random_grads(params, rng):
+    """Wide exponents, exact zeros and negative zeros."""
+    n = params.layout.size
+    g = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, n)
+    g[rng.random(n) < 0.05] = 0.0
+    g[rng.random(n) < 0.05] = -0.0
+    return model.Grads.on(params.layout, g)
+
+
+def random_mask(params, task, rng, density):
+    return TaskMask([(rng.random(w.shape) < density).astype(float)
+                     for w in params.mlp_weights], task)
+
+
+def weight_gates(params, mask):
+    """Per-block gates of a task mask: MLP weights gated, the rest not."""
+    n_after = len(params.blocks()) - len(params.embeddings) - len(params.mlp_weights)
+    return [None] * len(params.embeddings) + mask.layers + [None] * n_after
+
+
+def zero_emb_bias_gates(params, mask):
+    """Criterion 5's shape: embeddings and biases gated shut."""
+    return ([np.zeros_like(e) for e in params.embeddings] + mask.layers
+            + [np.zeros_like(b) for b in params.mlp_biases])
+
+
+def _schedule(case, params, rng):
+    """(flat gate, per-block reference gates) for each of 60 steps."""
+    ctr = random_mask(params, Task.CTR, rng, 0.6)
+    cvr = random_mask(params, Task.CVR, rng, 0.5)
+    ones = TaskMask.all_ones(params.mlp_weights, Task.CTR)
+    out = []
+    for step in range(60):
+        if case == "ungated":
+            out.append((None, None))
+        elif case == "pruned":
+            out.append((ctr.update_gate(params), weight_gates(params, ctr)))
+        elif case == "all_ones":
+            out.append((ones.update_gate(params), weight_gates(params, ones)))
+        elif case == "zero_emb_bias":
+            gates = zero_emb_bias_gates(params, ctr)
+            out.append((gates, gates))
+        elif case == "alternating":
+            m = ctr if step % 3 else cvr
+            out.append((m.update_gate(params), weight_gates(params, m)))
+        elif case == "mixed":
+            # ungated, then gated, then ungated again: blocks switch flavour
+            # while their per-entry clocks have run
+            if step < 10 or step >= 45:
+                out.append((None, None))
+            else:
+                out.append((ctr.update_gate(params), weight_gates(params, ctr)))
+        elif case == "random_blocks":
+            gates = [(rng.random(b.shape) < 0.7).astype(float) if rng.random() < 0.6 else None
+                     for b in params.blocks()]
+            out.append((gates, gates))
+    return out
+
+
+CASES = ["ungated", "pruned", "all_ones", "zero_emb_bias", "alternating", "mixed",
+         "random_blocks"]
+
+
+class TestAdamBitIdentity:
+    """nn.Adam over the flat vector reproduces the per-block Adam bit for bit
+    on params, m and v, past step 7, where Python's scalar pow and numpy's
+    array pow first differ for beta2 = 0.999."""
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_per_block_reference(self, case, chunk, monkeypatch):
+        if chunk is not None:  # slices that cut through blocks and gates
+            monkeypatch.setattr(nn, "_CHUNK", chunk)
+        rng = nn.make_rng(100 + CASES.index(case))
+        cfg = make_cfg()
+        params = model.init_params(cfg, 3)
+        ref_blocks = [b.copy() for b in params.blocks()]
+        opt, ref = nn.Adam(params, 0.01), PerBlockAdam(ref_blocks, 0.01)
+        for flat_gate, ref_gates in _schedule(case, params, rng):
+            grads = random_grads(params, rng)
+            opt.step(grads, flat_gate)
+            ref.step(list(grads), ref_gates)
+        assert params.flat.tobytes() == flat_bytes(ref_blocks)
+        assert opt.m.tobytes() == flat_bytes([s.m for s in ref.states])
+        assert opt.v.tobytes() == flat_bytes([s.v for s in ref.states])
+        assert opt.t == 60 and all(s.t == 60 for s in ref.states)
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_layer_share_heads(self, gated):
+        rng = nn.make_rng(7)
+        cfg = make_cfg(SharingMode.LAYER_SHARE, hidden=(10, 6, 4))
+        params = model.init_params(cfg, 4)
+        assert params.head_weights is not None
+        ref_blocks = [b.copy() for b in params.blocks()]
+        opt, ref = nn.Adam(params, 0.01), PerBlockAdam(ref_blocks, 0.01)
+        for _ in range(60):
+            gates = None
+            if gated:  # one task's tower open, the other's shut, trunk partly open
+                gates = [None] * len(params.embeddings)
+                gates += [(rng.random(w.shape) < 0.5).astype(float) for w in params.mlp_weights]
+                gates += [None] * len(params.mlp_biases)
+                for task, fill in ((Task.CTR, np.ones_like), (Task.CVR, np.zeros_like)):
+                    gates += [fill(b) for b in params.head_weights[task]]
+                    gates += [fill(b) for b in params.head_biases[task]]
+            grads = random_grads(params, rng)
+            opt.step(grads, gates)
+            ref.step(list(grads), gates)
+        assert params.flat.tobytes() == flat_bytes(ref_blocks)
+        assert opt.m.tobytes() == flat_bytes([s.m for s in ref.states])
+        assert opt.v.tobytes() == flat_bytes([s.v for s in ref.states])
+
+    def test_joint_training_steps(self):
+        """Real masked forward/backward steps alternating the CTR and CVR
+        masks, with the gradients fed to both optimizers."""
+        ds = generate(SyntheticSpec(n_users=30, n_items=30, field_cardinalities=(6,) * 4,
+                                    latent_dim=4, n_impressions=2000, seed=5))
+        cfg = model.ModelConfig(ds.field_cardinalities, 4,
+                                (cross_output_width(4, 4, CrossKind.PAIRWISE_DOT), 16, 8, 1))
+        params = model.init_params(cfg, 6)
+        rng = nn.make_rng(8)
+        masks = {t: random_mask(params, t, rng, 0.6) for t in (Task.CTR, Task.CVR)}
+        ref_blocks = [b.copy() for b in params.blocks()]
+        opt, ref = nn.Adam(params, 0.01), PerBlockAdam(ref_blocks, 0.01)
+        steps = 0
+        for batch in batches(ds, (Task.CTR, Task.CVR), 32, seed=9, epoch=0):
+            mask = masks[batch.task]
+            preds, cache = model.forward(batch.ids, params, cfg, batch.task,
+                                         mask=mask, want_cache=True)
+            _, dlogit = training._loss_and_dlogit(cache.logits, preds, batch.labels,
+                                                  batch.task)
+            grads = model.backward(dlogit, cache, params, cfg, mask=mask)
+            opt.step(grads, mask.update_gate(params))
+            ref.step(list(grads), weight_gates(params, mask))
+            assert params.flat.tobytes() == flat_bytes(ref_blocks)
+            steps += 1
+        assert steps >= 50
+        assert opt.m.tobytes() == flat_bytes([s.m for s in ref.states])
+        assert opt.v.tobytes() == flat_bytes([s.v for s in ref.states])
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_init_matches_per_block_init(self, mode):
+        cfg = make_cfg(mode, hidden=(10, 6, 4))
+        assert model.init_params(cfg, 5).flat.tobytes() == flat_bytes(
+            reference_init_blocks(cfg, 5))
+
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_blocks_are_views_in_order(self, mode):
+        params = model.init_params(make_cfg(mode, hidden=(10, 6, 4)), 1)
+        nn.check_views(params.flat, params.blocks())
+        assert params.flat.size == sum(b.size for b in params.blocks())
+        assert [b.shape for b in params.blocks()] == [s for _, _, s in params.layout.spans]
+
+    def test_copy_rewind_and_gate_cache(self):
+        params = model.init_params(make_cfg(), 2)
+        params.take_snapshot()
+        snap = params.flat.copy()
+        params.mlp_weights[0] += 1.0
+        params.rewind()
+        assert params.flat.tobytes() == snap.tobytes()
+        nn.check_views(params.init_snapshot.flat, params.init_snapshot.blocks())
+        assert not np.shares_memory(params.flat, params.init_snapshot.flat)
+        mask = TaskMask.all_ones(params.mlp_weights, Task.CTR)
+        assert mask.update_gate(params) is mask.update_gate(params.copy())
+
+    def test_detached_block_rejected(self, tmp_path):
+        cfg = make_cfg()
+        params = model.init_params(cfg, 2)
+        params.mlp_weights = [w * 1.0 for w in params.mlp_weights]
+        with pytest.raises(ShapeError):
+            nn.Adam(params, 0.01)
+        with pytest.raises(ShapeError):
+            model.save_checkpoint(tmp_path / "x.ckpt", params, cfg)
+
+
+class TestCheckpointBytes:
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_matches_per_block_writer_and_round_trips(self, mode, tmp_path):
+        rng = nn.make_rng(11)
+        cfg = make_cfg(mode, hidden=(10, 6, 4))
+        params = model.init_params(cfg, 12)
+        opt = nn.Adam(params, 0.05)
+        for _ in range(5):
+            opt.step(random_grads(params, rng))
+        params.mlp_biases[0][0] = -0.0
+        ours, theirs = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        model.save_checkpoint(ours, params, cfg)
+        reference_save_checkpoint(theirs, params, cfg)
+        assert ours.read_bytes() == theirs.read_bytes()
+        cfg2, loaded = model.load_checkpoint(ours)
+        assert cfg2 == cfg
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert flat_bytes(loaded.blocks()) == flat_bytes(params.blocks())
+        nn.check_views(loaded.flat, loaded.blocks())
+        assert loaded.flat.flags.writeable
+        model.save_checkpoint(tmp_path / "c.ckpt", loaded, cfg2)
+        assert (tmp_path / "c.ckpt").read_bytes() == ours.read_bytes()

@@ -261,3 +261,20 @@ class TestSerialization:
 def test_mask_rejects_non_binary():
     with pytest.raises(ValueError):
         TaskMask([np.array([[0.5]])], Task.CTR)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 2.0, 1e-300,
+                                 np.nextafter(1.0, 2.0)])
+def test_mask_rejects_each_non_binary_value(bad):
+    layer = np.ones((3, 4))
+    layer[1, 2] = bad
+    with pytest.raises(ValueError):
+        TaskMask([np.zeros((2, 2)), layer], Task.CTR)
+
+
+@pytest.mark.parametrize("layer", [np.zeros((0, 3)), np.array([[-0.0, 1.0]]),
+                                   np.array([[True, False]]), np.array([[1, 0]])])
+def test_mask_accepts_binary_layers(layer):
+    m = TaskMask([layer], Task.CVR)
+    assert m.layers[0].dtype == np.float64
+    assert set(np.unique(m.layers[0])) <= {0.0, 1.0}

@@ -272,10 +272,15 @@ class TestBackwardBitIdentity:
         cards = tuple(int(c) for c in rng.choice([1, 2, 3, 40], size=F))
         ids = np.stack([rng.integers(0, c, n) for c in cards], axis=1)
         d_emb = rng.standard_normal((n, F, d)) * 10.0 ** rng.integers(-6, 7, (n, F, d))
-        got = model._embedding_grads(ids, d_emb, cards)
+        tables = sum(cards) * d
+        flat = model._embedding_grads(ids, d_emb, cards, tables + 5)
+        assert flat.shape == (tables + 5,) and flat.dtype == np.float64
+        assert flat[tables:].tobytes() == np.zeros(5).tobytes()
+        got = np.split(flat[:tables], np.cumsum(np.array(cards) * d)[:-1])
         want = scatter_embedding_grads(ids, d_emb, cards)
         assert len(got) == len(want)
         for g, w in zip(got, want):
+            g = g.reshape(-1, d)
             assert g.shape == w.shape and g.dtype == w.dtype
             assert g.tobytes() == w.tobytes()
 

@@ -100,59 +100,110 @@ def scalar_adam(p, g_seq, lr, b1=0.9, b2=0.999, eps=1e-8):
     return p
 
 
+class Flat:
+    """Blocks stored back to back in one vector ``flat``, the layout nn.Adam
+    updates; iterating yields the block views."""
+
+    def __init__(self, *blocks):
+        blocks = [np.asarray(b, dtype=float) for b in blocks]
+        self.flat = np.concatenate([b.ravel() for b in blocks])
+        ends = np.cumsum([b.size for b in blocks])
+        self._views = [self.flat[e - b.size:e].reshape(b.shape)
+                       for b, e in zip(blocks, ends)]
+
+    def blocks(self):
+        return self._views
+
+    def __iter__(self):
+        return iter(self._views)
+
+
 class TestAdam:
     def test_first_step_hand_value(self):
-        p = np.array([[1.0]])
-        g = np.array([[0.5]])
-        st = nn.AdamState.for_param(p)
-        nn.adam_step(p, g, st, lr=0.001)
+        p = Flat([[1.0]])
+        nn.Adam(p, lr=0.001).step(Flat([[0.5]]))
         # bias-corrected first step: m_hat=g, v_hat=g^2
-        assert p[0, 0] == pytest.approx(1.0 - 0.001 * (0.5 / (0.5 + 1e-8)), abs=1e-15)
-        assert p[0, 0] == pytest.approx(1.0 - 0.000999998, abs=1e-8)
+        assert p.flat[0] == pytest.approx(1.0 - 0.001 * (0.5 / (0.5 + 1e-8)), abs=1e-15)
+        assert p.flat[0] == pytest.approx(1.0 - 0.000999998, abs=1e-8)
 
     def test_zero_grad_fresh_state_is_identity(self):
-        p = nn.make_rng(1).standard_normal((3, 4))
-        before = p.copy()
-        st = nn.AdamState.for_param(p)
-        nn.adam_step(p, np.zeros_like(p), st, lr=0.1)
-        assert (p == before).all()
+        p = Flat(nn.make_rng(1).standard_normal((3, 4)))
+        before = p.flat.copy()
+        nn.Adam(p, lr=0.1).step(Flat(np.zeros((3, 4))))
+        assert (p.flat == before).all()
 
     def test_two_steps_match_scalar_oracle(self):
-        p = np.array([[2.0]])
-        st = nn.AdamState.for_param(p)
-        g = np.array([[0.3]])
-        nn.adam_step(p, g, st, lr=0.01)
-        nn.adam_step(p, g, st, lr=0.01)
-        assert p[0, 0] == pytest.approx(scalar_adam(2.0, [0.3, 0.3], 0.01), abs=1e-15)
+        p = Flat([[2.0]])
+        opt = nn.Adam(p, lr=0.01)
+        opt.step(Flat([[0.3]]))
+        opt.step(Flat([[0.3]]))
+        assert p.flat[0] == pytest.approx(scalar_adam(2.0, [0.3, 0.3], 0.01), abs=1e-15)
 
     def test_random_sequence_matches_oracle(self):
         rng = nn.make_rng(9)
-        p = np.array([[0.7]])
-        st = nn.AdamState.for_param(p)
+        p = Flat([[0.7]])
+        opt = nn.Adam(p, lr=0.05)
         gs = rng.standard_normal(10)
         for g in gs:
-            nn.adam_step(p, np.array([[g]]), st, lr=0.05)
-        assert p[0, 0] == pytest.approx(scalar_adam(0.7, gs, 0.05), rel=1e-12)
+            opt.step(Flat([[g]]))
+        assert p.flat[0] == pytest.approx(scalar_adam(0.7, gs, 0.05), rel=1e-12)
 
     def test_update_mask_freezes_entries(self):
         rng = nn.make_rng(4)
-        p = rng.standard_normal((4, 4))
+        p = Flat(rng.standard_normal((4, 4)), rng.standard_normal(3))
+        w, b = p.blocks()
         gate = (rng.random((4, 4)) < 0.5).astype(float)
-        frozen_before = p[gate == 0].copy()
-        st = nn.AdamState.for_param(p)
+        frozen_before = w[gate == 0].copy()
+        opt = nn.Adam(p, lr=0.01)
         for _ in range(5):
-            nn.adam_step(p, rng.standard_normal((4, 4)), st, lr=0.01, update_mask=gate)
-        assert (p[gate == 0] == frozen_before).all()
-        assert (st.m[gate == 0] == 0).all() and (st.v[gate == 0] == 0).all()
+            opt.step(Flat(rng.standard_normal((4, 4)), rng.standard_normal(3)), [gate, None])
+        assert (w[gate == 0] == frozen_before).all()
+        m, v = opt.m[:16].reshape(4, 4), opt.v[:16].reshape(4, 4)
+        assert (m[gate == 0] == 0).all() and (v[gate == 0] == 0).all()
+        assert (m[gate == 1] != 0).all() and (opt.m[16:] != 0).all()
+        assert (opt.t_entry[:16].reshape(4, 4) == 5 * gate).all()
 
     def test_shape_mismatch(self):
-        p = np.zeros((2, 2))
+        opt = nn.Adam(Flat(np.zeros((2, 2))), 0.1)
         with pytest.raises(ShapeError):
-            nn.adam_step(p, np.zeros((2, 3)), nn.AdamState.for_param(p), 0.1)
+            opt.step(Flat(np.zeros((2, 3))))
+        with pytest.raises(ShapeError):
+            opt.step(Flat(np.zeros((2, 2))), [np.ones((2, 3))])
+        with pytest.raises(ShapeError):
+            opt.step(Flat(np.zeros((2, 2))), [None, None])
 
     def test_step_count_increments(self):
-        p = np.zeros((1, 1))
-        st = nn.AdamState.for_param(p)
+        opt = nn.Adam(Flat(np.zeros((1, 1))), 0.1)
         for expected in (1, 2, 3):
-            nn.adam_step(p, np.ones((1, 1)), st, 0.1)
-            assert st.t == expected
+            opt.step(Flat(np.ones((1, 1))))
+            assert opt.t == expected
+
+    def test_blocks_must_be_views_of_flat(self):
+        p = Flat(np.zeros((2, 2)), np.zeros(3))
+        p._views[1] = np.zeros(3)
+        with pytest.raises(ShapeError):
+            nn.Adam(p, 0.1)
+        p = Flat(np.zeros((2, 2)), np.zeros(3))
+        p._views.reverse()
+        with pytest.raises(ShapeError):
+            nn.Adam(p, 0.1)
+
+
+class TestUpdateGate:
+    def test_runs_merge_and_skip_closed_blocks(self, monkeypatch):
+        monkeypatch.setattr(nn, "_CHUNK", 4)
+        part = np.array([1.0, 0.0, 1.0])
+        gate = nn.UpdateGate([None, None, np.ones(2), np.zeros(3), part, part, None],
+                             [2, 3, 2, 3, 3, 3, 1])
+        assert list(gate)[3] is not None and list(gate)[6] is None
+        spans = [(s, e, a if a is None or a is True else a.tolist())
+                 for s, e, a in gate.chunks]
+        assert spans == [(0, 4, None), (4, 5, None), (5, 7, True),
+                         (10, 14, [True, False, True, True]),
+                         (14, 16, [False, True]), (16, 17, None)]
+
+    def test_per_block_size_checked(self):
+        with pytest.raises(ShapeError):
+            nn.UpdateGate([np.ones(3)], [4])
+        with pytest.raises(ShapeError):
+            nn.UpdateGate([None], [4, 1])

@@ -218,7 +218,7 @@ class TestBaselines:
         assert any((a != b).any() for a, b in zip(p_ctr.blocks(), p_cvr.blocks()))
         # CTR net trained only on CTR data: retraining it alone reproduces it
         p2 = model.init_params(cfg, tcfg.seed)
-        opt = nn.Adam(p2.blocks(), tcfg.learning_rate)
+        opt = nn.Adam(p2, tcfg.learning_rate)
         from lotshare.data import batches
         for epoch in range(tcfg.joint_epochs):
             for batch in batches(ds, [Task.CTR], tcfg.batch_size, tcfg.seed,
