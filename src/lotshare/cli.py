@@ -58,10 +58,9 @@ def build_report(art: training.TrainedArtifacts, dataset: data_mod.Dataset,
 
 def write_run_dir(outdir: Path, exp: ExperimentConfig,
                   art: training.TrainedArtifacts, mcfg: model.ModelConfig,
-                  report: MetricsReport, config_text: str | None = None) -> None:
+                  report: MetricsReport) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.cfg").write_text(config_text if config_text is not None
-                                       else exp.to_text(), encoding="utf-8")
+    (outdir / "config.cfg").write_text(exp.to_text(), encoding="utf-8")
     if isinstance(art.params, dict):
         for task in TASKS:
             model.save_checkpoint(outdir / f"{task.value}.ckpt", art.params[task], mcfg)
@@ -161,14 +160,15 @@ def cli():
 @click.option("--out-file", type=click.Path(), default=None,
               help="dataset TSV path (default <output_dir>/dataset.tsv)")
 def cmd_generate_data(config_path, mode, dataset, seed, output_dir, extra, out_file):
-    """Generate a synthetic CTR/CVR dataset and write it with its sidecar spec."""
+    """Generate a synthetic CTR/CVR dataset and write it with its sidecar spec,
+    the `data.*` lines of the effective config."""
     exp = _build_exp(config_path, mode, dataset, seed, output_dir, extra)
     path = Path(out_file) if out_file else Path(exp.output_dir) / "dataset.tsv"
     path.parent.mkdir(parents=True, exist_ok=True)
     ds = data_mod.generate(exp.synth)
     data_mod.save(ds, path)
-    Path(str(path) + ".spec").write_text(
-        "\n".join(exp.synth.to_kv_lines()) + "\n", encoding="utf-8")
+    spec = [line for line in exp.to_kv_lines() if line.startswith("data.")]
+    Path(str(path) + ".spec").write_text("\n".join(spec) + "\n", encoding="utf-8")
     counts = ds.counts()
     click.echo(f"wrote {path}")
     click.echo("dataset        #user  #item  #impression  #click  #conversion")
@@ -187,10 +187,7 @@ def cmd_train(config_path, mode, dataset, seed, output_dir, extra):
     art = training.train_model(ds, mcfg, exp.train)
     report = build_report(art, ds, mcfg, exp)
     outdir = Path(exp.output_dir)
-    config_text = None
-    if config_path is not None:
-        config_text = Path(config_path).read_text(encoding="utf-8")
-    write_run_dir(outdir, exp, art, mcfg, report, config_text)
+    write_run_dir(outdir, exp, art, mcfg, report)
     for entry in art.history:
         click.echo(_history_kv(entry))
     click.echo(report.to_text())
@@ -269,7 +266,7 @@ def _read_candidates(path, n_fields: int) -> list[tuple[list[int], float]]:
 @click.option("--cvr-checkpoint", required=True, type=click.Path(exists=True))
 @click.option("--ctr-mask", type=click.Path(exists=True), default=None)
 @click.option("--cvr-mask", type=click.Path(exists=True), default=None)
-@click.option("-k", "top_k", type=int, default=1)
+@click.option("-k", "top_k", type=click.IntRange(min=1), default=1)
 @click.option("--alpha", type=float, default=1.0)
 @click.option("--beta", type=float, default=1.0)
 @click.option("--gamma", type=float, default=1.0)

@@ -1,15 +1,26 @@
 """Experiment configuration: flat `key = value` files with section prefixes.
 
-Precedence is CLI flags > config file > defaults; `LOTSHARE_SEED` in the
-environment overrides every seed. A run's effective config is written
-verbatim into its output directory so the run can be re-executed.
+Each key sets one dataclass field: `mode`, `output_dir`, `dataset` and
+`model.*` set the fields of `ExperimentConfig`, `train.*` those of
+`TrainConfig` and `data.*` those of `SyntheticSpec`. A key is its field's
+name, except `train.q` (`prune_fraction`) and `data.rho`
+(`task_correlation`); `TrainConfig.sharing_mode` follows `mode`. Defaults
+live only on the dataclasses, and a value parses by the type of its default.
+The key `seed` sets both `train.seed` and `data.seed`.
+
+Precedence is overrides (CLI flags, `--set`) > config file > defaults. Within
+one source `train.seed`/`data.seed` beat `seed`, and `LOTSHARE_SEED` in the
+environment beats every seed. `to_text()` writes the effective config, one
+line per key; a run directory keeps it as `config.cfg`, so loading that file
+re-creates the run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from enum import Enum
 
 from .data import SyntheticSpec
 from .errors import ConfigError, DataError
@@ -35,41 +46,19 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def _get(kv: dict[str, str], key: str, cast, default):
-    if key not in kv:
-        return default
-    try:
-        return cast(kv[key])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config key {key}: bad value {kv[key]!r}: {exc}") from exc
-
-
-def _int_tuple(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split(",") if x.strip())
-
-
-_KNOWN_KEYS = {
-    "mode", "output_dir", "dataset", "seed",
-    "model.embedding_dim", "model.hidden_dims", "model.cross_kind",
-    "train.learning_rate", "train.batch_size", "train.omega_ctr",
-    "train.omega_cvr", "train.q", "train.n_pruning", "train.warmup_epochs",
-    "train.mask_epochs", "train.joint_epochs", "train.seed",
-    "data.n_users", "data.n_items", "data.field_cardinalities",
-    "data.latent_dim", "data.click_base_rate", "data.click_noise",
-    "data.cvr_noise", "data.rho", "data.n_impressions", "data.seed",
-}
-
-
 @dataclass
 class ExperimentConfig:
+    # "key" metadata: the config key of a field, or the key prefix of a section
     mode: SharingMode = SharingMode.CONNECTION_SHARE
     output_dir: str = "runs/run"
-    dataset_path: str | None = None
-    embedding_dim: int = 8
-    hidden_dims: tuple[int, ...] = (64, 32, 16)
-    cross_kind: CrossKind = CrossKind.PAIRWISE_DOT
-    train: TrainConfig = field(default_factory=TrainConfig)
-    synth: SyntheticSpec = field(default_factory=SyntheticSpec)
+    dataset_path: str | None = field(default=None, metadata={"key": "dataset"})
+    embedding_dim: int = field(default=8, metadata={"key": "model.embedding_dim"})
+    hidden_dims: tuple[int, ...] = field(default=(64, 32, 16),
+                                         metadata={"key": "model.hidden_dims"})
+    cross_kind: CrossKind = field(default=CrossKind.PAIRWISE_DOT,
+                                  metadata={"key": "model.cross_kind"})
+    train: TrainConfig = field(default_factory=TrainConfig, metadata={"key": "train"})
+    synth: SyntheticSpec = field(default_factory=SyntheticSpec, metadata={"key": "data"})
 
     def model_config(self, field_cardinalities: tuple[int, ...]) -> ModelConfig:
         dims = (cross_output_width(len(field_cardinalities), self.embedding_dim,
@@ -83,17 +72,10 @@ class ExperimentConfig:
         )
 
     def to_kv_lines(self) -> list[str]:
-        lines = [f"mode = {self.mode.value}", f"output_dir = {self.output_dir}"]
-        if self.dataset_path:
-            lines.append(f"dataset = {self.dataset_path}")
-        lines += [
-            f"model.embedding_dim = {self.embedding_dim}",
-            f"model.hidden_dims = {','.join(map(str, self.hidden_dims))}",
-            f"model.cross_kind = {self.cross_kind.value}",
-        ]
-        lines += [f"train.{l}" for l in _train_kv(self.train)]
-        lines += [f"data.{l}" for l in _synth_kv(self.synth)]
-        return lines
+        """One `key = value` line per key, in table order; a key whose value
+        is None (no dataset) gets no line."""
+        return [f"{key.name} = {_format(value)}" for key in _KEYS
+                if (value := key.get(self)) is not None]
 
     def to_text(self) -> str:
         return "\n".join(self.to_kv_lines()) + "\n"
@@ -122,43 +104,72 @@ def _file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _train_kv(t: TrainConfig) -> list[str]:
-    return [
-        f"learning_rate = {t.learning_rate!r}",
-        f"batch_size = {t.batch_size}",
-        f"omega_ctr = {t.omega_ctr!r}",
-        f"omega_cvr = {t.omega_cvr!r}",
-        f"q = {t.prune_fraction!r}",
-        f"n_pruning = {t.n_pruning}",
-        f"warmup_epochs = {t.warmup_epochs}",
-        f"mask_epochs = {t.mask_epochs}",
-        f"joint_epochs = {t.joint_epochs}",
-        f"seed = {t.seed}",
-    ]
+@dataclass(frozen=True)
+class _Key:
+    name: str            # the config key
+    section: str | None  # the ExperimentConfig field holding the field, if any
+    attr: str            # the field the key sets
+    default: object
+
+    def get(self, exp: ExperimentConfig):
+        return getattr(exp if self.section is None else getattr(exp, self.section), self.attr)
+
+    def parse(self, text: str):
+        try:
+            if self.default is None:
+                return text or None
+            if isinstance(self.default, tuple):
+                return tuple(int(x) for x in text.split(",") if x.strip())
+            return type(self.default)(text)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"config key {self.name}: bad value {text!r}: {exc}") from exc
 
 
-def _synth_kv(s: SyntheticSpec) -> list[str]:
-    return [
-        f"n_users = {s.n_users}",
-        f"n_items = {s.n_items}",
-        f"field_cardinalities = {','.join(map(str, s.field_cardinalities))}",
-        f"latent_dim = {s.latent_dim}",
-        f"click_base_rate = {s.click_base_rate!r}",
-        f"click_noise = {s.click_noise!r}",
-        f"cvr_noise = {s.cvr_noise!r}",
-        f"rho = {s.task_correlation!r}",
-        f"n_impressions = {s.n_impressions}",
-        f"seed = {s.seed}",
-    ]
+def _format(value) -> str:
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+# section fields whose key is not their name
+_RENAMED = {"prune_fraction": "q", "task_correlation": "rho"}
+
+
+def _key_table() -> tuple[_Key, ...]:
+    keys = []
+    for f in fields(ExperimentConfig):
+        name = f.metadata.get("key", f.name)
+        if f.default_factory is MISSING:
+            keys.append(_Key(name, None, f.name, f.default))
+            continue
+        keys += [_Key(f"{name}.{_RENAMED.get(g.name, g.name)}", f.name, g.name, g.default)
+                 for g in fields(f.default_factory) if g.name != "sharing_mode"]
+    return tuple(keys)
+
+
+_KEYS = _key_table()
+_SEED_KEYS = tuple(key.name for key in _KEYS if key.attr == "seed")
+
+
+def _expand_seed(source: dict[str, str]) -> dict[str, str]:
+    """`seed` sets every seed key the same source leaves unset."""
+    out = dict(source)
+    if "seed" in out:
+        seed = out.pop("seed")
+        for key in _SEED_KEYS:
+            out.setdefault(key, seed)
+    return out
 
 
 def build_experiment(kv: dict[str, str],
                      overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Merge defaults, file values, and flag overrides into a config."""
-    merged = dict(kv)
-    if overrides:
-        merged.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(merged) - _KNOWN_KEYS
+    merged = _expand_seed(kv)
+    merged.update(_expand_seed({k: v for k, v in (overrides or {}).items()
+                                if v is not None}))
+    unknown = set(merged) - {key.name for key in _KEYS}
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
@@ -168,50 +179,16 @@ def build_experiment(kv: dict[str, str],
             int(env_seed)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer: {env_seed!r}") from exc
+        merged.update(dict.fromkeys(_SEED_KEYS, env_seed))
 
-    def seed_for(key: str, default: int) -> int:
-        if env_seed is not None:
-            return int(env_seed)
-        if key in merged:
-            return _get(merged, key, int, default)
-        return _get(merged, "seed", int, default)
-
-    mode = _get(merged, "mode", SharingMode, SharingMode.CONNECTION_SHARE)
-    train = TrainConfig(
-        learning_rate=_get(merged, "train.learning_rate", float, 1e-3),
-        batch_size=_get(merged, "train.batch_size", int, 256),
-        omega_ctr=_get(merged, "train.omega_ctr", float, 0.7),
-        omega_cvr=_get(merged, "train.omega_cvr", float, 0.3),
-        prune_fraction=_get(merged, "train.q", float, 0.2),
-        n_pruning=_get(merged, "train.n_pruning", int, 3),
-        warmup_epochs=_get(merged, "train.warmup_epochs", int, 1),
-        mask_epochs=_get(merged, "train.mask_epochs", int, 1),
-        joint_epochs=_get(merged, "train.joint_epochs", int, 1),
-        seed=seed_for("train.seed", 0),
-        sharing_mode=mode,
-    )
-    synth = SyntheticSpec(
-        n_users=_get(merged, "data.n_users", int, 1000),
-        n_items=_get(merged, "data.n_items", int, 1000),
-        field_cardinalities=_get(merged, "data.field_cardinalities", _int_tuple, (16,) * 8),
-        latent_dim=_get(merged, "data.latent_dim", int, 8),
-        click_base_rate=_get(merged, "data.click_base_rate", float, 0.2),
-        click_noise=_get(merged, "data.click_noise", float, 0.5),
-        cvr_noise=_get(merged, "data.cvr_noise", float, 0.5),
-        task_correlation=_get(merged, "data.rho", float, 0.8),
-        n_impressions=_get(merged, "data.n_impressions", int, 50000),
-        seed=seed_for("data.seed", 0),
-    )
-    return ExperimentConfig(
-        mode=mode,
-        output_dir=merged.get("output_dir", "runs/run"),
-        dataset_path=merged.get("dataset"),
-        embedding_dim=_get(merged, "model.embedding_dim", int, 8),
-        hidden_dims=_get(merged, "model.hidden_dims", _int_tuple, (64, 32, 16)),
-        cross_kind=_get(merged, "model.cross_kind", CrossKind, CrossKind.PAIRWISE_DOT),
-        train=train,
-        synth=synth,
-    )
+    values: dict[str | None, dict] = {None: {}, "train": {}, "synth": {}}
+    for key in _KEYS:
+        if key.name in merged:
+            values[key.section][key.attr] = key.parse(merged[key.name])
+    exp = ExperimentConfig(**values[None])
+    exp.train = TrainConfig(**values["train"], sharing_mode=exp.mode)
+    exp.synth = SyntheticSpec(**values["synth"])
+    return exp
 
 
 def load_experiment(path: str | None,

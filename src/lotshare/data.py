@@ -7,7 +7,7 @@ conversions only exist for clicked impressions.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,20 +45,6 @@ class SyntheticSpec:
             raise ConfigError("click_base_rate must be in (0,1)")
         if not -1.0 <= self.task_correlation <= 1.0:
             raise ConfigError("task_correlation must be in [-1,1]")
-
-    def to_kv_lines(self) -> list[str]:
-        return [
-            f"n_users={self.n_users}",
-            f"n_items={self.n_items}",
-            f"field_cardinalities={','.join(map(str, self.field_cardinalities))}",
-            f"latent_dim={self.latent_dim}",
-            f"click_base_rate={self.click_base_rate!r}",
-            f"click_noise={self.click_noise!r}",
-            f"cvr_noise={self.cvr_noise!r}",
-            f"task_correlation={self.task_correlation!r}",
-            f"n_impressions={self.n_impressions}",
-            f"seed={self.seed}",
-        ]
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Binary subnetwork masks: quantile pruning, the neuron variant, overlap stats.
 
-Masks carry one {0,1} entry per MLP connection and are immutable once built;
-pruning returns a new mask with pruning_round + 1.
+Masks carry one {0,1} entry per MLP connection and are immutable once built:
+each layer is a private read-only copy. Pruning returns a new mask with
+pruning_round + 1.
 """
 
 from __future__ import annotations
@@ -22,17 +23,19 @@ MASK_VERSION = 1
 
 @dataclass
 class TaskMask:
-    layers: list[np.ndarray]  # float64 {0,1}, shape-matching mlp_weights
+    layers: list[np.ndarray]  # read-only float64 {0,1}, shape-matching mlp_weights
     task: Task
     pruning_round: int = 0
     _gates: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.task = Task(self.task)
-        self.layers = [np.asarray(m, dtype=np.float64) for m in self.layers]
+        # copied and frozen, so the gates cached by update_gate cannot go stale
+        self.layers = [np.array(m, dtype=np.float64) for m in self.layers]
         for m in self.layers:
             if not ((m == 0.0) | (m == 1.0)).all():
                 raise ValueError("mask entries must be 0 or 1")
+            m.flags.writeable = False
 
     def update_gate(self, params: ModelParams) -> nn.UpdateGate:
         """The optimizer gate of this mask over ``params``' blocks: the MLP

@@ -79,6 +79,10 @@ class ModelConfig:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
         if len(self.mlp_dims) < 2:
             raise ConfigError("mlp_dims needs at least an input width and an output width")
+        for i, width in enumerate(self.mlp_dims):
+            if width < 1:
+                raise ConfigError(f"MLP width {width} at position {i} of {self.mlp_dims} "
+                                  f"must be >= 1")
         expected = cross_output_width(self.n_fields, self.embedding_dim, self.cross_kind)
         if self.mlp_dims[0] != expected:
             raise ConfigError(
@@ -112,13 +116,6 @@ class ModelConfig:
             cross_kind=CrossKind(d["cross_kind"]),
             sharing_mode=SharingMode(d["sharing_mode"]),
         )
-
-
-def default_mlp_dims(n_fields: int, embedding_dim: int,
-                     cross_kind: CrossKind = CrossKind.PAIRWISE_DOT,
-                     hidden: tuple[int, ...] = (64, 32, 16)) -> tuple[int, ...]:
-    """Desk-scale dims: cross width -> hidden chain -> 1."""
-    return (cross_output_width(n_fields, embedding_dim, cross_kind), *hidden, 1)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import pytest
 from lotshare import data as data_mod
 from lotshare import masking, model
 from lotshare.cli import comparison_table, main
-from lotshare.config import load_experiment
+from lotshare.config import load_experiment, parse_kv_text
 from lotshare.metrics import MetricsReport
 from lotshare.model import Task
 
@@ -44,8 +44,14 @@ class TestGenerateData:
         ds = data_mod.load(out / "dataset.tsv")
         assert ds.tasks[Task.CTR].n == 600
         spec_text = (out / "dataset.tsv.spec").read_text()
-        assert "n_impressions=600" in spec_text
+        assert "data.n_impressions = 600" in spec_text
+        assert all(key.startswith("data.") for key in parse_kv_text(spec_text))
         assert "#impression" in stdout and "#conversion" in stdout
+        again = tmp_path / "again.tsv"
+        rc, _, _ = run(capsys, "generate-data", "--config", str(out / "dataset.tsv.spec"),
+                       "--out", str(tmp_path), "--out-file", str(again))
+        assert rc == 0
+        assert again.read_bytes() == (out / "dataset.tsv").read_bytes()
 
     def test_env_seed_overrides_flag(self, tmp_path, cfg_file, capsys, monkeypatch):
         monkeypatch.setenv("LOTSHARE_SEED", "42")
@@ -67,7 +73,11 @@ class TestTrain:
         out = tmp_path / "run"
         rc, stdout, _ = run(capsys, "train", "--config", cfg_file, "--out", str(out))
         assert rc == 0
-        assert (out / "config.cfg").read_text() == BASE_CFG  # verbatim copy
+        cfg_text = (out / "config.cfg").read_text()
+        assert cfg_text == load_experiment(cfg_file, {"output_dir": str(out)}).to_text()
+        report = MetricsReport.from_kv_lines((out / "report.kv").read_text().splitlines())
+        assert (load_experiment(str(out / "config.cfg")).fingerprint()
+                == report.config_fingerprint)
         cfg2, params = model.load_checkpoint(out / "model.ckpt")
         assert cfg2.mlp_dims[-1] == 1
         for task in ("ctr", "cvr"):
@@ -98,8 +108,8 @@ class TestTrain:
         rc, _, _ = run(capsys, "train", "--config", cfg_file,
                        "--dataset", str(dpath), "--out", str(out))
         assert rc == 0
-        # config.cfg is a verbatim copy of --config, so the dataset shows only
-        # through the fingerprint, which hashes the dataset file's bytes
+        assert f"dataset = {dpath}" in (out / "config.cfg").read_text().splitlines()
+        # the fingerprint hashes the dataset file's bytes, not its path
         report = MetricsReport.from_kv_lines((out / "report.kv").read_text().splitlines())
         with_ds = load_experiment(cfg_file, {"dataset": str(dpath)})
         assert f"dataset = {dpath}" in with_ds.to_kv_lines()
@@ -145,6 +155,38 @@ class TestTrain:
     def test_bad_mode_exit_2(self, cfg_file, capsys):
         rc, _, _ = run(capsys, "train", "--config", cfg_file, "--mode", "everything")
         assert rc == 2
+
+    def test_zero_hidden_width_exit_2(self, cfg_file, capsys):
+        rc, _, err = run(capsys, "train", "--config", cfg_file,
+                         "--set", "model.hidden_dims=8,0")
+        assert rc == 2 and "config error: MLP width 0" in err
+
+    @pytest.mark.parametrize("file_seeds", [
+        "seed = 1\n", "train.seed = 1\ndata.seed = 1\n", "seed = 2\ntrain.seed = 1\n"])
+    @pytest.mark.parametrize("flag", [("--seed", "5"), ("--set", "seed=5")])
+    def test_flag_seed_beats_file_seeds(self, tmp_path, file_seeds, flag, capsys,
+                                        monkeypatch):
+        monkeypatch.delenv("LOTSHARE_SEED", raising=False)
+        path = tmp_path / "seeded.cfg"
+        path.write_text(BASE_CFG + file_seeds)
+        out = tmp_path / "run"
+        rc, _, _ = run(capsys, "train", "--config", str(path), *flag, "--out", str(out),
+                       "--mode", "single_task")
+        assert rc == 0
+        kv = parse_kv_text((out / "config.cfg").read_text())
+        assert kv["train.seed"] == kv["data.seed"] == "5"
+
+    def test_seed_key_precedence(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("LOTSHARE_SEED", raising=False)
+        path = tmp_path / "seeded.cfg"
+        path.write_text("seed = 1\ntrain.seed = 2\n")
+        exp = load_experiment(str(path))
+        assert (exp.train.seed, exp.synth.seed) == (2, 1)  # specific key wins in a source
+        exp = load_experiment(str(path), {"seed": "5", "data.seed": "6"})
+        assert (exp.train.seed, exp.synth.seed) == (5, 6)
+        monkeypatch.setenv("LOTSHARE_SEED", "9")
+        exp = load_experiment(str(path), {"seed": "5", "data.seed": "6"})
+        assert (exp.train.seed, exp.synth.seed) == (9, 9)
 
 
 class TestCompare:
@@ -265,6 +307,13 @@ class TestScore:
         rc, _, err = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
                          "--cvr-checkpoint", ckpts[1], str(p))
         assert rc == 3
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_exit_2(self, tmp_path, ckpts, capsys, k):
+        cands = self._cands(tmp_path, [10, 20])
+        rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
+                              "--cvr-checkpoint", ckpts[1], "-k", k, cands)
+        assert rc == 2 and "rank=" not in stdout and "-k" in err
 
     def test_k_too_large_exit_2(self, tmp_path, ckpts, capsys):
         cands = self._cands(tmp_path, [10, 20])

@@ -1,0 +1,82 @@
+from collections import Counter
+from dataclasses import fields
+
+import pytest
+
+from lotshare import config
+from lotshare.config import (ExperimentConfig, SEED_ENV_VAR, build_experiment,
+                             parse_kv_text)
+from lotshare.data import SyntheticSpec
+from lotshare.errors import ConfigError
+from lotshare.model import SharingMode
+from lotshare.training import TrainConfig
+
+# every key, each set to a value that differs from its default
+NON_DEFAULT = {
+    "mode": "neuron_share",
+    "output_dir": "runs/elsewhere",
+    "dataset": "data/d.tsv",
+    "model.embedding_dim": "5",
+    "model.hidden_dims": "12,7",
+    "model.cross_kind": "pairwise_product",
+    "train.learning_rate": "0.0025",
+    "train.batch_size": "33",
+    "train.omega_ctr": "0.55",
+    "train.omega_cvr": "1.5",
+    "train.q": "0.35",
+    "train.n_pruning": "4",
+    "train.warmup_epochs": "2",
+    "train.mask_epochs": "3",
+    "train.joint_epochs": "4",
+    "train.seed": "11",
+    "data.n_users": "77",
+    "data.n_items": "66",
+    "data.field_cardinalities": "3,9,27",
+    "data.latent_dim": "5",
+    "data.click_base_rate": "0.125",
+    "data.click_noise": "0.25",
+    "data.cvr_noise": "0.75",
+    "data.rho": "-0.25",
+    "data.n_impressions": "1234",
+    "data.seed": "12",
+}
+
+
+@pytest.fixture(autouse=True)
+def no_env_seed(monkeypatch):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+
+
+def test_every_field_has_exactly_one_key():
+    expected = [(None, f.name) for f in fields(ExperimentConfig)
+                if f.name not in ("train", "synth")]
+    expected += [("train", f.name) for f in fields(TrainConfig) if f.name != "sharing_mode"]
+    expected += [("synth", f.name) for f in fields(SyntheticSpec)]
+    assert Counter((key.section, key.attr) for key in config._KEYS) == Counter(expected)
+    names = [key.name for key in config._KEYS]
+    assert len(set(names)) == len(names)
+    assert set(names) == set(NON_DEFAULT)
+
+
+def test_every_key_round_trips_with_non_default_values():
+    exp = build_experiment(NON_DEFAULT)
+    default = build_experiment({})
+    for key in config._KEYS:
+        assert key.get(exp) != key.get(default), key.name
+    assert exp.train.sharing_mode is SharingMode.NEURON_SHARE
+    back = build_experiment(parse_kv_text(exp.to_text()))
+    assert back == exp
+    assert back.to_text() == exp.to_text()
+
+
+def test_defaults_come_from_the_dataclasses():
+    exp = build_experiment({})
+    assert exp == ExperimentConfig()
+    assert exp.train == TrainConfig() and exp.synth == SyntheticSpec()
+
+
+@pytest.mark.parametrize("key,value", [("train.batch_size", "3.5"), ("mode", "bogus"),
+                                       ("model.hidden_dims", "8,x"), ("data.rho", "high")])
+def test_bad_value_names_its_key(key, value):
+    with pytest.raises(ConfigError, match=f"config key {key}: bad value"):
+        build_experiment({key: value})

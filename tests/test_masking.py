@@ -278,3 +278,14 @@ def test_mask_accepts_binary_layers(layer):
     m = TaskMask([layer], Task.CVR)
     assert m.layers[0].dtype == np.float64
     assert set(np.unique(m.layers[0])) <= {0.0, 1.0}
+
+
+def test_mask_layers_are_private_and_read_only():
+    src = [np.ones((2, 3)), np.zeros((3, 1))]
+    m = TaskMask(src, Task.CTR)
+    for layer in m.layers:
+        with pytest.raises(ValueError):
+            layer[0, 0] = 0.5
+    src[0][:] = 0.0
+    src[1][:] = 1.0
+    assert (m.layers[0] == 1.0).all() and (m.layers[1] == 0.0).all()

@@ -5,7 +5,7 @@ from lotshare import model, nn
 from lotshare.errors import CheckpointFormatError, ConfigError, DataError, ShapeError
 from lotshare.masking import TaskMask
 from lotshare.model import (CrossKind, ModelConfig, SharingMode, Task,
-                            cross_output_width, default_mlp_dims)
+                            cross_output_width)
 
 
 def small_config(n_fields=3, dim=4, hidden=(6, 4), mode=SharingMode.CONNECTION_SHARE,
@@ -24,6 +24,13 @@ class TestConfig:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig((5, 5), 4, (99, 8, 1))
+
+    @pytest.mark.parametrize("hidden", [(0,), (8, 0), (-3, 4)])
+    def test_hidden_width_below_one_rejected(self, hidden):
+        bad = next(w for w in hidden if w < 1)
+        with pytest.raises(ConfigError, match=f"MLP width {bad} at position"):
+            ModelConfig((5, 5), 4, (cross_output_width(2, 4, CrossKind.PAIRWISE_DOT),
+                                    *hidden, 1))
 
     def test_cross_widths(self):
         assert cross_output_width(3, 4, CrossKind.NONE) == 12
@@ -94,8 +101,9 @@ class TestForward:
     def test_zero_final_layer_gives_half(self):
         cfg = small_config()
         p = model.init_params(cfg, 2)
-        mask = TaskMask.all_ones(p.mlp_weights, Task.CTR)
-        mask.layers[-1][:] = 0.0
+        layers = [np.ones_like(w) for w in p.mlp_weights]
+        layers[-1][:] = 0.0
+        mask = TaskMask(layers, Task.CTR)
         preds = model.forward(random_ids(cfg, 7, 1), p, cfg, Task.CTR, mask=mask)
         assert (preds == 0.5).all()
 

@@ -29,9 +29,9 @@ class TestLosses:
     def _zero_net(self, cfg):
         # all-zero final layer gives preds == 0.5 exactly
         p = model.init_params(cfg, 0)
-        mask = TaskMask.all_ones(p.mlp_weights, Task.CTR)
-        mask.layers[-1][:] = 0.0
-        return p, mask
+        layers = [np.ones_like(w) for w in p.mlp_weights]
+        layers[-1][:] = 0.0
+        return p, TaskMask(layers, Task.CTR)
 
     def test_ctr_half_preds_is_ln2(self):
         cfg = make_config()
