@@ -9,14 +9,14 @@ offline/online metrics live alongside.
 
 from .data import Batch, Dataset, SyntheticSpec
 from .masking import MaskOverlapStats, TaskMask
-from .metrics import MetricsReport, RankInput
+from .metrics import MetricsReport
 from .model import CrossKind, ModelConfig, ModelParams, SharingMode, Task
 from .training import TrainConfig, TrainedArtifacts
 
 __all__ = [
     "Batch", "Dataset", "SyntheticSpec",
     "MaskOverlapStats", "TaskMask",
-    "MetricsReport", "RankInput",
+    "MetricsReport",
     "CrossKind", "ModelConfig", "ModelParams", "SharingMode", "Task",
     "TrainConfig", "TrainedArtifacts",
 ]

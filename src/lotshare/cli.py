@@ -4,6 +4,7 @@ score, mask stats. One command per process; exit codes 0/2/3/4."""
 from __future__ import annotations
 
 import sys
+from itertools import count, islice, repeat
 from pathlib import Path
 
 import click
@@ -13,7 +14,7 @@ from . import data as data_mod
 from . import masking, metrics, model, training
 from .config import ExperimentConfig, load_experiment
 from .errors import ConfigError, DataError, LotshareError
-from .metrics import MetricsReport, RankInput, format_gain, mtl_gain
+from .metrics import MetricsReport, format_gain, mtl_gain
 from .model import SharingMode, Task, TASKS
 
 EXIT_CONFIG = 2
@@ -238,27 +239,70 @@ def cmd_prune_sweep(config_path, mode, dataset, seed, output_dir, extra, curve_f
     click.echo(f"curve written to {path}")
 
 
-def _read_candidates(path, n_fields: int) -> list[tuple[list[int], float]]:
-    out = []
+_CANDIDATE_BLOCK = 8192  # lines parsed together; bounds the token lists held at once
+
+
+def _parse_candidate_lines(lines: list[str], n_fields: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parse stripped ``id,...,id<TAB>length`` lines into ``(ids (n, F)
+    int64, lengths (n,) float64)``, converting with Python's ``int()`` and
+    ``float()``. Raises ValueError on the first failed check, in this order:
+    tab count, ids, length, id count, length positive and finite, id range.
+    For a single line that order gives its error message."""
+    n = len(lines)
+    if (np.fromiter(map(str.count, lines, repeat("\t")), np.intp, n) != 1).any():
+        raise ValueError("expected 'ids<TAB>length'")
+    halves = "\t".join(lines).split("\t")
+    id_text = halves[0::2]
+    tokens = ",".join(id_text).split(",")
+    values = list(map(int, tokens))
+    lengths = np.array(list(map(float, halves[1::2])), dtype=np.float64)
+    counts = np.fromiter(map(str.count, id_text, repeat(",")), np.intp, n) + 1
+    if (counts != n_fields).any():
+        raise ValueError(f"{counts[counts != n_fields][0]} ids for {n_fields} fields")
+    if (lengths <= 0).any():
+        raise ValueError("video length must be positive")
+    if not np.isfinite(lengths).all():
+        raise ValueError("video length must be finite")
+    try:
+        ids = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("feature id out of the 64-bit integer range") from None
+    return ids.reshape(n, n_fields), lengths
+
+
+def _read_candidates(path, n_fields: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates as ``(ids (n, F) int64, lengths (n,) float64)``.
+
+    One candidate per line, ``id,...,id<TAB>length``; surrounding whitespace,
+    blank lines and lines starting with ``#`` are skipped. Line numbers
+    count universal newlines. Lines are parsed in blocks; a DataError names
+    the first bad line and its problem.
+    """
+    id_blocks, length_blocks = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+        for first in count(1, _CANDIDATE_BLOCK):
+            raw = [line.strip() for line in islice(fh, _CANDIDATE_BLOCK)]
+            if not raw:
+                break
+            keep = [i for i, line in enumerate(raw) if line and line[0] != "#"]
+            if not keep:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'ids<TAB>length'")
             try:
-                ids = [int(x) for x in parts[0].split(",")]
-                length = float(parts[1])
+                ids, lengths = _parse_candidate_lines([raw[i] for i in keep], n_fields)
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if len(ids) != n_fields:
-                raise DataError(f"{path}:{lineno}: {len(ids)} ids for {n_fields} fields")
-            if length <= 0:
-                raise DataError(f"{path}:{lineno}: video length must be positive")
-            out.append((ids, length))
-    return out
+                for i in keep:  # find the first bad line
+                    try:
+                        _parse_candidate_lines([raw[i]], n_fields)
+                    except ValueError as line_exc:
+                        raise DataError(f"{path}:{first + i}: {line_exc}") from None
+                # not reached: every check is per line, so a block fails only
+                # where one of its lines fails alone
+                raise DataError(f"{path}: {exc}") from exc
+            id_blocks.append(ids)
+            length_blocks.append(lengths)
+    if not id_blocks:
+        return np.empty((0, n_fields), dtype=np.int64), np.empty(0)
+    return np.concatenate(id_blocks), np.concatenate(length_blocks)
 
 
 @cli.command("score")
@@ -273,31 +317,34 @@ def _read_candidates(path, n_fields: int) -> list[tuple[list[int], float]]:
 @click.argument("candidates_file", type=click.Path(exists=True))
 def cmd_score(ctr_checkpoint, cvr_checkpoint, ctr_mask, cvr_mask, top_k,
               alpha, beta, gamma, candidates_file):
-    """Rank candidates by pCTR^alpha * pCVR^beta * length^gamma."""
+    """Rank candidates by pCTR^alpha * pCVR^beta * length^gamma.
+
+    With one checkpoint for both tasks (the same bytes), both share one
+    embedding and feature-cross pass."""
     ctr_cfg, ctr_params = model.load_checkpoint(ctr_checkpoint)
-    cvr_cfg, cvr_params = model.load_checkpoint(cvr_checkpoint)
+    if Path(cvr_checkpoint).read_bytes() == Path(ctr_checkpoint).read_bytes():
+        cvr_cfg, cvr_params = ctr_cfg, ctr_params
+    else:
+        cvr_cfg, cvr_params = model.load_checkpoint(cvr_checkpoint)
     if ctr_cfg.field_cardinalities != cvr_cfg.field_cardinalities:
         raise ConfigError("CTR and CVR checkpoints disagree on the feature schema")
     masks = {
         Task.CTR: masking.load_mask(ctr_mask) if ctr_mask else None,
         Task.CVR: masking.load_mask(cvr_mask) if cvr_mask else None,
     }
-    cands = _read_candidates(candidates_file, ctr_cfg.n_fields)
-    if not cands:
+    ids, lengths = _read_candidates(candidates_file, ctr_cfg.n_fields)
+    if not len(lengths):
         raise DataError(f"{candidates_file}: no candidates")
-    if top_k > len(cands):
-        raise ConfigError(f"k={top_k} exceeds {len(cands)} candidates")
-    ids = np.array([c[0] for c in cands], dtype=np.int64)
-    pctr = training.predict(ctr_params, ctr_cfg, Task.CTR, ids, mask=masks[Task.CTR])
-    pcvr = training.predict(cvr_params, cvr_cfg, Task.CVR, ids, mask=masks[Task.CVR])
-    inputs = [RankInput(pctr=float(pctr[i]), pcvr=float(pcvr[i]),
-                        video_length=cands[i][1],
-                        alpha=alpha, beta=beta, gamma=gamma)
-              for i in range(len(cands))]
-    for rank, idx in enumerate(metrics.rank_top_k(inputs, top_k), start=1):
-        click.echo(f"rank={rank} index={idx} score={metrics.rank_score(inputs[idx]):.10g} "
-                   f"pctr={pctr[idx]:.6f} pcvr={pcvr[idx]:.6f} "
-                   f"length={cands[idx][1]:g}")
+    if top_k > len(lengths):
+        raise ConfigError(f"k={top_k} exceeds {len(lengths)} candidates")
+    preds = training.predict_tasks({Task.CTR: (ctr_params, ctr_cfg, masks[Task.CTR]),
+                                    Task.CVR: (cvr_params, cvr_cfg, masks[Task.CVR])}, ids)
+    pctr, pcvr = preds[Task.CTR], preds[Task.CVR]
+    scores = metrics.rank_scores(pctr, pcvr, lengths, alpha, beta, gamma)
+    click.echo("\n".join(
+        f"rank={rank} index={i} score={float(scores[i]):.10g} "
+        f"pctr={float(pctr[i]):.6f} pcvr={float(pcvr[i]):.6f} length={float(lengths[i]):g}"
+        for rank, i in enumerate(metrics.rank_top_k(scores, top_k), start=1)))
 
 
 @cli.group("mask")

@@ -31,11 +31,13 @@ SEED_ENV_VAR = "LOTSHARE_SEED"
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment; blank lines ignored."""
+    """Parse `key = value` lines. A line whose first non-blank character is
+    '#' is a comment, and blank lines are ignored; a '#' anywhere else is
+    part of the key or value, so paths may hold it."""
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")

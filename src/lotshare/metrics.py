@@ -1,4 +1,4 @@
-"""Evaluation metrics: AUC, MSE, the MTL-gain comparison, and the rank score."""
+"""Evaluation metrics: AUC, MSE, the MTL-gain comparison, and the rank scores."""
 
 from __future__ import annotations
 
@@ -77,35 +77,52 @@ def format_gain(absolute: float, relative: float) -> str:
     return f"{absolute:+.5f} ({relative * 100.0:+.2f}%)"
 
 
-@dataclass(frozen=True)
-class RankInput:
-    pctr: float
-    pcvr: float
-    video_length: float
-    alpha: float = 1.0
-    beta: float = 1.0
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.pctr < 1.0 or not 0.0 < self.pcvr < 1.0:
-            raise ValueError(f"probabilities must be in (0,1): pctr={self.pctr}, pcvr={self.pcvr}")
-        if self.video_length <= 0:
-            raise ValueError(f"video_length must be positive, got {self.video_length}")
+def _pow(x: np.ndarray, e: float) -> np.ndarray:
+    """``x ** e`` per entry through Python's scalar float pow. numpy's array
+    pow can differ from it in the last bit for exponents other than 0 and 1;
+    ``x ** 1.0 == x`` exactly, so that exponent skips the pow."""
+    if e == 1.0:
+        return x
+    return np.array([v ** e for v in x.tolist()], dtype=np.float64)
 
 
-def rank_score(inp: RankInput) -> float:
-    """pCTR^alpha * pCVR^beta * video_length^gamma."""
-    return float(inp.pctr ** inp.alpha * inp.pcvr ** inp.beta
-                 * inp.video_length ** inp.gamma)
+def rank_scores(pctr, pcvr, lengths, alpha: float = 1.0, beta: float = 1.0,
+                gamma: float = 1.0) -> np.ndarray:
+    """pCTR^alpha * pCVR^beta * length^gamma per candidate, each bit for bit
+    as Python's ``pctr ** alpha * pcvr ** beta * length ** gamma``."""
+    pctr, pcvr, lengths = (np.asarray(a, dtype=np.float64).ravel()
+                           for a in (pctr, pcvr, lengths))
+    if not len(pctr) == len(pcvr) == len(lengths):
+        raise ValueError(f"rank_scores: {len(pctr)} pctr, {len(pcvr)} pcvr, "
+                         f"{len(lengths)} lengths")
+    ok_p = (pctr > 0.0) & (pctr < 1.0) & (pcvr > 0.0) & (pcvr < 1.0)
+    ok = ok_p & (lengths > 0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if not ok_p[i]:
+            raise ValueError(f"probabilities must be in (0,1): pctr={float(pctr[i])}, "
+                             f"pcvr={float(pcvr[i])}")
+        raise ValueError(f"video_length must be positive, got {float(lengths[i])}")
+    return _pow(pctr, alpha) * _pow(pcvr, beta) * _pow(lengths, gamma)
 
 
-def rank_top_k(candidates: list[RankInput], k: int) -> list[int]:
-    """Indices of the k highest rank scores, ties broken by candidate index."""
-    if k > len(candidates):
-        raise ValueError(f"rank_top_k: k={k} exceeds {len(candidates)} candidates")
-    scores = [rank_score(c) for c in candidates]
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
-    return order[:k]
+def rank_top_k(scores, k: int) -> list[int]:
+    """Indices of the k highest scores, ties broken by candidate index.
+
+    Only the entries scoring at least the k-th highest score, ties at it
+    included, are sorted.
+    """
+    neg = -np.asarray(scores, dtype=np.float64).ravel()
+    n = len(neg)
+    if not 0 <= k <= n:
+        raise ValueError(f"rank_top_k: k={k} for {n} candidates")
+    if k == 0:
+        return []
+    kth = np.partition(neg, k - 1)[k - 1]
+    # ~(neg > kth) keeps every tie at the k-th score, and NaN entries,
+    # which lexsort orders last
+    head = np.flatnonzero(~(neg > kth))
+    return head[np.lexsort((head, neg[head]))][:k].tolist()
 
 
 @dataclass

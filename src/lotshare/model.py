@@ -261,13 +261,13 @@ def embed(ids: np.ndarray, embeddings: list[np.ndarray]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cross_tables(F: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Index tables for F fields: ``(pi, pj, partner, pcol)``.
+def _cross_tables(F: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index tables for F fields: ``(partner, pcol)``.
 
-    ``pi, pj`` are ``np.triu_indices(F, k=1)``, the pair order of the cross
-    output. Row t of ``partner`` (F-1, F) holds field k's t-th partner,
+    Row t of ``partner`` (F-1, F) holds field k's t-th partner,
     ``(k + 1 + t) % F``, and the same row of ``pcol`` holds the index of the
-    pair {k, partner} in the cross output. The arrays are shared: read only.
+    pair {k, partner} in the cross output, whose pairs are in
+    ``np.triu_indices(F, k=1)`` order. The arrays are shared: read only.
     """
     pi, pj = np.triu_indices(F, k=1)
     pair_of = np.zeros((F, F), dtype=np.intp)
@@ -275,24 +275,30 @@ def _cross_tables(F: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     k = np.arange(F)
     partner = (k[None, :] + 1 + np.arange(F - 1)[:, None]) % F
     pcol = pair_of[k[None, :], partner]
-    for a in (pi, pj, partner, pcol):
+    for a in (partner, pcol):
         a.flags.writeable = False
-    return pi, pj, partner, pcol
+    return partner, pcol
 
 
 def feature_cross(emb: np.ndarray, cross_kind: CrossKind) -> np.ndarray:
-    """(n, F, d) embeddings -> (n, cross_output_width) MLP input."""
+    """(n, F, d) embeddings -> (n, cross_output_width) MLP input.
+
+    The pairs (i, j), i < j, follow ``np.triu_indices(F, k=1)`` order. Field
+    i meets all its later fields in one step over contiguous slices, so no
+    pair-indexed copy of ``emb`` is made. The output is bit-identical to the
+    gather-based form (``emb[:, pi]`` against ``emb[:, pj]``), which the
+    tests keep as the reference.
+    """
     n, F, d = emb.shape
     flat = emb.reshape(n, F * d)
     kind = CrossKind(cross_kind)
     if kind is CrossKind.NONE or F == 1:
         return flat
-    pi, pj, _, _ = _cross_tables(F)
     if kind is CrossKind.PAIRWISE_DOT:
-        dots = np.einsum("npd,npd->np", emb[:, pi, :], emb[:, pj, :])
-        return np.concatenate([flat, dots], axis=1)
-    prods = (emb[:, pi, :] * emb[:, pj, :]).reshape(n, -1)
-    return np.concatenate([flat, prods], axis=1)
+        pairs = [np.einsum("nd,njd->nj", emb[:, i], emb[:, i + 1:]) for i in range(F - 1)]
+    else:
+        pairs = [(emb[:, i:i + 1] * emb[:, i + 1:]).reshape(n, -1) for i in range(F - 1)]
+    return np.concatenate([flat, *pairs], axis=1)
 
 
 def _feature_cross_backward(emb: np.ndarray, d_x: np.ndarray,
@@ -314,7 +320,7 @@ def _feature_cross_backward(emb: np.ndarray, d_x: np.ndarray,
     kind = CrossKind(cross_kind)
     if kind is CrossKind.NONE or F == 1:
         return d_emb
-    _, _, partner, pcol = _cross_tables(F)
+    partner, pcol = _cross_tables(F)
     if kind is CrossKind.PAIRWISE_DOT:
         g = d_x[:, flat_w:]                       # (n, n_pairs)
         for part, col in zip(partner, pcol):
@@ -349,35 +355,39 @@ def _mask_layers(mask) -> list[np.ndarray] | None:
     return mask.layers if hasattr(mask, "layers") else list(mask)
 
 
-def forward(ids: np.ndarray, params: ModelParams, cfg: ModelConfig, task: Task,
-            mask=None, want_cache: bool = False):
-    """Predictions in (0,1) for a batch of feature-id rows.
-
-    ``mask`` (connection/neuron modes only) multiplies each MLP weight matrix
-    elementwise before use; embeddings and biases are never masked.
-    """
-    task = Task(task)
+def task_weights(params: ModelParams, cfg: ModelConfig, task: Task,
+                 mask=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The weights and biases of ``task``'s MLP, trunk then (layer_share)
+    tower. ``mask`` (connection/neuron modes only) multiplies each weight
+    matrix elementwise; embeddings and biases are never masked."""
     layers = _mask_layers(mask)
     if layers is not None and cfg.sharing_mode in (SharingMode.SINGLE_TASK, SharingMode.LAYER_SHARE):
         raise ConfigError(f"mask supplied in {cfg.sharing_mode.value} mode")
-    emb = embed(ids, params.embeddings)
-    x = feature_cross(emb, cfg.cross_kind)
-
+    weights, biases = params.mlp_weights, params.mlp_biases
     if cfg.sharing_mode is SharingMode.LAYER_SHARE:
-        weights = params.mlp_weights + params.head_weights[task]
-        biases = params.mlp_biases + params.head_biases[task]
-        used_tower = True
-    else:
-        weights, biases = params.mlp_weights, params.mlp_biases
-        used_tower = False
-    if layers is not None:
-        if len(layers) != len(weights):
-            raise ShapeError(f"mask has {len(layers)} layers, model has {len(weights)}")
-        for m, w in zip(layers, weights):
-            if m.shape != w.shape:
-                raise ShapeError(f"mask layer {m.shape} vs weight {w.shape}")
-        weights = [w * m for w, m in zip(weights, layers)]
+        weights = weights + params.head_weights[Task(task)]
+        biases = biases + params.head_biases[Task(task)]
+    if layers is None:
+        return weights, biases
+    if len(layers) != len(weights):
+        raise ShapeError(f"mask has {len(layers)} layers, model has {len(weights)}")
+    for m, w in zip(layers, weights):
+        if m.shape != w.shape:
+            raise ShapeError(f"mask layer {m.shape} vs weight {w.shape}")
+    return [w * m for w, m in zip(weights, layers)], biases
 
+
+def front(ids: np.ndarray, params: ModelParams, cfg: ModelConfig
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """The part of the forward pass both tasks share: ``(emb, x)``, the
+    (n, F, dim) embeddings and their feature cross, the MLP input."""
+    emb = embed(ids, params.embeddings)
+    return emb, feature_cross(emb, cfg.cross_kind)
+
+
+def mlp_forward(x: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray]):
+    """One task's MLP on the cross output ``x``, ReLU between transitions:
+    ``(preds, logits, layer_inputs, pre_activations)``."""
     layer_inputs, pre_acts = [], []
     h = x
     for li, (w, b) in enumerate(zip(weights, biases)):
@@ -389,11 +399,23 @@ def forward(ids: np.ndarray, params: ModelParams, cfg: ModelConfig, task: Task,
     # keep predictions in the open interval even at saturated logits
     preds = np.clip(nn.sigmoid(logits), np.finfo(np.float64).tiny,
                     np.nextafter(1.0, 0.0))
+    return preds, logits, layer_inputs, pre_acts
+
+
+def forward(ids: np.ndarray, params: ModelParams, cfg: ModelConfig, task: Task,
+            mask=None, want_cache: bool = False):
+    """Predictions in (0,1) for a batch of feature-id rows: ``front``, then
+    the MLP of ``task_weights`` under ``mask``."""
+    task = Task(task)
+    weights, biases = task_weights(params, cfg, task, mask)
+    emb, x = front(ids, params, cfg)
+    preds, logits, layer_inputs, pre_acts = mlp_forward(x, weights, biases)
     if not want_cache:
         return preds
     cache = ForwardCache(ids=np.asarray(ids), emb=emb, cross=x,
                          layer_inputs=layer_inputs, pre_activations=pre_acts,
-                         logits=logits, task=task, used_tower=used_tower)
+                         logits=logits, task=task,
+                         used_tower=cfg.sharing_mode is SharingMode.LAYER_SHARE)
     return preds, cache
 
 
@@ -433,14 +455,7 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
         raise StateError("backward called without a cached forward pass")
     task = cache.task
     layers = _mask_layers(mask)
-    if cache.used_tower:
-        weights = params.mlp_weights + params.head_weights[task]
-    else:
-        weights = params.mlp_weights
-    if layers is not None:
-        eff_weights = [w * m for w, m in zip(weights, layers)]
-    else:
-        eff_weights = weights
+    eff_weights, _ = task_weights(params, cfg, task, mask)
 
     d_out = d_logits[:, None]
     d_mlp = []

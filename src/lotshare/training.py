@@ -102,9 +102,30 @@ def _train_step(params: ModelParams, cfg: ModelConfig, tcfg: TrainConfig,
 
 def predict(params: ModelParams, cfg: ModelConfig, task: Task, ids: np.ndarray,
             mask: TaskMask | None = None, chunk: int = 8192) -> np.ndarray:
-    out = [model.forward(ids[i:i + chunk], params, cfg, task, mask=mask)
-           for i in range(0, len(ids), chunk)]
-    return np.concatenate(out) if out else np.empty(0)
+    """``model.forward`` predictions over ``ids``, in chunks of ``chunk`` rows."""
+    task = Task(task)
+    return predict_tasks({task: (params, cfg, mask)}, ids, chunk)[task]
+
+
+def predict_tasks(nets: dict[Task, tuple[ModelParams, ModelConfig, TaskMask | None]],
+                  ids: np.ndarray, chunk: int = 8192) -> dict[Task, np.ndarray]:
+    """Predictions of each task's ``(params, cfg, mask)`` over the same ids.
+
+    Per chunk, ``model.front`` (embedding and cross) runs once for each
+    distinct params object, then each task's MLP under its mask. Tasks that
+    share a params object, as in a shared-embedding run dir, share that
+    pass. Each task's result is byte-equal to its own ``predict`` call.
+    """
+    heads = {task: model.task_weights(params, cfg, task, mask)
+             for task, (params, cfg, mask) in nets.items()}
+    out: dict[Task, list[np.ndarray]] = {task: [] for task in nets}
+    for i in range(0, len(ids), chunk):
+        fronts: dict[int, np.ndarray] = {}
+        for task, (params, cfg, _) in nets.items():
+            if id(params) not in fronts:
+                fronts[id(params)] = model.front(ids[i:i + chunk], params, cfg)[1]
+            out[task].append(model.mlp_forward(fronts[id(params)], *heads[task])[0])
+    return {task: np.concatenate(p) if p else np.empty(0) for task, p in out.items()}
 
 
 def evaluate(params: ModelParams, cfg: ModelConfig, task: Task,

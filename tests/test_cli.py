@@ -1,9 +1,16 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lotshare import cli, training
 from lotshare import data as data_mod
 from lotshare import masking, model
 from lotshare.cli import comparison_table, main
+from lotshare.errors import DataError
 from lotshare.config import load_experiment, parse_kv_text
 from lotshare.metrics import MetricsReport
 from lotshare.model import Task
@@ -308,6 +315,69 @@ class TestScore:
                          "--cvr-checkpoint", ckpts[1], str(p))
         assert rc == 3
 
+    @pytest.mark.parametrize("length", ["nan", "inf", "+Infinity", "NaN"])
+    def test_non_finite_length_exit_3(self, tmp_path, ckpts, capsys, length):
+        p = tmp_path / "bad.tsv"
+        p.write_text(f"# header\n0,1,2,3\t10\n\n1,2,3,4\t{length}\n")
+        rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
+                              "--cvr-checkpoint", ckpts[1], str(p))
+        assert rc == 3 and stdout == ""
+        assert f"data error: {p}:4: video length must be finite" in err
+
+    def test_oversized_id_exit_3(self, tmp_path, ckpts, capsys):
+        p = tmp_path / "bad.tsv"
+        p.write_text("0,1,2,3\t10\n1,2,99999999999999999999,4\t10\n")
+        rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
+                              "--cvr-checkpoint", ckpts[1], str(p))
+        assert rc == 3 and stdout == ""
+        assert f"data error: {p}:2: feature id out of the 64-bit integer range" in err
+
+    @pytest.mark.parametrize("exponents", [(1.0, 1.0, 1.0), (0.7, 1.3, 0.5)])
+    def test_connection_share_run_with_both_masks(self, tmp_path, cfg_file, capsys,
+                                                  monkeypatch, exponents):
+        out = tmp_path / "cs"
+        assert run(capsys, "train", "--config", cfg_file, "--out", str(out))[0] == 0
+        rng = np.random.default_rng(1)
+        ids = rng.integers(0, 8, (300, 4))
+        lengths = np.round(rng.uniform(1.0, 600.0, 300), 1)
+        ids[150:], lengths[150:] = ids[:150], lengths[:150]  # every score tied twice
+        p = tmp_path / "cands.tsv"
+        p.write_text("".join(f"{','.join(map(str, row))}\t{l!r}\n"
+                             for row, l in zip(ids.tolist(), lengths.tolist())))
+        loads = []
+        load = model.load_checkpoint
+        monkeypatch.setattr(model, "load_checkpoint", lambda path: loads.append(path) or load(path))
+        alpha, beta, gamma = exponents
+        rc, stdout, _ = run(capsys, "score", "--ctr-checkpoint", str(out / "model.ckpt"),
+                            "--cvr-checkpoint", str(out / "model.ckpt"),
+                            "--ctr-mask", str(out / "mask_ctr.mask"),
+                            "--cvr-mask", str(out / "mask_cvr.mask"), "-k", "40",
+                            "--alpha", str(alpha), "--beta", str(beta),
+                            "--gamma", str(gamma), str(p))
+        assert rc == 0 and len(loads) == 1  # one checkpoint, one shared front pass
+        cfg, params = load(out / "model.ckpt")
+        pred = {t: training.predict(params, cfg, t, ids,
+                                    mask=masking.load_mask(out / f"mask_{t.value}.mask"))
+                for t in (Task.CTR, Task.CVR)}
+        assert not np.array_equal(pred[Task.CTR], pred[Task.CVR])
+        score = np.array([a ** alpha * b ** beta * l ** gamma for a, b, l in
+                          zip(pred[Task.CTR].tolist(), pred[Task.CVR].tolist(),
+                              lengths.tolist())])
+        order = np.lexsort((np.arange(len(score)), -score))[:40]
+        assert stdout.splitlines() == [
+            f"rank={r} index={i} score={score[i]:.10g} pctr={pred[Task.CTR][i]:.6f} "
+            f"pcvr={pred[Task.CVR][i]:.6f} length={lengths[i]:g}"
+            for r, i in enumerate(order.tolist(), start=1)]
+        assert any(order[j] + 150 == order[j + 1] for j in range(39))  # ties shown
+
+    def test_two_checkpoints_loaded_separately(self, tmp_path, ckpts, capsys, monkeypatch):
+        loads = []
+        load = model.load_checkpoint
+        monkeypatch.setattr(model, "load_checkpoint", lambda path: loads.append(path) or load(path))
+        rc, _, _ = run(capsys, "score", "--ctr-checkpoint", ckpts[0], "--cvr-checkpoint",
+                       ckpts[1], self._cands(tmp_path, [10, 20]))
+        assert rc == 0 and loads == list(ckpts)
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_exit_2(self, tmp_path, ckpts, capsys, k):
         cands = self._cands(tmp_path, [10, 20])
@@ -320,6 +390,108 @@ class TestScore:
         rc, _, _ = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
                        "--cvr-checkpoint", ckpts[1], "-k", "9", cands)
         assert rc == 2
+
+
+def per_line_read_candidates(path, n_fields):
+    """Reference: the per-line candidate parser the block parser replaced,
+    plus its two later rules (a finite length, ids within int64)."""
+    ids_out, lengths_out = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataError(f"{path}:{lineno}: expected 'ids<TAB>length'")
+            try:
+                ids = [int(x) for x in parts[0].split(",")]
+                length = float(parts[1])
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if len(ids) != n_fields:
+                raise DataError(f"{path}:{lineno}: {len(ids)} ids for {n_fields} fields")
+            if length <= 0:
+                raise DataError(f"{path}:{lineno}: video length must be positive")
+            if not math.isfinite(length):
+                raise DataError(f"{path}:{lineno}: video length must be finite")
+            if not all(-2 ** 63 <= i < 2 ** 63 for i in ids):
+                raise DataError(f"{path}:{lineno}: feature id out of the 64-bit integer range")
+            ids_out.append(ids)
+            lengths_out.append(length)
+    return (np.array(ids_out, dtype=np.int64).reshape(-1, n_fields),
+            np.array(lengths_out, dtype=np.float64))
+
+
+_ID = st.one_of(st.integers(-3, 40).map(str), st.sampled_from([
+    "+5", "1_0", " 5", "5 ", "007", "", "x", "1.0", "0x1", "\u0663", "1__0",
+    "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+    "99999999999999999999"]))
+_LENGTH = st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                    st.sampled_from(["10", "1e3", "0", "-0.0", "-1", "nan", "inf", "-inf",
+                                     " 5 ", "1_0.5", "x", "", "1,5", "\u0661\u0662"]))
+_GOOD_LINE = st.tuples(st.lists(st.integers(0, 7).map(str), min_size=4, max_size=4)
+                      .map(",".join), st.floats(0.5, 1e4).map(repr)).map("\t".join)
+_LINE = st.one_of(  # repeated branches are drawn more often
+    _GOOD_LINE, _GOOD_LINE, _GOOD_LINE,
+    st.tuples(st.lists(_ID, min_size=4, max_size=4).map(",".join), _LENGTH).map("\t".join),
+    st.tuples(st.lists(_ID, min_size=4, max_size=4).map(",".join), _LENGTH).map("\t".join),
+    st.tuples(st.lists(_ID, min_size=1, max_size=6).map(",".join), _LENGTH).map("\t".join),
+    st.sampled_from(["", "   ", "# comment", "  #x\t1", "\t", "1,2,3,4", "1,2,3,4\t5\t6",
+                     "\x0b1,2,3,4\t5\x1c", "\u20281,2,3,4\t5", "\x0c"]),
+    st.text(max_size=12))
+
+
+_MIXED_FILE = st.lists(_LINE, max_size=12)
+# good lines, blanks and comments, with at most one line of any kind inserted
+_MOSTLY_GOOD_FILE = st.tuples(
+    st.lists(st.one_of(_GOOD_LINE, _GOOD_LINE, st.sampled_from(["", " ", "#c"])), max_size=20),
+    st.one_of(st.none(), _LINE), st.integers(0, 20),
+).map(lambda t: t[0] if t[1] is None else t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+
+
+class TestReadCandidates:
+    """The block parser accepts exactly what the per-line reference accepts,
+    with the same arrays, and rejects the rest naming the same line."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(lines=st.one_of(_MIXED_FILE, _MOSTLY_GOOD_FILE),
+           newlines=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=21, max_size=21),
+           block=st.integers(1, 5))
+    def test_matches_per_line_reference(self, tmp_path_factory, lines, newlines, block):
+        p = tmp_path_factory.mktemp("cands") / "c.tsv"
+        p.write_bytes("".join(a + b for a, b in zip(lines, newlines)).encode("utf-8"))
+        try:
+            want = per_line_read_candidates(p, 4)
+        except DataError as exc:
+            want = str(exc)
+        with mock.patch.object(cli, "_CANDIDATE_BLOCK", block):
+            try:
+                got = cli._read_candidates(p, 4)
+            except DataError as exc:
+                got = str(exc)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert got[0].dtype == np.int64 and got[1].dtype == np.float64
+            assert got[0].shape == want[0].shape and got[1].shape == want[1].shape
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    def test_grammar_of_int_and_float(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("# c\r\n+5,1_0, 5,007\t 1_0.5 \r\n\r\n\t-1,2,3,4\t1e3\n")
+        ids, lengths = cli._read_candidates(p, 4)
+        assert ids.tolist() == [[5, 10, 5, 7], [-1, 2, 3, 4]]
+        assert lengths.tolist() == [10.5, 1000.0]
+
+    def test_first_bad_line_across_blocks(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        p.write_text("0,0,0,0\t1\n" * 5 + "0,0,0\t1\n" + "0,0,0,0\tx\n")
+        with mock.patch.object(cli, "_CANDIDATE_BLOCK", 2):
+            with pytest.raises(DataError, match=r"c.tsv:6: 3 ids for 4 fields$"):
+                cli._read_candidates(p, 4)
 
 
 class TestMaskStats:

@@ -80,3 +80,13 @@ def test_defaults_come_from_the_dataclasses():
 def test_bad_value_names_its_key(key, value):
     with pytest.raises(ConfigError, match=f"config key {key}: bad value"):
         build_experiment({key: value})
+
+
+def test_paths_with_hash_round_trip():
+    """'#' inside a value is data; only a line starting with '#' is a comment."""
+    exp = build_experiment({"output_dir": "runs/a#b", "dataset": "data/#1 set#.tsv"})
+    text = "# a comment line\n   # an indented one\n" + exp.to_text()
+    kv = parse_kv_text(text)
+    assert kv["output_dir"] == "runs/a#b" and kv["dataset"] == "data/#1 set#.tsv"
+    assert build_experiment(kv) == exp
+    assert not any(key.startswith("#") for key in kv)

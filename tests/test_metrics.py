@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,8 @@ from hypothesis import strategies as st
 
 from lotshare import nn
 from lotshare.errors import UndefinedMetricError
-from lotshare.metrics import (MetricsReport, RankInput, _average_ranks, auc, format_gain,
-                              mse, mtl_gain, rank_score, rank_top_k)
+from lotshare.metrics import (MetricsReport, _average_ranks, auc, format_gain, mse, mtl_gain,
+                              rank_scores, rank_top_k)
 from lotshare.model import Task
 
 
@@ -140,25 +143,87 @@ class TestMtlGain:
             mtl_gain(0.0, 0.1, Task.CVR)
 
 
+@dataclass(frozen=True)
+class RankInput:
+    """Reference: one candidate of the scalar ranking the array API replaced."""
+    pctr: float
+    pcvr: float
+    video_length: float
+    alpha: float = 1.0
+    beta: float = 1.0
+    gamma: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.pctr < 1.0 or not 0.0 < self.pcvr < 1.0:
+            raise ValueError(f"probabilities must be in (0,1): pctr={self.pctr}, pcvr={self.pcvr}")
+        if self.video_length <= 0:
+            raise ValueError(f"video_length must be positive, got {self.video_length}")
+
+
+def rank_score(inp: RankInput) -> float:
+    """Reference: pCTR^alpha * pCVR^beta * video_length^gamma in Python floats."""
+    return float(inp.pctr ** inp.alpha * inp.pcvr ** inp.beta
+                 * inp.video_length ** inp.gamma)
+
+
+def sorted_top_k(scores, k):
+    """Reference: the full Python sort by (-score, index)."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:k]
+
+
+def scores_of(cands):
+    """The array API's scores for a list of RankInput (shared exponents)."""
+    c = cands[0]
+    return rank_scores([x.pctr for x in cands], [x.pcvr for x in cands],
+                       [x.video_length for x in cands], c.alpha, c.beta, c.gamma)
+
+
+def score_one(*args, **kwargs):
+    return float(scores_of([RankInput(*args, **kwargs)])[0])
+
+
+EXPONENTS = (1.0, 0.0, 2.0, 0.5, 0.7, 1.3, -1.0)
+
+
 class TestRankScore:
     def test_product(self):
-        assert rank_score(RankInput(0.5, 0.4, 100.0)) == pytest.approx(20.0)
+        assert score_one(0.5, 0.4, 100.0) == pytest.approx(20.0)
 
     def test_zero_exponent_ignores_factor(self):
-        a = rank_score(RankInput(0.5, 0.4, 100.0, beta=0.0))
-        b = rank_score(RankInput(0.5, 0.9, 100.0, beta=0.0))
+        a = score_one(0.5, 0.4, 100.0, beta=0.0)
+        b = score_one(0.5, 0.9, 100.0, beta=0.0)
         assert a == b
 
     def test_gamma_power_equivalence(self):
-        a = rank_score(RankInput(0.5, 0.4, 10.0, gamma=2.0))
-        b = rank_score(RankInput(0.5, 0.4, 100.0, gamma=1.0))
+        a = score_one(0.5, 0.4, 10.0, gamma=2.0)
+        b = score_one(0.5, 0.4, 100.0, gamma=1.0)
         assert a == pytest.approx(b)
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            RankInput(0.5, 0.4, -1.0)
-        with pytest.raises(ValueError):
-            RankInput(1.0, 0.4, 10.0)
+        with pytest.raises(ValueError, match="video_length must be positive, got -1.0"):
+            rank_scores([0.5], [0.4], [-1.0])
+        for pctr, pcvr in ((1.0, 0.4), (0.5, 0.0), (float("nan"), 0.4)):
+            with pytest.raises(ValueError, match="probabilities must be in"):
+                rank_scores([0.3, pctr], [0.3, pcvr], [10.0, 10.0])
+        with pytest.raises(ValueError, match="pctr=0.5, pcvr=1.0"):  # first bad entry
+            rank_scores([0.5, 0.5, 0.5], [0.5, 1.0, 0.3], [10.0, -1.0, -1.0])
+        with pytest.raises(ValueError, match="2 pctr, 2 pcvr, 1 lengths"):
+            rank_scores([0.5, 0.5], [0.5, 0.5], [10.0])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bits_equal_scalar_reference(self, seed):
+        """Every exponent triple from EXPONENTS, including those where numpy's
+        array pow differs from Python's scalar pow in the last bit."""
+        rng = np.random.default_rng(seed)
+        n = 300
+        pctr = rng.uniform(1e-4, 1.0 - 1e-4, n)
+        pcvr = rng.uniform(1e-4, 1.0 - 1e-4, n)
+        lengths = np.round(rng.uniform(0.5, 7200.0, n), 1)
+        for alpha, beta, gamma in itertools.product(EXPONENTS, repeat=3):
+            got = rank_scores(pctr, pcvr, lengths, alpha, beta, gamma)
+            want = [rank_score(RankInput(p, q, l, alpha, beta, gamma))
+                    for p, q, l in zip(pctr.tolist(), pcvr.tolist(), lengths.tolist())]
+            assert got.tobytes() == np.array(want).tobytes(), (alpha, beta, gamma)
 
 
 class TestRankTopK:
@@ -170,31 +235,49 @@ class TestRankTopK:
 
     def test_k_equals_n_is_permutation(self):
         cands = self._candidates(10)
-        assert sorted(rank_top_k(cands, 10)) == list(range(10))
+        assert sorted(rank_top_k(scores_of(cands), 10)) == list(range(10))
 
     def test_dominant_first(self):
         cands = self._candidates(5)
         cands.append(RankInput(0.95, 0.95, 10000.0))
-        assert rank_top_k(cands, 1)[0] == 5
+        assert rank_top_k(scores_of(cands), 1)[0] == 5
 
     def test_matches_full_sort_oracle(self):
         cands = self._candidates(20, seed=3)
         scores = [rank_score(c) for c in cands]
-        oracle = sorted(range(20), key=lambda i: (-scores[i], i))[:5]
-        assert rank_top_k(cands, 5) == oracle
+        assert rank_top_k(scores_of(cands), 5) == sorted_top_k(scores, 5)
 
     def test_tie_break_by_index(self):
         c = RankInput(0.5, 0.5, 100.0)
-        assert rank_top_k([c, c, c], 2) == [0, 1]
+        assert rank_top_k(scores_of([c, c, c]), 2) == [0, 1]
 
     def test_common_length_scale_invariance(self):
         cands = self._candidates(12, seed=4)
         scaled = [RankInput(c.pctr, c.pcvr, c.video_length * 7.5) for c in cands]
-        assert rank_top_k(cands, 12) == rank_top_k(scaled, 12)
+        assert rank_top_k(scores_of(cands), 12) == rank_top_k(scores_of(scaled), 12)
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            rank_top_k(self._candidates(3), 4)
+            rank_top_k(scores_of(self._candidates(3)), 4)
+        with pytest.raises(ValueError):
+            rank_top_k([0.5, 0.4], -1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tie_heavy_matches_sort_for_every_k(self, seed):
+        """Few distinct scores, so most k cut through a run of ties at the
+        k-th score; signed zeros tie with each other."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        pool = np.array([0.0, -0.0, 1e-300, 0.25, 0.25, 3.0, np.inf])
+        scores = pool[rng.integers(0, int(rng.integers(1, len(pool) + 1)), n)]
+        for k in range(n + 1):
+            assert rank_top_k(scores, k) == sorted_top_k(scores.tolist(), k), k
+
+    def test_ties_at_kth_score_from_scores(self):
+        lengths = [10.0, 20.0, 10.0, 20.0, 10.0, 5.0, 10.0]
+        scores = rank_scores([0.5] * 7, [0.5] * 7, lengths)
+        assert rank_top_k(scores, 3) == [1, 3, 0]
+        assert rank_top_k(scores, 4) == [1, 3, 0, 2]
 
 
 class TestMetricsReport:

@@ -312,6 +312,38 @@ class TestBackwardBitIdentity:
             assert g.tobytes() == w.tobytes()
 
 
+def gather_feature_cross(emb, cross_kind):
+    """Reference: the cross with pair-indexed gathers of emb."""
+    n, F, d = emb.shape
+    flat = emb.reshape(n, F * d)
+    kind = CrossKind(cross_kind)
+    if kind is CrossKind.NONE or F == 1:
+        return flat
+    pi, pj = np.triu_indices(F, k=1)
+    if kind is CrossKind.PAIRWISE_DOT:
+        dots = np.einsum("npd,npd->np", emb[:, pi, :], emb[:, pj, :])
+        return np.concatenate([flat, dots], axis=1)
+    prods = (emb[:, pi, :] * emb[:, pj, :]).reshape(n, -1)
+    return np.concatenate([flat, prods], axis=1)
+
+
+class TestFeatureCrossBitIdentity:
+    """The slice-based cross equals the gather-based reference bit for bit."""
+
+    @pytest.mark.parametrize("cross", [CrossKind.PAIRWISE_DOT, CrossKind.PAIRWISE_PRODUCT])
+    @pytest.mark.parametrize("F", [1, 2, 3, 5, 8, 13])
+    @pytest.mark.parametrize("d", [1, 3, 8, 17])
+    @pytest.mark.parametrize("n", [1, 7, 256])
+    def test_matches_gather(self, cross, F, d, n):
+        rng = nn.make_rng(3000 + 1000 * F + 10 * d + n)
+        # wide exponent spread so that any change of summation order moves bits
+        emb = rng.standard_normal((n, F, d)) * 10.0 ** rng.integers(-6, 7, (n, F, d))
+        got = model.feature_cross(emb, cross)
+        want = gather_feature_cross(emb, cross)
+        assert got.shape == want.shape == (n, cross_output_width(F, d, cross))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestSnapshot:
     def test_snapshot_and_rewind(self):
         cfg = small_config()

@@ -5,11 +5,11 @@ from lotshare import model, nn, training
 from lotshare.data import Batch, Dataset, SyntheticSpec, generate
 from lotshare.errors import ConfigError, StateError
 from lotshare.masking import TaskMask
-from lotshare.model import (CrossKind, ModelConfig, SharingMode, Task,
+from lotshare.model import (TASKS, CrossKind, ModelConfig, SharingMode, Task,
                             cross_output_width)
 from lotshare.training import (TrainConfig, evaluate_artifacts, generate_masks,
-                               joint_loss, joint_train, task_loss,
-                               train_baseline, train_model, warmup)
+                               joint_loss, joint_train, predict, predict_tasks,
+                               task_loss, train_baseline, train_model, warmup)
 
 
 def make_config(mode=SharingMode.CONNECTION_SHARE, hidden=(8, 6)):
@@ -271,3 +271,64 @@ class TestTrainModel:
         for t in (Task.CTR, Task.CVR):
             assert a.best_mask(t) == b.best_mask(t)
         assert evaluate_artifacts(a, ds, cfg) == evaluate_artifacts(b, ds, cfg)
+
+
+def forward_loop_predict(params, cfg, task, ids, mask=None, chunk=8192):
+    """Reference: one full model.forward per chunk, as predict once ran."""
+    out = [model.forward(ids[i:i + chunk], params, cfg, task, mask=mask)
+           for i in range(0, len(ids), chunk)]
+    return np.concatenate(out) if out else np.empty(0)
+
+
+class TestPredictTasks:
+    """predict_tasks shares one embedding and cross pass between tasks with
+    the same params, and gives each task the bytes of its own forward pass."""
+
+    @pytest.mark.parametrize("mode,masked", [
+        *((mode, False) for mode in SharingMode),
+        (SharingMode.CONNECTION_SHARE, True), (SharingMode.NEURON_SHARE, True)])
+    @pytest.mark.parametrize("chunk", [7, 8192])
+    def test_bytes_equal_per_task_forward(self, mode, masked, chunk):
+        cfg = make_config(mode)
+        shared = model.init_params(cfg, 3)
+        params = {Task.CTR: shared, Task.CVR: shared}
+        if mode is SharingMode.SINGLE_TASK:
+            params[Task.CVR] = model.init_params(cfg, 4)
+        masks = {t: None for t in TASKS}
+        if masked:
+            rng = nn.make_rng(5)
+            for ti, t in enumerate(TASKS):
+                layers = [(rng.random(w.shape) < 0.6 + 0.2 * ti).astype(np.float64)
+                          for w in shared.mlp_weights]
+                masks[t] = TaskMask(layers, t)
+        ids = np.stack([nn.make_rng(6).integers(0, c, 50) for c in cfg.field_cardinalities],
+                       axis=1)
+        got = predict_tasks({t: (params[t], cfg, masks[t]) for t in TASKS}, ids, chunk)
+        assert list(got) == list(TASKS)
+        for t in TASKS:
+            want = forward_loop_predict(params[t], cfg, t, ids, masks[t], chunk)
+            assert got[t].tobytes() == want.tobytes()
+            assert predict(params[t], cfg, t, ids, masks[t], chunk).tobytes() == want.tobytes()
+        if masked or mode in (SharingMode.SINGLE_TASK, SharingMode.LAYER_SHARE):
+            assert got[Task.CTR].tobytes() != got[Task.CVR].tobytes()
+
+    def test_front_runs_once_per_params_object(self, monkeypatch):
+        cfg = make_config()
+        p = model.init_params(cfg, 3)
+        calls = []
+        front = model.front
+        monkeypatch.setattr(model, "front", lambda *a: calls.append(a[1]) or front(*a))
+        ids = np.zeros((20, 4), dtype=np.int64)
+        predict_tasks({t: (p, cfg, None) for t in TASKS}, ids, chunk=8)
+        assert len(calls) == 3 and all(c is p for c in calls)
+        calls.clear()
+        q = p.copy()
+        predict_tasks({Task.CTR: (p, cfg, None), Task.CVR: (q, cfg, None)}, ids, chunk=8)
+        assert len(calls) == 6
+
+    def test_empty_ids(self):
+        cfg = make_config()
+        p = model.init_params(cfg, 3)
+        got = predict_tasks({t: (p, cfg, None) for t in TASKS},
+                            np.zeros((0, 4), dtype=np.int64))
+        assert all(got[t].shape == (0,) for t in TASKS)
