@@ -4,7 +4,8 @@ score, mask stats. One command per process; exit codes 0/2/3/4."""
 from __future__ import annotations
 
 import sys
-from itertools import count, islice, repeat
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import click
@@ -239,16 +240,23 @@ def cmd_prune_sweep(config_path, mode, dataset, seed, output_dir, extra, curve_f
     click.echo(f"curve written to {path}")
 
 
-_CANDIDATE_BLOCK = 8192  # lines parsed together; bounds the token lists held at once
+_CANDIDATE_BLOCK = data_mod.BLOCK_LINES
 
 
-def _parse_candidate_lines(lines: list[str], n_fields: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parse stripped ``id,...,id<TAB>length`` lines into ``(ids (n, F)
-    int64, lengths (n,) float64)``, converting with Python's ``int()`` and
-    ``float()``. Raises ValueError on the first failed check, in this order:
-    tab count, ids, length, id count, length positive and finite, id range.
-    For a single line that order gives its error message."""
+def _parse_candidate_lines(lines: list[str], linenos,
+                           n_fields: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parse ``id,...,id<TAB>length`` lines into ``(ids (n, F) int64,
+    lengths (n,) float64)``, converting with Python's ``int()`` and
+    ``float()``. Surrounding whitespace is ignored and lines starting with
+    ``#`` are skipped. Raises ValueError on the first failed check, in this
+    order: tab count, ids, length, id count, length positive and finite, id
+    range. For a single line that order gives its error message."""
+    lines = list(map(str.strip, lines))
+    if any(map(str.startswith, lines, repeat("#"))):
+        lines = [line for line in lines if line[0] != "#"]
     n = len(lines)
+    if not n:
+        return np.empty((0, n_fields), dtype=np.int64), np.empty(0)
     if (np.fromiter(map(str.count, lines, repeat("\t")), np.intp, n) != 1).any():
         raise ValueError("expected 'ids<TAB>length'")
     halves = "\t".join(lines).split("\t")
@@ -274,35 +282,17 @@ def _read_candidates(path, n_fields: int) -> tuple[np.ndarray, np.ndarray]:
     """Candidates as ``(ids (n, F) int64, lengths (n,) float64)``.
 
     One candidate per line, ``id,...,id<TAB>length``; surrounding whitespace,
-    blank lines and lines starting with ``#`` are skipped. Line numbers
-    count universal newlines. Lines are parsed in blocks; a DataError names
-    the first bad line and its problem.
+    blank lines and lines starting with ``#`` are skipped. Lines are read
+    by ``data.read_blocks``, so a DataError names the first bad line and its
+    problem.
     """
-    id_blocks, length_blocks = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for first in count(1, _CANDIDATE_BLOCK):
-            raw = [line.strip() for line in islice(fh, _CANDIDATE_BLOCK)]
-            if not raw:
-                break
-            keep = [i for i, line in enumerate(raw) if line and line[0] != "#"]
-            if not keep:
-                continue
-            try:
-                ids, lengths = _parse_candidate_lines([raw[i] for i in keep], n_fields)
-            except ValueError as exc:
-                for i in keep:  # find the first bad line
-                    try:
-                        _parse_candidate_lines([raw[i]], n_fields)
-                    except ValueError as line_exc:
-                        raise DataError(f"{path}:{first + i}: {line_exc}") from None
-                # not reached: every check is per line, so a block fails only
-                # where one of its lines fails alone
-                raise DataError(f"{path}: {exc}") from exc
-            id_blocks.append(ids)
-            length_blocks.append(lengths)
-    if not id_blocks:
+    with data_mod.open_text(path) as fh:
+        blocks = list(data_mod.read_blocks(
+            path, fh, partial(_parse_candidate_lines, n_fields=n_fields), _CANDIDATE_BLOCK))
+    if not blocks:
         return np.empty((0, n_fields), dtype=np.int64), np.empty(0)
-    return np.concatenate(id_blocks), np.concatenate(length_blocks)
+    ids, lengths = zip(*blocks)
+    return np.concatenate(ids), np.concatenate(lengths)
 
 
 @cli.command("score")

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, count, islice, repeat
 
 import numpy as np
 
@@ -171,6 +173,69 @@ def generate(spec: SyntheticSpec) -> Dataset:
     return generate_with_trace(spec)[0]
 
 
+BLOCK_LINES = 8192  # lines parsed or written together; bounds the token lists held at once
+
+
+def open_text(path):
+    """Open ``path`` for :func:`read_blocks`: UTF-8 with universal newlines,
+    so only ``\\n``, ``\\r\\n`` and ``\\r`` end a line. Bytes that are not UTF-8
+    decode to lone surrogates, which read_blocks reports by line."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def _is_utf8(text: str) -> bool:
+    """False if ``text`` holds a byte that was not UTF-8 (see open_text)."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def read_blocks(path, fh, parse, block_lines: int, first_line: int = 1):
+    """Yield ``parse(lines, linenos)`` for each block of ``block_lines`` lines
+    read from ``fh`` (opened by :func:`open_text`), whose first line is line
+    ``first_line`` of ``path``.
+
+    ``lines`` are the block's lines without their line ending, blank lines
+    (empty or all whitespace) left out, and ``linenos`` their line numbers.
+    ``parse`` raises ValueError when a line breaks a rule. A failing block is
+    checked again line by line, and the DataError ``path:line: problem``
+    names the first line that is not UTF-8 or that ``parse`` rejects alone.
+    """
+    for first in count(first_line, block_lines):
+        text = "".join(islice(fh, block_lines))
+        if not text:
+            return
+        lines = text.split("\n")
+        if text[-1] == "\n":
+            lines.pop()
+        linenos = range(first, first + len(lines))
+        if "" in lines or any(map(str.isspace, lines)):
+            keep = list(map(str.strip, lines))
+            lines, linenos = list(compress(lines, keep)), list(compress(linenos, keep))
+            if not lines:
+                continue
+        try:
+            if not _is_utf8(text):
+                raise ValueError("not valid UTF-8")
+            result = parse(lines, linenos)
+        except ValueError as exc:
+            for line, lineno in zip(lines, linenos):  # find the first bad line
+                if not _is_utf8(line):
+                    raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
+                try:
+                    parse([line], [lineno])
+                except ValueError as line_exc:
+                    raise DataError(f"{path}:{lineno}: {line_exc}") from None
+            # not reached: every check is per line, so a block fails only
+            # where one of its lines fails alone
+            raise DataError(f"{path}: {exc}") from exc
+        yield result
+
+
 def save(dataset: Dataset, path) -> None:
     """TSV: header with field cardinalities, then task/label/ids/split rows."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -179,69 +244,122 @@ def save(dataset: Dataset, path) -> None:
             td = dataset.tasks.get(task)
             if td is None:
                 continue
-            for i in range(td.n):
-                ids = ",".join(map(str, td.ids[i]))
-                fh.write(f"{task.value}\t{td.labels[i]:.17g}\t{ids}\t{SPLITS[td.split[i]]}\n")
+            for start in range(0, td.n, BLOCK_LINES):
+                block = slice(start, start + BLOCK_LINES)
+                labels = map("{:.17g}".format, td.labels[block].tolist())
+                ids = map(",".join, zip(*(map(str, col) for col in td.ids[block].T.tolist())))
+                split = map(SPLITS.__getitem__, td.split[block].tolist())
+                fh.write("\n".join(map("\t".join, zip(repeat(task.value), labels, ids, split)))
+                         + "\n")
 
 
-def load(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        return Dataset((), {Task.CTR: _empty_taskdata(0), Task.CVR: _empty_taskdata(0)})
-    header = lines[0].split("\t")
+_TASK_CODE = {t.value: code for code, t in enumerate(TASKS)}
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _first_failing(convert, texts):
+    """The first of ``texts`` that ``convert`` rejects with ValueError."""
+    for text in texts:
+        try:
+            convert(text)
+        except ValueError:
+            return text
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def _parse_rows(lines: list[str], linenos, cards: tuple[int, ...]):
+    """Parse ``task<TAB>label<TAB>id,...,id[<TAB>split]`` rows into ``(task
+    codes (n,) int8, labels (n,) float64, ids (n, F) int64, split (n,)
+    uint8)``, converting with Python's ``int()`` and ``float()``. A 3-field
+    row takes its split from its line number. Raises ValueError on the first
+    failed check, in this order: tab count, task, label, label domain per
+    task, ids, id count, id range per field, split name. For a single line
+    that order gives its error message."""
+    n, n_fields = len(lines), len(cards)
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.intp, n)
+    short = tabs == 2
+    if ((tabs != 3) & ~short).any():
+        raise ValueError("expected 3 or 4 tab-separated fields")
+    if short.any():  # give 3-field rows an empty split column, which is not read
+        lines = [line + "\t" if s else line for line, s in zip(lines, short.tolist())]
+    fields = "\t".join(lines).split("\t")
+    task_col, label_col, id_col, split_col = (fields[k::4] for k in range(4))
+    tasks = np.fromiter(map(_TASK_CODE.get, task_col, repeat(-1)), np.int8, n)
+    if (tasks < 0).any():
+        raise ValueError(f"unknown task {task_col[int(np.argmax(tasks < 0))]!r}")
+    try:
+        labels = np.fromiter(map(float, label_col), np.float64, n)
+    except ValueError:
+        raise ValueError(f"bad label {_first_failing(float, label_col)!r}") from None
+    ctr = tasks == _TASK_CODE[Task.CTR.value]
+    bad = np.where(ctr, (labels != 0.0) & (labels != 1.0),
+                   ~((labels >= 0.0) & (labels <= 1.0)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if ctr[i]:
+            raise ValueError(f"CTR label must be 0 or 1, got {float(labels[i])}")
+        raise ValueError(f"CVR label must be in [0,1], got {float(labels[i])}")
+    try:
+        values = list(map(int, ",".join(id_col).split(",")))
+    except ValueError:
+        raise ValueError(f"bad feature ids {_first_failing(_int_list, id_col)!r}") from None
+    counts = np.fromiter(map(str.count, id_col, repeat(",")), np.intp, n) + 1
+    if (counts != n_fields).any():
+        raise ValueError(f"{counts[counts != n_fields][0]} ids for {n_fields} fields")
+    try:
+        ids = np.array(values, dtype=np.int64)
+    except OverflowError:  # ids outside int64 are outside every field; -1 stands in
+        ids = np.array([v if -_INT64_MAX - 1 <= v <= _INT64_MAX else -1 for v in values],
+                       dtype=np.int64)
+    ids = ids.reshape(n, n_fields)
+    top = np.array([max(-1, min(c - 1, _INT64_MAX)) for c in cards], dtype=np.int64)
+    bad = (ids < 0) | (ids > top)
+    if bad.any():
+        k = int(np.argmax(bad))  # row-major: row k // F, field k % F
+        f = k % n_fields
+        raise ValueError(f"id {values[k]} out of range for field {f} (cardinality {cards[f]})")
+    split = np.fromiter(map(_SPLIT_INDEX.get, split_col, repeat(-1)), np.int8, n)
+    bad = (split < 0) & ~short
+    if bad.any():
+        raise ValueError(f"unknown split {split_col[int(np.argmax(bad))]!r}")
+    if short.any():
+        split[short] = [_split_of(0, lineno) for lineno, s in zip(linenos, short.tolist()) if s]
+    return tasks, labels, ids, split.astype(np.uint8)
+
+
+def _parse_header(path, line: str) -> tuple[int, ...]:
+    if not _is_utf8(line):
+        raise DataError(f"{path}:1: not valid UTF-8")
+    header = line.split("\t")
     if len(header) != 2 or header[0] != "cardinalities":
         raise DataError(f"{path}:1: expected 'cardinalities<TAB>...' header")
     try:
-        cards = tuple(int(c) for c in header[1].split(","))
+        return tuple(int(c) for c in header[1].split(","))
     except ValueError as exc:
         raise DataError(f"{path}:1: bad cardinality list: {exc}") from exc
-    rows: dict[Task, list[tuple[list[int], float, int]]] = {t: [] for t in TASKS}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) not in (3, 4):
-            raise DataError(f"{path}:{lineno}: expected 3 or 4 tab-separated fields")
-        try:
-            task = Task(parts[0])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: unknown task {parts[0]!r}") from None
-        try:
-            label = float(parts[1])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad label {parts[1]!r}") from None
-        if task is Task.CTR and label not in (0.0, 1.0):
-            raise DataError(f"{path}:{lineno}: CTR label must be 0 or 1, got {label}")
-        if task is Task.CVR and not 0.0 <= label <= 1.0:
-            raise DataError(f"{path}:{lineno}: CVR label must be in [0,1], got {label}")
-        try:
-            ids = [int(x) for x in parts[2].split(",")]
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad feature ids {parts[2]!r}") from None
-        if len(ids) != len(cards):
-            raise DataError(f"{path}:{lineno}: {len(ids)} ids for {len(cards)} fields")
-        for f, (fid, card) in enumerate(zip(ids, cards)):
-            if not 0 <= fid < card:
-                raise DataError(f"{path}:{lineno}: id {fid} out of range for field {f} "
-                                f"(cardinality {card})")
-        if len(parts) == 4:
-            if parts[3] not in _SPLIT_INDEX:
-                raise DataError(f"{path}:{lineno}: unknown split {parts[3]!r}")
-            split = _SPLIT_INDEX[parts[3]]
-        else:
-            split = _split_of(0, lineno)
-        rows[task].append((ids, label, split))
+
+
+def load(path) -> Dataset:
+    """Read a dataset TSV written by :func:`save`. Rows are parsed in blocks
+    of BLOCK_LINES lines; a DataError names the first bad line. An empty
+    file gives an empty Dataset."""
+    with open_text(path) as fh:
+        header = next(fh, None)
+        if header is None:
+            return Dataset((), {t: _empty_taskdata(0) for t in TASKS})
+        cards = _parse_header(path, header.removesuffix("\n"))
+        blocks = list(read_blocks(path, fh, partial(_parse_rows, cards=cards),
+                                  BLOCK_LINES, first_line=2))
+    if not blocks:
+        return Dataset(cards, {t: _empty_taskdata(len(cards)) for t in TASKS})
+    codes, labels, ids, split = (np.concatenate(col) for col in zip(*blocks))
     tasks = {}
-    for t in TASKS:
-        if rows[t]:
-            tasks[t] = TaskData(
-                ids=np.array([r[0] for r in rows[t]], dtype=np.int64),
-                labels=np.array([r[1] for r in rows[t]], dtype=np.float64),
-                split=np.array([r[2] for r in rows[t]], dtype=np.uint8),
-            )
-        else:
-            tasks[t] = _empty_taskdata(len(cards))
+    for code, t in enumerate(TASKS):
+        sel = codes == code
+        tasks[t] = TaskData(ids=ids[sel], labels=labels[sel], split=split[sel])
     return Dataset(cards, tasks)
 
 

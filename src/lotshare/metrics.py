@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UndefinedMetricError
+from .errors import ConfigError, UndefinedMetricError
 from .model import Task
 
 
@@ -77,19 +77,31 @@ def format_gain(absolute: float, relative: float) -> str:
     return f"{absolute:+.5f} ({relative * 100.0:+.2f}%)"
 
 
-def _pow(x: np.ndarray, e: float) -> np.ndarray:
+def _pow(x: np.ndarray, e: float, name: str, exponent: str) -> np.ndarray:
     """``x ** e`` per entry through Python's scalar float pow. numpy's array
     pow can differ from it in the last bit for exponents other than 0 and 1;
-    ``x ** 1.0 == x`` exactly, so that exponent skips the pow."""
+    ``x ** 1.0 == x`` exactly, so that exponent skips the pow. Raises
+    ConfigError naming the first entry whose power overflows."""
     if e == 1.0:
         return x
-    return np.array([v ** e for v in x.tolist()], dtype=np.float64)
+    values = x.tolist()
+    try:
+        return np.array([v ** e for v in values], dtype=np.float64)
+    except OverflowError:
+        for i, v in enumerate(values):
+            try:
+                v ** e
+            except OverflowError:
+                raise ConfigError(f"candidate {i}: {name}**{exponent} overflows "
+                                  f"({name}={v!r}, {exponent}={e!r})") from None
+        raise
 
 
 def rank_scores(pctr, pcvr, lengths, alpha: float = 1.0, beta: float = 1.0,
                 gamma: float = 1.0) -> np.ndarray:
     """pCTR^alpha * pCVR^beta * length^gamma per candidate, each bit for bit
-    as Python's ``pctr ** alpha * pcvr ** beta * length ** gamma``."""
+    as Python's ``pctr ** alpha * pcvr ** beta * length ** gamma``. Raises
+    ConfigError when a power, or the product of finite powers, overflows."""
     pctr, pcvr, lengths = (np.asarray(a, dtype=np.float64).ravel()
                            for a in (pctr, pcvr, lengths))
     if not len(pctr) == len(pcvr) == len(lengths):
@@ -103,7 +115,18 @@ def rank_scores(pctr, pcvr, lengths, alpha: float = 1.0, beta: float = 1.0,
             raise ValueError(f"probabilities must be in (0,1): pctr={float(pctr[i])}, "
                              f"pcvr={float(pcvr[i])}")
         raise ValueError(f"video_length must be positive, got {float(lengths[i])}")
-    return _pow(pctr, alpha) * _pow(pcvr, beta) * _pow(lengths, gamma)
+    factors = (_pow(pctr, alpha, "pctr", "alpha"), _pow(pcvr, beta, "pcvr", "beta"),
+               _pow(lengths, gamma, "length", "gamma"))
+    with np.errstate(over="ignore"):
+        scores = factors[0] * factors[1] * factors[2]
+    over = np.isinf(scores)
+    if over.any():
+        over &= np.isfinite(factors[0]) & np.isfinite(factors[1]) & np.isfinite(factors[2])
+        if over.any():
+            i = int(np.argmax(over))
+            raise ConfigError(f"candidate {i}: pctr**alpha * pcvr**beta * length**gamma "
+                              f"overflows (alpha={alpha!r}, beta={beta!r}, gamma={gamma!r})")
+    return scores
 
 
 def rank_top_k(scores, k: int) -> list[int]:

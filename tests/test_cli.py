@@ -14,6 +14,7 @@ from lotshare.errors import DataError
 from lotshare.config import load_experiment, parse_kv_text
 from lotshare.metrics import MetricsReport
 from lotshare.model import Task
+from test_data import per_line_load, per_row_save
 
 BASE_CFG = """\
 mode = connection_share
@@ -59,6 +60,15 @@ class TestGenerateData:
                        "--out", str(tmp_path), "--out-file", str(again))
         assert rc == 0
         assert again.read_bytes() == (out / "dataset.tsv").read_bytes()
+
+    def test_block_writer_round_trip(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "d"
+        assert run(capsys, "generate-data", "--config", cfg_file, "--out", str(out))[0] == 0
+        ds = data_mod.generate(load_experiment(cfg_file).synth)
+        per_row_save(ds, tmp_path / "per_row.tsv")
+        assert (out / "dataset.tsv").read_bytes() == (tmp_path / "per_row.tsv").read_bytes()
+        loaded = data_mod.load(out / "dataset.tsv")
+        assert loaded == ds == per_line_load(out / "dataset.tsv")
 
     def test_env_seed_overrides_flag(self, tmp_path, cfg_file, capsys, monkeypatch):
         monkeypatch.setenv("LOTSHARE_SEED", "42")
@@ -154,6 +164,15 @@ class TestTrain:
         rc, _, _ = run(capsys, "train", "--config", cfg_file,
                        "--dataset", "/nonexistent/x.tsv")
         assert rc == 3
+
+    def test_not_utf8_dataset_exit_3(self, tmp_path, cfg_file, capsys):
+        p = tmp_path / "d.tsv"
+        p.write_bytes(b"cardinalities\t8,8,8,8\nctr\t1\t0,1,2,3\ttrain\n"
+                      b"ctr\t0\t0,1,2,3\tval\xff\n")
+        rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--dataset", str(p),
+                              "--out", str(tmp_path / "run"))
+        assert rc == 3 and stdout == ""
+        assert err == f"data error: {p}:3: not valid UTF-8\n"
 
     def test_unknown_key_exit_2(self, cfg_file, capsys):
         rc, _, err = run(capsys, "train", "--config", cfg_file, "--set", "bogus=1")
@@ -331,6 +350,39 @@ class TestScore:
                               "--cvr-checkpoint", ckpts[1], str(p))
         assert rc == 3 and stdout == ""
         assert f"data error: {p}:2: feature id out of the 64-bit integer range" in err
+
+    @pytest.mark.parametrize("body,line", [
+        (b"0,1,2,3\t10\n1,2,3,4\t1\xff\n", 2),
+        (b"0,1,2,3\t10\n\n# caf\xe9\n1,2,3,4\t20\n", 3),  # a comment must be UTF-8 too
+        (b"0,1,2,3\t10\n\n# caf\xe9\n1,2,3,4\tx\n", 3),  # before a later bad line
+    ])
+    def test_not_utf8_candidates_exit_3(self, tmp_path, ckpts, capsys, body, line):
+        p = tmp_path / "bad.tsv"
+        p.write_bytes(body)
+        rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
+                              "--cvr-checkpoint", ckpts[1], str(p))
+        assert rc == 3 and stdout == ""
+        assert err == f"data error: {p}:{line}: not valid UTF-8\n"
+
+    def test_power_overflow_exit_2(self, tmp_path, ckpts, capsys):
+        p = tmp_path / "c.tsv"
+        p.write_text("0,1,2,3\t10\n1,2,3,4\t600\n")
+        rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
+                              "--cvr-checkpoint", ckpts[1], "--gamma", "200", str(p))
+        assert rc == 2 and stdout == ""
+        assert err == ("config error: candidate 1: length**gamma overflows "
+                       "(length=600.0, gamma=200.0)\n")
+
+    def test_product_overflow_exit_2(self, tmp_path, ckpts, capsys):
+        # each power is finite (pctr**-50 < 1e300 for pctr > 1e-6), their
+        # product is not (pctr**-50 > 2 for pctr < 0.98)
+        p = tmp_path / "c.tsv"
+        p.write_text("0,1,2,3\t10\n1,2,3,4\t1e308\n")
+        rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
+                              "--cvr-checkpoint", ckpts[1], "--alpha=-50", str(p))
+        assert rc == 2 and stdout == ""
+        assert err == ("config error: candidate 1: pctr**alpha * pcvr**beta * length**gamma "
+                       "overflows (alpha=-50.0, beta=1.0, gamma=1.0)\n")
 
     @pytest.mark.parametrize("exponents", [(1.0, 1.0, 1.0), (0.7, 1.3, 0.5)])
     def test_connection_share_run_with_both_masks(self, tmp_path, cfg_file, capsys,

@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lotshare import data
-from lotshare.data import Dataset, SyntheticSpec, batches, generate, generate_with_trace
+from lotshare.data import (SPLITS, Dataset, SyntheticSpec, batches, generate,
+                           generate_with_trace)
 from lotshare.errors import ConfigError, DataError
-from lotshare.model import Task
+from lotshare.model import TASKS, Task
 
 
 SMALL = SyntheticSpec(n_users=50, n_items=50, field_cardinalities=(8,) * 4,
@@ -146,6 +151,242 @@ class TestSaveLoad:
         p = self._write(tmp_path, "ctr\t1\t0,0\nctr\t0\t1,1\n")
         ds = data.load(p)
         assert ds.tasks[Task.CTR].n == 2
+
+
+def per_line_load(path) -> Dataset:
+    """Reference: the per-line loader the block parser replaced, with its
+    line split changed from ``str.splitlines`` to universal newlines."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        return Dataset((), {Task.CTR: data._empty_taskdata(0), Task.CVR: data._empty_taskdata(0)})
+    header = lines[0].split("\t")
+    if len(header) != 2 or header[0] != "cardinalities":
+        raise DataError(f"{path}:1: expected 'cardinalities<TAB>...' header")
+    try:
+        cards = tuple(int(c) for c in header[1].split(","))
+    except ValueError as exc:
+        raise DataError(f"{path}:1: bad cardinality list: {exc}") from exc
+    rows = {t: [] for t in TASKS}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (3, 4):
+            raise DataError(f"{path}:{lineno}: expected 3 or 4 tab-separated fields")
+        try:
+            task = Task(parts[0])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: unknown task {parts[0]!r}") from None
+        try:
+            label = float(parts[1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad label {parts[1]!r}") from None
+        if task is Task.CTR and label not in (0.0, 1.0):
+            raise DataError(f"{path}:{lineno}: CTR label must be 0 or 1, got {label}")
+        if task is Task.CVR and not 0.0 <= label <= 1.0:
+            raise DataError(f"{path}:{lineno}: CVR label must be in [0,1], got {label}")
+        try:
+            ids = [int(x) for x in parts[2].split(",")]
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad feature ids {parts[2]!r}") from None
+        if len(ids) != len(cards):
+            raise DataError(f"{path}:{lineno}: {len(ids)} ids for {len(cards)} fields")
+        for f, (fid, card) in enumerate(zip(ids, cards)):
+            if not 0 <= fid < card:
+                raise DataError(f"{path}:{lineno}: id {fid} out of range for field {f} "
+                                f"(cardinality {card})")
+        if len(parts) == 4:
+            if parts[3] not in data._SPLIT_INDEX:
+                raise DataError(f"{path}:{lineno}: unknown split {parts[3]!r}")
+            split = data._SPLIT_INDEX[parts[3]]
+        else:
+            split = data._split_of(0, lineno)
+        rows[task].append((ids, label, split))
+    tasks = {}
+    for t in TASKS:
+        if rows[t]:
+            tasks[t] = data.TaskData(
+                ids=np.array([r[0] for r in rows[t]], dtype=np.int64),
+                labels=np.array([r[1] for r in rows[t]], dtype=np.float64),
+                split=np.array([r[2] for r in rows[t]], dtype=np.uint8),
+            )
+        else:
+            tasks[t] = data._empty_taskdata(len(cards))
+    return Dataset(cards, tasks)
+
+
+def per_row_save(dataset: Dataset, path) -> None:
+    """Reference: the per-row writer the block writer replaced."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("cardinalities\t" + ",".join(map(str, dataset.field_cardinalities)) + "\n")
+        for task in TASKS:
+            td = dataset.tasks.get(task)
+            if td is None:
+                continue
+            for i in range(td.n):
+                ids = ",".join(map(str, td.ids[i]))
+                fh.write(f"{task.value}\t{td.labels[i]:.17g}\t{ids}\t{SPLITS[td.split[i]]}\n")
+
+
+def assert_same_arrays(got: Dataset, want: Dataset):
+    assert got.field_cardinalities == want.field_cardinalities
+    assert list(got.tasks) == list(want.tasks)
+    for t in want.tasks:
+        for name in ("ids", "labels", "split"):
+            a, b = getattr(got.tasks[t], name), getattr(want.tasks[t], name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (t, name)
+            assert a.tobytes() == b.tobytes(), (t, name)
+
+
+class TestBlockSave:
+    """The block writer gives the per-row writer's bytes."""
+
+    @pytest.mark.parametrize("block", [1, 3, 8192])
+    def test_matches_per_row_writer(self, tmp_path, block):
+        ds = generate(SMALL)
+        ds.tasks[Task.CVR].labels[:3] = [0.0, 1.0, 1 / 3]
+        per_row_save(ds, tmp_path / "want.tsv")
+        with mock.patch.object(data, "BLOCK_LINES", block):
+            data.save(ds, tmp_path / "got.tsv")
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+        assert_same_arrays(data.load(tmp_path / "got.tsv"), ds)
+
+    @pytest.mark.parametrize("n_ctr,n_cvr", [(0, 0), (7, 0), (0, 5)])
+    def test_empty_tasks(self, tmp_path, n_ctr, n_cvr):
+        ds = tiny_dataset(n_ctr, n_cvr)
+        ds.tasks[Task.CTR].split[:] = np.arange(n_ctr) % 3
+        per_row_save(ds, tmp_path / "want.tsv")
+        with mock.patch.object(data, "BLOCK_LINES", 2):
+            data.save(ds, tmp_path / "got.tsv")
+        assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+        assert_same_arrays(data.load(tmp_path / "got.tsv"), per_line_load(tmp_path / "want.tsv"))
+
+
+_INT = st.one_of(st.integers(0, 3).map(str), st.integers(-2, 6).map(str), st.sampled_from([
+    "+3", "1_0", " 2", "2 ", "003", "", "x", "1.0", "0x1", "\u0663", "1__0",
+    "9223372036854775807", "-9223372036854775809", "99999999999999999999"]))
+_LABEL = st.one_of(st.sampled_from(["0", "1"]), st.sampled_from([
+                                    "0", "1", "0.0", "1.0", "-0", "+1", " 1 ", "1e0", "0.5",
+                                    "1_0", "2", "-1", "nan", "NaN", "inf", "-inf", "", "x",
+                                    "0x1", "\u0661", "1,0"]),
+                   st.floats(allow_nan=True, allow_infinity=True).map(repr))
+_TASK = st.sampled_from(["ctr", "cvr"] * 4 + ["CTR", " ctr", "", "x"])
+_SPLIT = st.sampled_from(["train", "val", "test"] * 2 + ["Train", "", "x", "val ", "\x0b"])
+_GOOD_ROW = st.tuples(
+    st.sampled_from(["ctr", "cvr"]), st.sampled_from(["0", "1"]),
+    st.lists(st.integers(0, 3).map(str), min_size=2, max_size=2).map(",".join),
+    st.sampled_from(SPLITS)).map("\t".join)
+_GOOD_CVR_ROW = st.tuples(
+    st.floats(0.0, 1.0).map(repr),
+    st.lists(st.integers(0, 3).map(str), min_size=2, max_size=2).map(",".join),
+    st.sampled_from(SPLITS)).map(lambda t: "cvr\t" + "\t".join(t))
+_ROW = st.one_of(  # repeated branches are drawn more often
+    _GOOD_ROW, _GOOD_ROW, _GOOD_CVR_ROW,
+    _GOOD_ROW.map(lambda row: row.rsplit("\t", 1)[0]),  # 3 fields: split from the line number
+    *[st.tuples(_TASK, _LABEL, st.lists(_INT, min_size=2, max_size=2).map(",".join), _SPLIT)
+      .map("\t".join)] * 3,
+    st.tuples(_TASK, _LABEL, st.lists(_INT, min_size=1, max_size=3).map(",".join))
+    .map("\t".join),
+    st.tuples(_TASK, _LABEL, st.lists(_INT, min_size=2, max_size=2).map(",".join), _SPLIT,
+              _SPLIT).map("\t".join),
+    st.sampled_from(["", "   ", "\t", "ctr\t1", "\x0c", "ctr\t1\t0,0\ttrain\x0c",
+                     "\x85ctr\t1\t0,0", "ctr\t1\t0,0\u2028", "cvr\t0.5\t0,0\x1cval",
+                     "ctr\t1\t0,4\ttrain", "ctr\t1\t0,0,0\ttest", "ctr\t1\t0,0\televen",
+                     "ctr\t1\t0,99999999999999999999\ttrain", "cvr\t0\t-9223372036854775809,9"]),
+    st.text(max_size=12))
+_HEADER = st.sampled_from(["cardinalities\t4,4"] * 20 + [
+    "cardinalities\t4,4,2", "cardinalities\t99999999999999999999,0", "cardinalities\t4",
+    "cardinalities\t4,x", "cardinalities", "Cardinalities\t4,4", "", " ", "\x0c"])
+_MIXED_FILE = st.tuples(_HEADER, st.lists(_ROW, max_size=12)).map(lambda t: [t[0], *t[1]])
+# good rows and blank lines, with at most one row of any kind inserted
+_MOSTLY_GOOD_FILE = st.tuples(
+    st.lists(st.one_of(_GOOD_ROW, _GOOD_ROW, _GOOD_CVR_ROW, st.sampled_from(["", " "])),
+             max_size=20),
+    st.one_of(st.none(), _ROW), st.integers(0, 20),
+).map(lambda t: ["cardinalities\t4,4",
+                 *(t[0] if t[1] is None else t[0][:t[2]] + [t[1]] + t[0][t[2]:])])
+
+
+class TestLoadMatchesPerLine:
+    """The block loader accepts exactly what the per-line reference accepts,
+    with byte-equal arrays, and rejects the rest with the same message."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(lines=st.one_of(_MIXED_FILE, _MOSTLY_GOOD_FILE, st.just([])),
+           newlines=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=22, max_size=22),
+           last_newline=st.booleans(), block=st.integers(1, 5))
+    def test_matches_per_line_reference(self, tmp_path_factory, lines, newlines,
+                                        last_newline, block):
+        p = tmp_path_factory.mktemp("tsv") / "d.tsv"
+        text = "".join(a + b for a, b in zip(lines, newlines))
+        if lines and not last_newline:
+            text = text[:-len(newlines[len(lines) - 1])]
+        p.write_bytes(text.encode("utf-8"))
+        try:
+            want = per_line_load(p)
+        except DataError as exc:
+            want = str(exc)
+        with mock.patch.object(data, "BLOCK_LINES", block):
+            try:
+                got = data.load(p)
+            except DataError as exc:
+                got = str(exc)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert_same_arrays(got, want)
+
+    def test_grammar_of_int_and_float(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        p.write_text("cardinalities\t11,4\r\nctr\t+1\t1_0, 2\tval\r\n\r\n"
+                     "cvr\t 1e-1 \t003,-0\ttest\rctr\t-0\t0,0\n")
+        ds = data.load(p)
+        ctr, cvr = ds.tasks[Task.CTR], ds.tasks[Task.CVR]
+        assert ctr.ids.tolist() == [[10, 2], [0, 0]] and cvr.ids.tolist() == [[3, 0]]
+        assert ctr.labels.tobytes() == np.array([1.0, -0.0]).tobytes()
+        assert cvr.labels.tolist() == [0.1] and cvr.split.tolist() == [2]
+        assert ctr.split.tolist() == [1, data._split_of(0, 5)]
+
+    def test_first_bad_line_across_blocks(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        p.write_text("cardinalities\t4,4\n" + "ctr\t1\t0,0\ttrain\n" * 5
+                     + "ctr\t1\t0,99999999999999999999\televen\n" + "ctr\tx\t0,0\n")
+        with mock.patch.object(data, "BLOCK_LINES", 2):
+            with pytest.raises(DataError, match=r"d.tsv:7: id 99999999999999999999 out of "
+                                                r"range for field 1 \(cardinality 4\)$"):
+                data.load(p)
+
+    def test_only_universal_newlines_end_a_line(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        p.write_bytes("cardinalities\t4,4\nctr\t1\t0,0\x0cctr\t0\t1,1\n".encode())
+        with pytest.raises(DataError, match=r"d.tsv:2: expected 3 or 4 tab-separated fields$"):
+            data.load(p)  # str.splitlines would read two rows here
+        p.write_bytes("cardinalities\t4,4\nctr\t1\t0,0\ttrain\x0c\n".encode())
+        with pytest.raises(DataError, match=r"d.tsv:2: unknown split 'train\\x0c'$"):
+            data.load(p)
+        p.write_bytes("cardinalities\t4,4\n\x0c\u2028\nctr\t1\t0,0\ttrain\x85\n".encode())
+        with pytest.raises(DataError, match=r"d.tsv:3: unknown split 'train\\x85'$"):
+            data.load(p)
+
+    @pytest.mark.parametrize("block", [1, 2, 8192])
+    def test_not_utf8_names_first_bad_line(self, tmp_path, block):
+        p = tmp_path / "d.tsv"
+        p.write_bytes("cardinalities\t4,4\nctr\t1\t0,0\ttrain\n"
+                      "cvr\t0.5\t0,0\tcafé\n".encode() + b"ctr\t1\t0,0\tval\xff\n")
+        with mock.patch.object(data, "BLOCK_LINES", block):
+            with pytest.raises(DataError, match=r"d.tsv:3: unknown split 'café'$"):
+                data.load(p)
+            p.write_bytes(b"cardinalities\t4,4\nctr\t1\t0,0\ttrain\n\n"
+                          b"ctr\t1\t0,0\tval\xff\ncvr\tx\t0,0\n")
+            with pytest.raises(DataError, match=r"d.tsv:4: not valid UTF-8$"):
+                data.load(p)
+            p.write_bytes(b"cardinalities\t4,\xe94\n")
+            with pytest.raises(DataError, match=r"d.tsv:1: not valid UTF-8$"):
+                data.load(p)
 
 
 def tiny_dataset(n_ctr=10, n_cvr=5):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lotshare import nn
-from lotshare.errors import UndefinedMetricError
+from lotshare.errors import ConfigError, UndefinedMetricError
 from lotshare.metrics import (MetricsReport, _average_ranks, auc, format_gain, mse, mtl_gain,
                               rank_scores, rank_top_k)
 from lotshare.model import Task
@@ -224,6 +224,44 @@ class TestRankScore:
             want = [rank_score(RankInput(p, q, l, alpha, beta, gamma))
                     for p, q, l in zip(pctr.tolist(), pcvr.tolist(), lengths.tolist())]
             assert got.tobytes() == np.array(want).tobytes(), (alpha, beta, gamma)
+
+    @pytest.mark.parametrize("args,message", [
+        (([0.5, 0.5], [0.5, 0.5], [10.0, 600.0], 1.0, 1.0, 200.0),
+         "candidate 1: length**gamma overflows (length=600.0, gamma=200.0)"),
+        (([0.9, 1e-300, 1e-300], [0.5] * 3, [10.0] * 3, -2.0, 1.0, 1.0),
+         "candidate 1: pctr**alpha overflows (pctr=1e-300, alpha=-2.0)"),
+        (([0.5] * 3, [0.5, 0.5, 1e-200], [10.0] * 3, 1.0, -1.6, 1.0),
+         "candidate 2: pcvr**beta overflows (pcvr=1e-200, beta=-1.6)"),
+    ])
+    def test_power_overflow_names_candidate_and_exponent(self, args, message):
+        with pytest.raises(ConfigError) as info:
+            rank_scores(*args)
+        assert str(info.value) == message
+
+    def test_product_overflow_of_finite_powers(self):
+        pctr, pcvr, lengths = [0.5, 0.5, 1e-3], [0.5, 0.5, 0.5], [1e290, 1e290, 1e300]
+        with np.errstate(over="raise"), pytest.raises(ConfigError) as info:
+            rank_scores(pctr, pcvr, lengths, -40.0, 1.0, 1.0)
+        assert str(info.value) == ("candidate 2: pctr**alpha * pcvr**beta * length**gamma "
+                                   "overflows (alpha=-40.0, beta=1.0, gamma=1.0)")
+        with pytest.raises(ConfigError, match="^candidate 0: pctr"):
+            rank_scores([0.5], [1e-10], [1e308], 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("p,q,length,alpha,beta,gamma", [
+        (0.5, 0.5, 1.7976931348623157e308, 1.0, 1.0, 1.0),
+        (1e-300, 0.5, 1e8, -1.0, 1.0, 0.0),
+        (0.9, 0.999, 600.0, 0.5, -2.0, 110.0),
+        (0.5, 0.5, 1e300, -26.0, 1.0, 1.0),
+    ])
+    def test_largest_finite_scores_keep_bits(self, p, q, length, alpha, beta, gamma):
+        got = rank_scores([p, 0.5], [q, 0.5], [length, 10.0], alpha, beta, gamma)
+        want = [p ** alpha * q ** beta * length ** gamma,
+                0.5 ** alpha * 0.5 ** beta * 10.0 ** gamma]
+        assert np.isfinite(got).all() and got[0] > 1e299
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_infinite_length_is_not_an_overflow(self):
+        assert rank_scores([0.5], [0.5], [float("inf")]).tolist() == [float("inf")]
 
 
 class TestRankTopK:
