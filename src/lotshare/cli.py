@@ -3,6 +3,7 @@ score, mask stats. One command per process; exit codes 0/2/3/4."""
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import partial
 from itertools import repeat
@@ -309,8 +310,12 @@ def cmd_score(ctr_checkpoint, cvr_checkpoint, ctr_mask, cvr_mask, top_k,
               alpha, beta, gamma, candidates_file):
     """Rank candidates by pCTR^alpha * pCVR^beta * length^gamma.
 
+    A connection_share or neuron_share checkpoint needs its task's mask.
     With one checkpoint for both tasks (the same bytes), both share one
     embedding and feature-cross pass."""
+    for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value!r}")
     ctr_cfg, ctr_params = model.load_checkpoint(ctr_checkpoint)
     if Path(cvr_checkpoint).read_bytes() == Path(ctr_checkpoint).read_bytes():
         cvr_cfg, cvr_params = ctr_cfg, ctr_params
@@ -318,6 +323,12 @@ def cmd_score(ctr_checkpoint, cvr_checkpoint, ctr_mask, cvr_mask, top_k,
         cvr_cfg, cvr_params = model.load_checkpoint(cvr_checkpoint)
     if ctr_cfg.field_cardinalities != cvr_cfg.field_cardinalities:
         raise ConfigError("CTR and CVR checkpoints disagree on the feature schema")
+    for task, path, cfg, mask in ((Task.CTR, ctr_checkpoint, ctr_cfg, ctr_mask),
+                                  (Task.CVR, cvr_checkpoint, cvr_cfg, cvr_mask)):
+        if mask is None and cfg.sharing_mode in (SharingMode.CONNECTION_SHARE,
+                                                 SharingMode.NEURON_SHARE):
+            raise ConfigError(f"--{task.value}-mask is required: {path} is a "
+                              f"{cfg.sharing_mode.value} checkpoint")
     masks = {
         Task.CTR: masking.load_mask(ctr_mask) if ctr_mask else None,
         Task.CVR: masking.load_mask(cvr_mask) if cvr_mask else None,

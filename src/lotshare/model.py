@@ -6,6 +6,7 @@ weight matrices only; embeddings and biases are always fully shared.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -162,6 +163,31 @@ class ParamLayout:
     def size(self) -> int:
         return self.spans[-1][1]
 
+    @cached_property
+    def table_size(self) -> int:
+        """Entries of the embedding tables, which come first in the flat vector."""
+        return sum(math.prod(shape) for shape in self.embeddings)
+
+    @cached_property
+    def cardinalities(self) -> np.ndarray:
+        """Rows of each field's table; read only."""
+        cards = np.array([rows for rows, _ in self.embeddings], dtype=np.intp)
+        cards.flags.writeable = False
+        return cards
+
+    @cached_property
+    def row_offsets(self) -> np.ndarray:
+        """Each field's first row in the tables stacked as one (rows, dim)
+        array; read only."""
+        offsets = np.cumsum(self.cardinalities) - self.cardinalities
+        offsets.flags.writeable = False
+        return offsets
+
+    @cached_property
+    def without_tables(self) -> "ParamLayout":
+        """The blocks past the tables, laid out from entry 0."""
+        return dataclasses.replace(self, embeddings=())
+
 
 @dataclass
 class _FlatBlocks:
@@ -197,6 +223,11 @@ class _FlatBlocks:
                 out.head_weights[task] = take(layout.head_weights)
                 out.head_biases[task] = take(layout.head_biases)
         return out
+
+    @property
+    def tables(self) -> np.ndarray:
+        """The embedding tables stacked as one (rows, dim) view of ``flat``."""
+        return self.flat[:self.layout.table_size].reshape(-1, self.layout.embeddings[0][1])
 
     def blocks(self) -> list[np.ndarray]:
         """All arrays in fixed declaration order."""
@@ -243,21 +274,23 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     return params
 
 
-def embed(ids: np.ndarray, embeddings: list[np.ndarray]) -> np.ndarray:
-    """Row lookup per field: (n, F) int ids -> (n, F, dim)."""
+def embed(ids: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Row lookup: (n, F) int ids -> ``(emb, rows)``, the (n, F, dim)
+    embeddings and each id's row in the stacked tables (``params.tables``).
+    An id outside its field's table raises FeatureIdError naming the first
+    such field, in field order, and that field's first bad id."""
     ids = np.asarray(ids)
-    if ids.ndim != 2 or ids.shape[1] != len(embeddings):
-        raise ShapeError(f"embed: ids {ids.shape} for {len(embeddings)} fields")
-    cols = []
-    for f, table in enumerate(embeddings):
-        fid = ids[:, f]
-        bad = (fid < 0) | (fid >= table.shape[0])
-        if bad.any():
-            which = int(fid[bad][0])
-            raise FeatureIdError(f"feature id {which} out of range for field {f} "
-                                 f"(cardinality {table.shape[0]})")
-        cols.append(table[fid])
-    return np.stack(cols, axis=1)
+    layout = params.layout
+    cards = layout.cardinalities
+    if ids.ndim != 2 or ids.shape[1] != len(cards):
+        raise ShapeError(f"embed: ids {ids.shape} for {len(cards)} fields")
+    bad = (ids < 0) | (ids >= cards)
+    if bad.any():
+        f = int(np.argmax(bad.any(axis=0)))
+        raise FeatureIdError(f"feature id {int(ids[bad[:, f], f][0])} out of range for "
+                             f"field {f} (cardinality {cards[f]})")
+    rows = ids + layout.row_offsets
+    return np.take(params.tables, rows, axis=0), rows
 
 
 @lru_cache(maxsize=None)
@@ -335,6 +368,7 @@ def _feature_cross_backward(emb: np.ndarray, d_x: np.ndarray,
 @dataclass
 class ForwardCache:
     ids: np.ndarray
+    rows: np.ndarray                    # the ids' rows in the stacked tables
     emb: np.ndarray
     cross: np.ndarray
     layer_inputs: list[np.ndarray]      # input to each FC transition (post-ReLU)
@@ -344,9 +378,50 @@ class ForwardCache:
     used_tower: bool
 
 
-class Grads(_FlatBlocks):
-    """Gradient arrays laid out like ModelParams (zeros for untouched
-    blocks). Iterating yields the blocks in order."""
+class Grads:
+    """Gradients laid out like ModelParams, in one of two forms.
+
+    ``Grads.on(layout, flat)`` is dense: ``flat`` holds every entry.
+    ``backward`` returns the compact form: ``rows``, the sorted unique rows
+    of the stacked tables (``ModelParams.tables``) that the batch touched,
+    and ``values`` (len(rows), dim), their gradients; every other table
+    entry's gradient is 0.0. In both forms ``mlp`` holds the entries past
+    the tables. ``nn.Adam`` reads ``rows``, ``values`` and ``mlp``. ``dense``
+    holds every block as views of one flat vector, built on first use for a
+    compact gradient; ``flat``, ``embeddings``, ``mlp_weights`` and
+    ``blocks()`` read it. Iterating yields the blocks in order.
+    """
+
+    def __init__(self, layout: ParamLayout, mlp: np.ndarray,
+                 rows: np.ndarray | None = None, values: np.ndarray | None = None):
+        self.layout, self.mlp, self.rows, self.values = layout, mlp, rows, values
+
+    @classmethod
+    def on(cls, layout: ParamLayout, flat: np.ndarray | None = None) -> "Grads":
+        """The dense form, viewing ``flat`` (zeros when None)."""
+        dense = _FlatBlocks.on(layout, flat)
+        grads = cls(layout, dense.flat[layout.table_size:])
+        grads.dense = dense
+        return grads
+
+    @cached_property
+    def dense(self) -> _FlatBlocks:
+        """Every block, as views of one flat vector."""
+        flat = np.zeros(self.layout.size, dtype=nn.DTYPE)
+        dense = _FlatBlocks.on(self.layout, flat)
+        flat[self.layout.table_size:] = self.mlp
+        dense.tables[self.rows] = self.values
+        return dense
+
+    flat = property(lambda self: self.dense.flat)
+    embeddings = property(lambda self: self.dense.embeddings)
+    mlp_weights = property(lambda self: self.dense.mlp_weights)
+
+    def blocks(self) -> list[np.ndarray]:
+        return self.dense.blocks()
+
+    def __iter__(self):
+        return iter(self.blocks())
 
 
 def _mask_layers(mask) -> list[np.ndarray] | None:
@@ -378,11 +453,11 @@ def task_weights(params: ModelParams, cfg: ModelConfig, task: Task,
 
 
 def front(ids: np.ndarray, params: ModelParams, cfg: ModelConfig
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """The part of the forward pass both tasks share: ``(emb, x)``, the
-    (n, F, dim) embeddings and their feature cross, the MLP input."""
-    emb = embed(ids, params.embeddings)
-    return emb, feature_cross(emb, cfg.cross_kind)
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The part of the forward pass both tasks share: ``(emb, rows, x)``,
+    ``embed``'s output and the feature cross of ``emb``, the MLP input."""
+    emb, rows = embed(ids, params)
+    return emb, rows, feature_cross(emb, cfg.cross_kind)
 
 
 def mlp_forward(x: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray]):
@@ -408,48 +483,66 @@ def forward(ids: np.ndarray, params: ModelParams, cfg: ModelConfig, task: Task,
     the MLP of ``task_weights`` under ``mask``."""
     task = Task(task)
     weights, biases = task_weights(params, cfg, task, mask)
-    emb, x = front(ids, params, cfg)
+    emb, rows, x = front(ids, params, cfg)
     preds, logits, layer_inputs, pre_acts = mlp_forward(x, weights, biases)
     if not want_cache:
         return preds
-    cache = ForwardCache(ids=np.asarray(ids), emb=emb, cross=x,
+    cache = ForwardCache(ids=np.asarray(ids), rows=rows, emb=emb, cross=x,
                          layer_inputs=layer_inputs, pre_activations=pre_acts,
                          logits=logits, task=task,
                          used_tower=cfg.sharing_mode is SharingMode.LAYER_SHARE)
     return preds, cache
 
 
-def _embedding_grads(ids: np.ndarray, d_emb: np.ndarray,
-                     cardinalities: tuple[int, ...], size: int) -> np.ndarray:
-    """Scatter d_emb (n, F, d) onto the rows named by ids (n, F), per field,
-    into a flat vector of ``size`` entries: the tables back to back from
-    entry 0, then zeros up to ``size``.
+def _table_grads(rows: np.ndarray, d_emb: np.ndarray,
+                 n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter d_emb (n, F, d) onto the rows (n, F) of the stacked tables,
+    which have ``n_rows`` rows, compactly: ``(touched, values)``, the sorted
+    unique rows and their (len(touched), d) gradients.
 
-    One ``np.bincount`` over all fields: element (s, f, c) goes to bin
-    ``offset[f] + ids[s, f] * d + c``. bincount starts every bin at 0.0 and
-    adds its weights in input order, i.e. in sample order per bin, which is
-    what a scatter-add (``ufunc.at``) into a zeroed table does, so the bits
-    are the same. ids must be in range, which ``embed`` checks: here an id
-    past the end of one field's table would land in the next field's rows.
+    One ``np.bincount`` over the compacted bins: element (s, f, c) goes to
+    bin ``slot * d + c``, ``slot`` being its row's place in ``touched``.
+    bincount starts every bin at 0.0 and adds its weights in input order,
+    i.e. in sample order per bin, which is what a scatter-add
+    (``ufunc.at``) into a zeroed table does, so each row's bits are the
+    same. No sum is -0.0, since 0.0 + -0.0 is 0.0: ``nn.Adam`` relies on
+    that. rows must be in range, which ``embed`` checks.
     """
     d = d_emb.shape[2]
-    sizes = np.array(cardinalities) * d
-    offsets = np.cumsum(sizes) - sizes
-    bins = (ids * d + offsets)[:, :, None] + np.arange(d)
-    return np.bincount(bins.ravel(), weights=d_emb.ravel(), minlength=size)
+    seen = np.zeros(n_rows, dtype=bool)
+    seen[rows] = True
+    touched = np.flatnonzero(seen)
+    slot = np.empty(n_rows, dtype=np.intp)
+    slot[touched] = np.arange(len(touched))
+    bins = (slot[rows] * d)[:, :, None] + np.arange(d)
+    values = np.bincount(bins.ravel(), weights=d_emb.ravel(), minlength=len(touched) * d)
+    return touched, values.reshape(-1, d)
+
+
+def _embedding_grads(ids: np.ndarray, d_emb: np.ndarray,
+                     cardinalities: tuple[int, ...], size: int) -> np.ndarray:
+    """The dense form of ``_table_grads`` for per-field ids (n, F): a flat
+    vector of ``size`` entries, the tables back to back from entry 0, then
+    zeros. The tests hold it against scatter-add and full-table bincount
+    references."""
+    cards, d = np.array(cardinalities), d_emb.shape[2]
+    touched, values = _table_grads(ids + (np.cumsum(cards) - cards), d_emb, int(cards.sum()))
+    flat = np.zeros(size)
+    flat[:cards.sum() * d].reshape(-1, d)[touched] = values
+    return flat
 
 
 def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
              cfg: ModelConfig, mask=None) -> Grads:
     """Gradients of a scalar loss given d loss / d logit per sample.
 
-    The embedding-side gradients are bit-identical to a formulation with
-    scatter-adds (``ufunc.at``): ``_feature_cross_backward`` adds each
-    field's partner terms in the order the scatter-add would, and
-    ``_embedding_grads`` sums each table row in sample order from 0.0, as a
-    scatter-add into a zeroed table would. Any change here must keep both
-    orders, or checkpoints and reports stop being byte-identical across
-    versions.
+    The table gradient comes back compact (see ``Grads``). It is
+    bit-identical to a formulation with scatter-adds (``ufunc.at``):
+    ``_feature_cross_backward`` adds each field's partner terms in the order
+    the scatter-add would, and ``_table_grads`` sums each table row in
+    sample order from 0.0, as a scatter-add into a zeroed table would. Any
+    change here must keep both orders, or checkpoints and reports stop
+    being byte-identical across versions.
     """
     if cache is None or not cache.layer_inputs:
         raise StateError("backward called without a cached forward pass")
@@ -469,17 +562,18 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
         d_out = d_in
 
     d_emb = _feature_cross_backward(cache.emb, d_out, cfg.cross_kind)
-    grads = Grads.on(params.layout, _embedding_grads(
-        cache.ids, d_emb, cfg.field_cardinalities, params.layout.size))
+    layout = params.layout
+    mlp = _FlatBlocks.on(layout.without_tables)
     if cache.used_tower:
-        g_w = grads.mlp_weights + grads.head_weights[task]
-        g_b = grads.mlp_biases + grads.head_biases[task]
+        g_w = mlp.mlp_weights + mlp.head_weights[task]
+        g_b = mlp.mlp_biases + mlp.head_biases[task]
     else:
-        g_w, g_b = grads.mlp_weights, grads.mlp_biases
-    for li, d_w, d_b in d_mlp:  # onto the zeros past the tables: -0.0 becomes +0.0
+        g_w, g_b = mlp.mlp_weights, mlp.mlp_biases
+    for li, d_w, d_b in d_mlp:  # onto zeros: -0.0 becomes +0.0
         g_w[li] += d_w
         g_b[li] += d_b
-    return grads
+    rows, values = _table_grads(cache.rows, d_emb, len(params.tables))
+    return Grads(layout, mlp.flat, rows, values)
 
 
 def save_checkpoint(path, params: ModelParams, cfg: ModelConfig) -> None:

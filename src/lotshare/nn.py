@@ -112,6 +112,12 @@ class UpdateGate:
         if len(self.per_block) != len(self.sizes):
             raise ShapeError(f"gate has {len(self.per_block)} blocks, "
                              f"parameters have {len(self.sizes)}")
+        # entries in the ungated blocks before the first gated one
+        self.ungated_prefix = 0
+        for gate, n in zip(self.per_block, self.sizes):
+            if gate is not None:
+                break
+            self.ungated_prefix += n
         runs: list[tuple[int, int, object]] = []
         start = 0
         for i, (gate, n) in enumerate(zip(self.per_block, self.sizes)):
@@ -145,6 +151,7 @@ class Adam:
     ``params`` holds that vector as ``flat`` and returns views of it, back
     to back, from ``blocks()`` (a ``model.ModelParams``). The moments ``m``
     and ``v`` and the per-entry clocks ``t_entry`` share its layout.
+    ``beta1`` and ``beta2`` must lie in (0.5, 1): see ``_table_step``.
 
     Every step advances the step count ``t``. An ungated block updates every
     entry and takes its bias correction from Python's scalar ``b ** t``. A
@@ -159,6 +166,9 @@ class Adam:
 
     def __init__(self, params, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        for name, beta in (("beta1", beta1), ("beta2", beta2)):
+            if not 0.5 < beta < 1.0:
+                raise ValueError(f"Adam {name} must lie in (0.5, 1), got {beta!r}")
         blocks = params.blocks()
         check_views(params.flat, blocks)
         self.flat = params.flat
@@ -173,18 +183,31 @@ class Adam:
         self._scratch = np.empty((5, min(self.flat.size, _CHUNK)))
 
     def step(self, grads, update_masks=None) -> None:
-        """One update from ``grads``, whose ``flat`` has this layout and
-        which iterates over its blocks (a ``model.Grads``). ``update_masks``
-        is None (all blocks ungated), an ``UpdateGate``, or a per-block
-        sequence to build one from."""
-        g = grads.flat
-        if g.shape != self.flat.shape:
-            raise ShapeError(f"Adam.step: grads {g.shape} for params {self.flat.shape}")
+        """One update from ``grads``, a ``model.Grads`` of this layout, or
+        any object whose ``flat`` holds every entry and which iterates over
+        its blocks. ``update_masks`` is None (all blocks ungated), an
+        ``UpdateGate``, or a per-block sequence to build one from.
+
+        A compact ``Grads`` (``rows`` set) over ungated tables takes
+        ``_table_step``; every other entry takes the chunked ``_update``."""
         gate = self._ungated if update_masks is None else update_masks
         if not isinstance(gate, UpdateGate):
             gate = UpdateGate(gate, self.sizes)
         elif gate.sizes != self.sizes:
             raise ShapeError(f"Adam.step: gate block sizes {gate.sizes} vs {self.sizes}")
+        rows = getattr(grads, "rows", None)
+        tables = 0 if rows is None else self.flat.size - grads.mlp.size
+        if tables < 0 or gate.ungated_prefix < tables:
+            tables = 0   # a gated table block, or a layout mismatch: the dense path
+        if tables:
+            g, values = grads.mlp, grads.values
+            if values.ndim != 2 or len(values) != len(rows) or tables % values.shape[1]:
+                raise ShapeError(f"Adam.step: table gradient {values.shape} at "
+                                 f"{len(rows)} rows for {tables} table entries")
+        else:
+            g = grads.flat
+            if g.shape != self.flat.shape:
+                raise ShapeError(f"Adam.step: grads {g.shape} for params {self.flat.shape}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1, bc2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
@@ -194,16 +217,62 @@ class Adam:
             if len(self._bc1) <= self.t:   # t_entry never exceeds t
                 n = max(1024, 2 * self.t)
                 self._bc1, self._bc2 = _bias_table(b1, n), _bias_table(b2, n)
+        if tables:
+            self._table_step(tables, rows, values, bc1, bc2)
         for start, stop, active in gate.chunks:
-            self._update(slice(start, stop), g, active, bc1, bc2)
+            if stop > tables:   # a chunk that starts in the tables is ungated there
+                start = max(start, tables)
+                self._update(slice(start, stop), g[start - tables:stop - tables],
+                             active, bc1, bc2)
 
-    def _update(self, sl: slice, grads: np.ndarray, active, bc1, bc2) -> None:
-        """Adam on one slice. The ops and their operand order match
-        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*square(g)`` and
+    def _table_step(self, tables: int, rows, values, bc1, bc2) -> None:
+        """Adam on the first ``tables`` entries, all ungated, whose gradient
+        is ``values`` at ``rows`` of those entries viewed as (rows, d), and
+        +0.0 elsewhere. Bit for bit what ``_update`` gives with the dense
+        gradient, in fewer passes: the moments decay over the whole region,
+        the gradient terms are added at ``rows`` only, then the ratio runs
+        in chunks.
+
+        Leaving out the gradient terms elsewhere is exact. There ``_update``
+        computes ``m' = b1*m + 0.0``, which equals ``b1*m`` unless ``b1*m``
+        is -0.0. It never is: m starts at +0.0; a rounded sum is -0.0 only
+        if both addends are, and ``values`` never holds -0.0; and for
+        0.5 < b1 < 1 a nonzero m times b1 never rounds to zero. The same
+        holds for v, which is never negative.
+        """
+        b1, b2 = self.beta1, self.beta2
+        m, v = self.m[:tables], self.v[:tables]
+        np.multiply(m, b1, out=m)
+        np.multiply(v, b2, out=v)
+        d = values.shape[1]
+        m.reshape(-1, d)[rows] += values * (1.0 - b1)
+        v.reshape(-1, d)[rows] += np.square(values) * (1.0 - b2)
+        upd, den = self._scratch[:2]
+        for lo in range(0, tables, _CHUNK):
+            sl = slice(lo, min(lo + _CHUNK, tables))
+            n = sl.stop - lo
+            p = self.flat[sl]
+            np.subtract(p, self._ratio(self.m[sl], self.v[sl], bc1, bc2, upd[:n], den[:n]),
+                        out=p)
+
+    def _ratio(self, m, v, bc1, bc2, upd, den):
+        """``lr * (m/bc1) / (sqrt(v/bc2) + eps)`` into ``upd``, with ``den``
+        as scratch; ``den`` may be ``bc2``."""
+        np.divide(m, bc1, out=upd)
+        np.multiply(upd, self.lr, out=upd)
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        np.add(den, self.eps, out=den)
+        return np.divide(upd, den, out=upd)
+
+    def _update(self, sl: slice, g: np.ndarray, active, bc1, bc2) -> None:
+        """Adam on one slice, ``g`` being its gradient. The ops and their
+        operand order match ``m = b1*m + (1-b1)*g``,
+        ``v = b2*v + (1-b2)*square(g)`` and
         ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, each rounded as numpy
         rounds it on whole arrays. A partly open slice computes every entry
         in scratch and writes back only the open ones."""
-        p, g, m, v = self.flat[sl], grads[sl], self.m[sl], self.v[sl]
+        p, m, v = self.flat[sl], self.m[sl], self.v[sl]
         t1, t2, m_new, v_new, upd = self._scratch[:, :sl.stop - sl.start]
         if active is None or active is True:
             m_new, v_new = m, v
@@ -223,12 +292,7 @@ class Adam:
         np.square(g, out=upd)
         np.multiply(upd, 1.0 - b2, out=upd)
         np.add(v_new, upd, out=v_new)
-        np.divide(m_new, bc1, out=upd)
-        np.multiply(upd, self.lr, out=upd)
-        den = np.divide(v_new, bc2, out=t2)
-        np.sqrt(den, out=den)
-        np.add(den, self.eps, out=den)
-        np.divide(upd, den, out=upd)
+        self._ratio(m_new, v_new, bc1, bc2, upd, t2)
         if active is None or active is True:
             np.subtract(p, upd, out=p)
             return

@@ -123,7 +123,7 @@ def predict_tasks(nets: dict[Task, tuple[ModelParams, ModelConfig, TaskMask | No
         fronts: dict[int, np.ndarray] = {}
         for task, (params, cfg, _) in nets.items():
             if id(params) not in fronts:
-                fronts[id(params)] = model.front(ids[i:i + chunk], params, cfg)[1]
+                fronts[id(params)] = model.front(ids[i:i + chunk], params, cfg)[2]
             out[task].append(model.mlp_forward(fronts[id(params)], *heads[task])[0])
     return {task: np.concatenate(p) if p else np.empty(0) for task, p in out.items()}
 

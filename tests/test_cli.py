@@ -384,6 +384,28 @@ class TestScore:
         assert err == ("config error: candidate 1: pctr**alpha * pcvr**beta * length**gamma "
                        "overflows (alpha=-50.0, beta=1.0, gamma=1.0)\n")
 
+    @pytest.mark.parametrize("option,value", [("--alpha", "-inf"), ("--beta", "nan"),
+                                              ("--gamma", "inf")])
+    def test_non_finite_exponent_exit_2(self, tmp_path, ckpts, capsys, option, value):
+        rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
+                              "--cvr-checkpoint", ckpts[1], f"{option}={value}",
+                              self._cands(tmp_path, [10, 20]))
+        assert rc == 2 and stdout == ""
+        assert err == f"config error: {option} must be finite, got {value}\n"
+
+    @pytest.mark.parametrize("given,missing", [((), "ctr"), (("ctr",), "cvr")])
+    def test_mask_mode_checkpoint_needs_both_masks(self, tmp_path, cfg_file, capsys,
+                                                   given, missing):
+        out = tmp_path / "cs"
+        assert run(capsys, "train", "--config", cfg_file, "--out", str(out))[0] == 0
+        ckpt = str(out / "model.ckpt")
+        masks = [arg for t in given for arg in (f"--{t}-mask", str(out / f"mask_{t}.mask"))]
+        rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpt, "--cvr-checkpoint",
+                              ckpt, *masks, self._cands(tmp_path, [10, 20]))
+        assert rc == 2 and stdout == ""
+        assert err == (f"config error: --{missing}-mask is required: {ckpt} is a "
+                       f"connection_share checkpoint\n")
+
     @pytest.mark.parametrize("exponents", [(1.0, 1.0, 1.0), (0.7, 1.3, 0.5)])
     def test_connection_share_run_with_both_masks(self, tmp_path, cfg_file, capsys,
                                                   monkeypatch, exponents):

@@ -48,27 +48,29 @@ class TestEmbed:
         p = model.init_params(cfg, 1)
         p.embeddings[1][2, :] = 0.0
         ids = np.array([[0, 2, 0]])
-        emb = model.embed(ids, p.embeddings)
+        emb, rows = model.embed(ids, p)
         assert (emb[0, 1] == 0).all()
+        assert rows.tolist() == [[0, cfg.field_cardinalities[0] + 2,
+                                  sum(cfg.field_cardinalities[:2])]]
 
     def test_equal_ids_equal_embeddings(self):
         cfg = small_config()
         p = model.init_params(cfg, 1)
         ids = np.array([[1, 2, 3], [1, 2, 3]])
-        emb = model.embed(ids, p.embeddings)
+        emb, _ = model.embed(ids, p)
         assert (emb[0] == emb[1]).all()
 
     def test_out_of_range_names_field_and_id(self):
         cfg = small_config()
         p = model.init_params(cfg, 1)
         with pytest.raises(IndexError, match=r"id 9.*field 2"):
-            model.embed(np.array([[0, 0, 9]]), p.embeddings)
+            model.embed(np.array([[0, 0, 9]]), p)
 
     def test_out_of_range_is_data_error(self):
         cfg = small_config()
         p = model.init_params(cfg, 1)
         with pytest.raises(DataError, match=r"id -1.*field 0"):
-            model.embed(np.array([[-1, 0, 0]]), p.embeddings)
+            model.embed(np.array([[-1, 0, 0]]), p)
 
 
 class TestFeatureCross:

@@ -1,0 +1,248 @@
+"""The compact table gradient and the row-sparse Adam pass over the tables
+against the dense formulations they replaced: the full-table bincount, the
+per-field embedding loop and the dense ``_update`` arithmetic. Every
+comparison is on bytes."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lotshare import model, nn, training
+from lotshare.data import SyntheticSpec, batches, generate
+from lotshare.errors import FeatureIdError
+from lotshare.model import CrossKind, ModelConfig, SharingMode, Task, cross_output_width
+
+from test_flat_params import PerBlockAdam, flat_bytes
+
+
+def bincount_embedding_grads(ids, d_emb, cardinalities, size):
+    """Reference: the full-size embedding gradient as ``backward`` built it
+    before the compact form, one bincount over every table entry."""
+    d = d_emb.shape[2]
+    sizes = np.array(cardinalities) * d
+    offsets = np.cumsum(sizes) - sizes
+    bins = (ids * d + offsets)[:, :, None] + np.arange(d)
+    return np.bincount(bins.ravel(), weights=d_emb.ravel(), minlength=size)
+
+
+def per_field_embed(ids, embeddings):
+    """Reference: the per-field lookup ``embed`` did before one gather."""
+    cols = []
+    for f, table in enumerate(embeddings):
+        fid = ids[:, f]
+        bad = (fid < 0) | (fid >= table.shape[0])
+        if bad.any():
+            raise FeatureIdError(f"feature id {int(fid[bad][0])} out of range for field {f} "
+                                 f"(cardinality {table.shape[0]})")
+        cols.append(table[fid])
+    return np.stack(cols, axis=1)
+
+
+def dense_update(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Reference: ``nn.Adam._update`` on an ungated slice with its dense
+    gradient, as it ran over the tables before the row-sparse pass."""
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    upd, den = np.empty_like(p), np.empty_like(p)
+    np.multiply(m, b1, out=m)
+    np.multiply(g, 1.0 - b1, out=upd)
+    np.add(m, upd, out=m)
+    np.multiply(v, b2, out=v)
+    np.square(g, out=upd)
+    np.multiply(upd, 1.0 - b2, out=upd)
+    np.add(v, upd, out=v)
+    np.divide(m, bc1, out=upd)
+    np.multiply(upd, lr, out=upd)
+    np.divide(v, bc2, out=den)
+    np.sqrt(den, out=den)
+    np.add(den, eps, out=den)
+    np.divide(upd, den, out=upd)
+    np.subtract(p, upd, out=p)
+
+
+def make_cfg(mode=SharingMode.CONNECTION_SHARE, cards=(5, 3, 7), dim=3, hidden=(8, 6, 4)):
+    width = cross_output_width(len(cards), dim, CrossKind.PAIRWISE_DOT)
+    return ModelConfig(cards, dim, (width, *hidden, 1), CrossKind.PAIRWISE_DOT, mode)
+
+
+class TestCompactTableGrads:
+    @pytest.mark.parametrize("F", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("n", [1, 7, 256])
+    def test_densified_equals_full_bincount(self, F, d, n):
+        rng = nn.make_rng(9000 + 1000 * F + 10 * d + n)
+        cards = tuple(int(c) for c in rng.choice([1, 2, 3, 40], size=F))
+        ids = np.stack([rng.integers(0, c, n) for c in cards], axis=1)
+        d_emb = rng.standard_normal((n, F, d)) * 10.0 ** rng.integers(-6, 7, (n, F, d))
+        d_emb[rng.random((n, F, d)) < 0.1] = -0.0
+        size = sum(cards) * d + 5
+        want = bincount_embedding_grads(ids, d_emb, cards, size)
+        assert model._embedding_grads(ids, d_emb, cards, size).tobytes() == want.tobytes()
+        offsets = np.cumsum(cards) - np.array(cards)
+        rows, values = model._table_grads(ids + offsets, d_emb, sum(cards))
+        assert rows.tolist() == sorted(set((ids + offsets).ravel().tolist()))
+        assert values.shape == (len(rows), d)
+        assert not np.signbit(values[values == 0.0]).any()
+
+    @pytest.mark.parametrize("mode", [SharingMode.CONNECTION_SHARE, SharingMode.LAYER_SHARE])
+    def test_backward_flat_equals_full_bincount(self, mode):
+        cfg = make_cfg(mode, cards=(1, 4, 9, 2))
+        p = model.init_params(cfg, 3)
+        rng = nn.make_rng(4)
+        ids = np.stack([rng.integers(0, c, 50) for c in cfg.field_cardinalities], axis=1)
+        _, cache = model.forward(ids, p, cfg, Task.CVR, want_cache=True)
+        dlogit = rng.standard_normal(50)
+        grads = model.backward(dlogit, cache, p, cfg)
+        weights, _ = model.task_weights(p, cfg, Task.CVR)
+        d_out = dlogit[:, None]
+        for li in range(len(weights) - 1, -1, -1):
+            if li < len(weights) - 1:
+                d_out = d_out * (cache.pre_activations[li] > 0)
+            d_out = d_out @ weights[li].T
+        d_emb = model._feature_cross_backward(cache.emb, d_out, cfg.cross_kind)
+        tables = p.layout.table_size
+        want = bincount_embedding_grads(ids, d_emb, cfg.field_cardinalities, tables)
+        assert grads.flat.shape == (p.layout.size,)
+        assert grads.flat[:tables].tobytes() == want.tobytes()
+        assert grads.flat[tables:].tobytes() == grads.mlp.tobytes()
+        assert grads.rows.tolist() == np.unique(cache.rows).tolist()
+
+    def test_grads_on_is_dense(self):
+        cfg = make_cfg()
+        layout = model.ParamLayout.of(cfg)
+        flat = nn.make_rng(1).standard_normal(layout.size)
+        grads = model.Grads.on(layout, flat)
+        assert grads.rows is None and grads.flat is flat
+        assert np.shares_memory(grads.mlp, flat) and len(grads.mlp) == layout.size - layout.table_size
+
+
+class TestEmbedGather:
+    @pytest.mark.parametrize("cards", [(1,), (5, 3, 7), (40, 1, 2, 9, 3)])
+    def test_matches_per_field_lookup(self, cards):
+        cfg = make_cfg(cards=cards)
+        p = model.init_params(cfg, 2)
+        rng = nn.make_rng(len(cards))
+        ids = np.stack([rng.integers(0, c, 300) for c in cards], axis=1)
+        emb, rows = model.embed(ids, p)
+        assert emb.tobytes() == per_field_embed(ids, p.embeddings).tobytes()
+        assert (p.tables[rows] == emb).all()
+
+    @pytest.mark.parametrize("ids", [
+        [[0, 0, 9], [0, -1, 0]],       # field 1 is first in field order
+        [[0, 3, 0], [0, -2, 0]],       # field 1's first bad id in sample order
+        [[5, 3, 7], [-1, 0, 0]],       # every field bad: field 0, its first bad id
+        [[0, 0, 0], [0, 0, 2 ** 40]],  # far past the table
+    ])
+    def test_error_names_first_bad_field(self, ids):
+        cfg = make_cfg()
+        p = model.init_params(cfg, 2)
+        ids = np.array(ids)
+        with pytest.raises(FeatureIdError) as want:
+            per_field_embed(ids, p.embeddings)
+        with pytest.raises(FeatureIdError) as got:
+            model.embed(ids, p)
+        assert str(got.value) == str(want.value)
+
+
+def _compact_step_grads(layout, rng, step, idle_from, scale, d):
+    """One step's compact gradient from sampled rows: rows in the first half
+    go idle at ``idle_from``, some rows' sums cancel to exactly 0.0, and
+    ``scale`` reaches into the denormals."""
+    n_rows = layout.table_size // d
+    half = n_rows // 2
+    n = int(rng.integers(1, 12))
+    lo = half if step >= idle_from else 0
+    rows = rng.integers(lo, n_rows, (n, 1))
+    d_emb = rng.standard_normal((n, 1, d)) * scale * 10.0 ** rng.integers(-3, 4, (n, 1, d))
+    if rng.random() < 0.3:   # every row's terms cancel to +0.0
+        rows, d_emb = np.concatenate([rows, rows]), np.concatenate([d_emb, -d_emb])
+    touched, values = model._table_grads(rows, d_emb, n_rows)
+    mlp = rng.standard_normal(layout.size - layout.table_size) * scale
+    return model.Grads(layout, mlp, touched, values)
+
+
+class TestRowSparseAdam:
+    """nn.Adam given a compact gradient gives p, m and v byte-equal to the
+    dense ``_update`` reference and to nn.Adam given the same gradient
+    densified."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([1.0, 1e-150, 1e-160, 1e-300, 1e-310]),
+           idle_from=st.integers(20, 100),
+           chunk=st.sampled_from([None, 5, 16]))
+    def test_matches_dense_references(self, seed, scale, idle_from, chunk):
+        old_chunk = nn._CHUNK
+        if chunk is not None:   # chunks that end inside rows and the tables
+            nn._CHUNK = chunk
+        try:
+            cfg = make_cfg()
+            d = cfg.embedding_dim
+            rng = nn.make_rng(seed)
+            params = model.init_params(cfg, seed % 1000)
+            dense_params = params.copy()
+            p_ref = params.flat.copy()
+            m_ref, v_ref = np.zeros_like(p_ref), np.zeros_like(p_ref)
+            opt, dense_opt = nn.Adam(params, 0.01), nn.Adam(dense_params, 0.01)
+            for step in range(320):
+                grads = _compact_step_grads(params.layout, rng, step, idle_from, scale, d)
+                opt.step(grads)
+                dense = grads.flat.copy()
+                dense_opt.step(model.Grads.on(params.layout, dense))
+                dense_update(p_ref, dense, m_ref, v_ref, step + 1, 0.01)
+        finally:
+            nn._CHUNK = old_chunk
+        for got in (opt, dense_opt):
+            assert got.flat.tobytes() == p_ref.tobytes()
+            assert got.m.tobytes() == m_ref.tobytes()
+            assert got.v.tobytes() == v_ref.tobytes()
+        if scale <= 1e-300:
+            tiny = np.finfo(np.float64).tiny
+            assert ((opt.m != 0) & (np.abs(opt.m) < tiny)).any()
+
+    @pytest.mark.parametrize("mode", [SharingMode.LAYER_SHARE, SharingMode.CONNECTION_SHARE])
+    def test_real_steps_match_per_block_reference(self, mode):
+        """Real forward/backward steps, ungated, fed to nn.Adam compact and
+        to the per-block reference densified."""
+        ds = generate(SyntheticSpec(n_users=30, n_items=30, field_cardinalities=(40, 3, 25),
+                                    latent_dim=3, n_impressions=3000, seed=6))
+        cfg = make_cfg(mode, cards=ds.field_cardinalities)
+        params = model.init_params(cfg, 7)
+        ref_blocks = [b.copy() for b in params.blocks()]
+        opt, ref = nn.Adam(params, 0.01), PerBlockAdam(ref_blocks, 0.01)
+        steps = 0
+        for batch in batches(ds, (Task.CTR, Task.CVR), 16, seed=8, epoch=0):
+            preds, cache = model.forward(batch.ids, params, cfg, batch.task, want_cache=True)
+            _, dlogit = training._loss_and_dlogit(cache.logits, preds, batch.labels, batch.task)
+            grads = model.backward(dlogit, cache, params, cfg)
+            ref.step(list(grads))
+            opt.step(grads)
+            steps += 1
+        assert steps >= 150
+        assert params.flat.tobytes() == flat_bytes(ref_blocks)
+        assert opt.m.tobytes() == flat_bytes([s.m for s in ref.states])
+        assert opt.v.tobytes() == flat_bytes([s.v for s in ref.states])
+
+    def test_gated_table_block_takes_dense_path(self):
+        cfg = make_cfg()
+        params = model.init_params(cfg, 3)
+        ref_blocks = [b.copy() for b in params.blocks()]
+        opt, ref = nn.Adam(params, 0.01), PerBlockAdam(ref_blocks, 0.01)
+        rng = nn.make_rng(5)
+        gates = [None, (rng.random(params.embeddings[1].shape) < 0.5).astype(float)]
+        gates += [None] * (len(params.blocks()) - 2)
+        for step in range(40):
+            grads = _compact_step_grads(params.layout, rng, step, 20, 1.0, cfg.embedding_dim)
+            ref.step(list(grads), gates)
+            opt.step(grads, gates)
+        assert params.flat.tobytes() == flat_bytes(ref_blocks)
+        assert opt.m.tobytes() == flat_bytes([s.m for s in ref.states])
+
+
+@pytest.mark.parametrize("beta1,beta2", [(0.5, 0.999), (1.0, 0.999), (0.9, 0.5),
+                                         (0.9, 1.0), (0.3, 0.999), (float("nan"), 0.999)])
+def test_adam_rejects_betas_outside_open_interval(beta1, beta2):
+    params = model.init_params(make_cfg(), 0)
+    name = "beta1" if not 0.5 < beta1 < 1.0 else "beta2"
+    with pytest.raises(ValueError, match=f"Adam {name} must lie in"):
+        nn.Adam(params, 0.01, beta1=beta1, beta2=beta2)
