@@ -4,6 +4,7 @@ score, mask stats. One command per process; exit codes 0/2/3/4."""
 from __future__ import annotations
 
 import math
+import re
 import sys
 from functools import partial
 from itertools import repeat
@@ -59,10 +60,40 @@ def build_report(art: training.TrainedArtifacts, dataset: data_mod.Dataset,
     return report
 
 
+# The run-dir files that only some modes write; round masks live in masks/.
+_MODE_FILES = ("model.ckpt", "ctr.ckpt", "cvr.ckpt", "mask_ctr.mask", "mask_cvr.mask")
+_ROUND_MASK = re.compile(r"(?:ctr|cvr)_round(?:0|[1-9][0-9]*)\.mask")
+
+
+def _remove_stale_artifacts(outdir: Path, writes: set[str]) -> None:
+    """Delete the lotshare files in ``outdir`` that are not in ``writes``
+    (paths relative to ``outdir``): those a run in another mode, or with
+    more pruning rounds, left there. Only exact artifact names are touched,
+    and ``masks/`` only goes when nothing else is left in it."""
+    mask_dir = outdir / "masks"
+    rounds = ([f"masks/{p.name}" for p in mask_dir.iterdir() if _ROUND_MASK.fullmatch(p.name)]
+              if mask_dir.is_dir() else [])
+    for name in [*_MODE_FILES, *rounds]:
+        path = outdir / name
+        if name not in writes and path.is_file():
+            path.unlink()
+    if mask_dir.is_dir() and not any(mask_dir.iterdir()):
+        mask_dir.rmdir()
+
+
 def write_run_dir(outdir: Path, exp: ExperimentConfig,
                   art: training.TrainedArtifacts, mcfg: model.ModelConfig,
                   report: MetricsReport) -> None:
+    """Write a run's artifacts to ``outdir``, first removing the artifacts
+    of an earlier run there that this run does not overwrite."""
     outdir.mkdir(parents=True, exist_ok=True)
+    writes = ({f"{task.value}.ckpt" for task in TASKS} if isinstance(art.params, dict)
+              else {"model.ckpt"})
+    if art.masks is not None:
+        writes |= {f"mask_{task.value}.mask" for task in TASKS}
+        writes |= {f"masks/{task.value}_round{rnd}.mask"
+                   for task in TASKS for rnd in range(len(art.masks[task]))}
+    _remove_stale_artifacts(outdir, writes)
     (outdir / "config.cfg").write_text(exp.to_text(), encoding="utf-8")
     if isinstance(art.params, dict):
         for task in TASKS:

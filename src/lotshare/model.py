@@ -334,34 +334,42 @@ def feature_cross(emb: np.ndarray, cross_kind: CrossKind) -> np.ndarray:
     return np.concatenate([flat, *pairs], axis=1)
 
 
-def _feature_cross_backward(emb: np.ndarray, d_x: np.ndarray,
-                            cross_kind: CrossKind) -> np.ndarray:
-    """Gradient through feature_cross: d_x (n, width) -> d_emb (n, F, d).
+def _field_major_cross_backward(emb: np.ndarray, d_x: np.ndarray,
+                                cross_kind: CrossKind) -> np.ndarray:
+    """Gradient through feature_cross, field-major: (n, F, d) embeddings and
+    d_x (n, width) -> d_emb (F, d, n), i.e. ``d_emb[k, c, s]`` is the
+    gradient of ``emb[s, k, c]``.
 
-    Accumulation-order invariant: each ``d_emb[s, k, c]`` starts from its
+    The work runs on field-major copies, ``emb`` as (F, d, n) and the pair
+    part of d_x as (pairs, n) (dot) or (pairs, d, n) (product), so every
+    elementwise op's inner loop is n samples long, not d.
+
+    Accumulation-order invariant: each ``d_emb[k, c, s]`` starts from its
     flat-part gradient and then receives one product per partner field, in
     the order ``k+1, ..., F-1, 0, ..., k-1``. That is the order in which an
     unbuffered scatter-add (``ufunc.at``) over the pairs ``(k, j>k)`` and
     then ``(i<k, k)`` adds them, one at a time. Step t below adds every
     field's t-th partner term in one whole-array in-place add, so each
-    element sees the same float additions in the same sequence, and the
-    result is bit-identical to the scatter-add formulation.
+    element sees the same float products and additions in the same
+    sequence, and the result is bit-identical to the scatter-add
+    formulation, transposed.
     """
     n, F, d = emb.shape
     flat_w = F * d
-    d_emb = d_x[:, :flat_w].reshape(n, F, d).copy()
+    d_emb = d_x[:, :flat_w].T.reshape(F, d, n).copy()
     kind = CrossKind(cross_kind)
     if kind is CrossKind.NONE or F == 1:
         return d_emb
     partner, pcol = _cross_tables(F)
+    emb_fm = emb.transpose(1, 2, 0).copy()
     if kind is CrossKind.PAIRWISE_DOT:
-        g = d_x[:, flat_w:]                       # (n, n_pairs)
+        g = d_x[:, flat_w:].T.copy()                      # (n_pairs, n)
         for part, col in zip(partner, pcol):
-            d_emb += g[:, col][:, :, None] * emb[:, part, :]
+            d_emb += g[col][:, None, :] * emb_fm[part]
     else:
-        g = d_x[:, flat_w:].reshape(n, -1, d)     # (n, n_pairs, d)
+        g = d_x[:, flat_w:].T.reshape(-1, d, n).copy()    # (n_pairs, d, n)
         for part, col in zip(partner, pcol):
-            d_emb += g[:, col, :] * emb[:, part, :]
+            d_emb += g[col] * emb_fm[part]
     return d_emb
 
 
@@ -371,6 +379,7 @@ class ForwardCache:
     rows: np.ndarray                    # the ids' rows in the stacked tables
     emb: np.ndarray
     cross: np.ndarray
+    weights: list[np.ndarray]           # the task's MLP weights, under its mask
     layer_inputs: list[np.ndarray]      # input to each FC transition (post-ReLU)
     pre_activations: list[np.ndarray]   # z of each FC transition
     logits: np.ndarray
@@ -488,80 +497,74 @@ def forward(ids: np.ndarray, params: ModelParams, cfg: ModelConfig, task: Task,
     if not want_cache:
         return preds
     cache = ForwardCache(ids=np.asarray(ids), rows=rows, emb=emb, cross=x,
-                         layer_inputs=layer_inputs, pre_activations=pre_acts,
-                         logits=logits, task=task,
+                         weights=weights, layer_inputs=layer_inputs,
+                         pre_activations=pre_acts, logits=logits, task=task,
                          used_tower=cfg.sharing_mode is SharingMode.LAYER_SHARE)
     return preds, cache
 
 
-def _table_grads(rows: np.ndarray, d_emb: np.ndarray,
-                 n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter d_emb (n, F, d) onto the rows (n, F) of the stacked tables,
-    which have ``n_rows`` rows, compactly: ``(touched, values)``, the sorted
-    unique rows and their (len(touched), d) gradients.
+def _field_major_table_grads(rows: np.ndarray, d_emb: np.ndarray,
+                             n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter the field-major d_emb (F, d, n) onto the rows (n, F) of the
+    stacked tables, which have ``n_rows`` rows, compactly: ``(touched,
+    values)``, the sorted unique rows and their (len(touched), d) gradients.
 
-    One ``np.bincount`` over the compacted bins: element (s, f, c) goes to
-    bin ``slot * d + c``, ``slot`` being its row's place in ``touched``.
-    bincount starts every bin at 0.0 and adds its weights in input order,
-    i.e. in sample order per bin, which is what a scatter-add
-    (``ufunc.at``) into a zeroed table does, so each row's bits are the
-    same. No sum is -0.0, since 0.0 + -0.0 is 0.0: ``nn.Adam`` relies on
-    that. rows must be in range, which ``embed`` checks.
+    One ``np.bincount`` over the compacted bins, laid out like d_emb in
+    (field, dim, sample) order: element (f, c, s) goes to bin
+    ``slot * d + c``, ``slot`` being row ``rows[s, f]``'s place in
+    ``touched``. bincount starts every bin at 0.0 and adds its weights in
+    input order. Every row of the stacked tables belongs to exactly one
+    field, so all of a bin's terms share f and c and arrive in sample
+    order, which is what a scatter-add (``ufunc.at``) into a zeroed table
+    does: each row's bits are the same. No sum is -0.0, since 0.0 + -0.0 is
+    0.0: ``nn.Adam`` relies on that. rows must be in range, which ``embed``
+    checks.
     """
-    d = d_emb.shape[2]
+    d = d_emb.shape[1]
     seen = np.zeros(n_rows, dtype=bool)
     seen[rows] = True
     touched = np.flatnonzero(seen)
     slot = np.empty(n_rows, dtype=np.intp)
     slot[touched] = np.arange(len(touched))
-    bins = (slot[rows] * d)[:, :, None] + np.arange(d)
+    bins = (slot[rows.T] * d)[:, None, :] + np.arange(d)[:, None]
     values = np.bincount(bins.ravel(), weights=d_emb.ravel(), minlength=len(touched) * d)
     return touched, values.reshape(-1, d)
-
-
-def _embedding_grads(ids: np.ndarray, d_emb: np.ndarray,
-                     cardinalities: tuple[int, ...], size: int) -> np.ndarray:
-    """The dense form of ``_table_grads`` for per-field ids (n, F): a flat
-    vector of ``size`` entries, the tables back to back from entry 0, then
-    zeros. The tests hold it against scatter-add and full-table bincount
-    references."""
-    cards, d = np.array(cardinalities), d_emb.shape[2]
-    touched, values = _table_grads(ids + (np.cumsum(cards) - cards), d_emb, int(cards.sum()))
-    flat = np.zeros(size)
-    flat[:cards.sum() * d].reshape(-1, d)[touched] = values
-    return flat
 
 
 def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
              cfg: ModelConfig, mask=None) -> Grads:
     """Gradients of a scalar loss given d loss / d logit per sample.
 
-    The table gradient comes back compact (see ``Grads``). It is
-    bit-identical to a formulation with scatter-adds (``ufunc.at``):
-    ``_feature_cross_backward`` adds each field's partner terms in the order
-    the scatter-add would, and ``_table_grads`` sums each table row in
-    sample order from 0.0, as a scatter-add into a zeroed table would. Any
-    change here must keep both orders, or checkpoints and reports stop
-    being byte-identical across versions.
+    The MLP runs on the masked weights that ``forward`` cached; ``mask``,
+    the one ``forward`` got, gates their gradients. The table gradient
+    comes back compact (see ``Grads``). From the cross backward to the
+    table gradient the embedding gradient stays field-major, (F, d, n), so
+    the inner loops run over samples. It is bit-identical to a formulation
+    with scatter-adds (``ufunc.at``): ``_field_major_cross_backward`` adds
+    each field's partner terms in the order the scatter-add would, and
+    ``_field_major_table_grads`` sums each table row in sample order from
+    0.0, as a scatter-add into a zeroed table would, because each row
+    belongs to one field. Any change here must keep both orders, or
+    checkpoints and reports stop being byte-identical across versions.
     """
     if cache is None or not cache.layer_inputs:
         raise StateError("backward called without a cached forward pass")
     task = cache.task
     layers = _mask_layers(mask)
-    eff_weights, _ = task_weights(params, cfg, task, mask)
+    weights = cache.weights
 
     d_out = d_logits[:, None]
     d_mlp = []
-    for li in range(len(eff_weights) - 1, -1, -1):
-        if li < len(eff_weights) - 1:
+    for li in range(len(weights) - 1, -1, -1):
+        if li < len(weights) - 1:
             d_out = d_out * (cache.pre_activations[li] > 0)
-        d_w, d_b, d_in = nn.affine_backward(cache.layer_inputs[li], eff_weights[li], d_out)
+        d_w, d_b, d_in = nn.affine_backward(cache.layer_inputs[li], weights[li], d_out)
         if layers is not None:
             d_w *= layers[li]  # masked connections get exactly zero gradient
         d_mlp.append((li, d_w, d_b))
         d_out = d_in
 
-    d_emb = _feature_cross_backward(cache.emb, d_out, cfg.cross_kind)
+    d_emb = _field_major_cross_backward(cache.emb, d_out, cfg.cross_kind)
     layout = params.layout
     mlp = _FlatBlocks.on(layout.without_tables)
     if cache.used_tower:
@@ -572,7 +575,7 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
     for li, d_w, d_b in d_mlp:  # onto zeros: -0.0 becomes +0.0
         g_w[li] += d_w
         g_b[li] += d_b
-    rows, values = _table_grads(cache.rows, d_emb, len(params.tables))
+    rows, values = _field_major_table_grads(cache.rows, d_emb, len(params.tables))
     return Grads(layout, mlp.flat, rows, values)
 
 

@@ -15,6 +15,7 @@ from lotshare.config import load_experiment, parse_kv_text
 from lotshare.metrics import MetricsReport
 from lotshare.model import Task
 from test_data import per_line_load, per_row_save
+from test_model import row_major_cross_backward, scatter_table_grads
 
 BASE_CFG = """\
 mode = connection_share
@@ -41,6 +42,11 @@ def run(capsys, *args):
     rc = main(list(args))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def run_files(out):
+    """Every path under the run dir ``out``, relative to it, sorted."""
+    return sorted(str(p.relative_to(out)) for p in out.rglob("*"))
 
 
 class TestGenerateData:
@@ -116,6 +122,35 @@ class TestTrain:
         assert (out / "ctr.ckpt").exists() and (out / "cvr.ckpt").exists()
         assert not (out / "model.ckpt").exists()
         assert not (out / "masks").exists()
+
+    def test_single_task_over_connection_share_dir(self, tmp_path, cfg_file, capsys):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert run(capsys, "train", "--config", cfg_file, "--out", str(reused))[0] == 0
+        for out in (reused, fresh):
+            assert run(capsys, "train", "--config", cfg_file, "--mode", "single_task",
+                       "--out", str(out))[0] == 0
+        assert run_files(reused) == run_files(fresh)
+        assert (reused / "report.kv").read_bytes() == (fresh / "report.kv").read_bytes()
+
+    def test_rerun_removes_only_stale_artifacts(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        assert run(capsys, "train", "--config", cfg_file, "--out", str(out))[0] == 0
+        foreign = ["notes.txt", "model.ckpt.bak", "masks/ctr_round01.mask",
+                   "masks/cvr_round2.mask.old", "masks/readme"]
+        for name in foreign:
+            (out / name).write_text("kept")
+        assert run(capsys, "train", "--config", cfg_file, "--set", "train.n_pruning=1",
+                   "--out", str(out))[0] == 0
+        want = {"config.cfg", "model.ckpt", "mask_ctr.mask", "mask_cvr.mask", "train.log",
+                "report.txt", "report.kv", "masks", *foreign}
+        want |= {f"masks/{t}_round{r}.mask" for t in ("ctr", "cvr") for r in (0, 1)}
+        assert run_files(out) == sorted(want)
+        assert all((out / name).read_text() == "kept" for name in foreign)
+        assert run(capsys, "train", "--config", cfg_file, "--mode", "layer_share",
+                   "--out", str(out))[0] == 0
+        assert not (out / "mask_ctr.mask").exists()
+        assert not (out / "masks" / "ctr_round0.mask").exists()
+        assert (out / "masks" / "readme").read_text() == "kept"
 
     def test_train_on_dataset_file(self, tmp_path, cfg_file, capsys):
         dpath = tmp_path / "d.tsv"
@@ -591,3 +626,27 @@ class TestDeterminism:
         run(capsys, "train", "--config", cfg_file, "--out", str(b))
         assert (a / "report.kv").read_bytes() == (b / "report.kv").read_bytes()
         assert (a / "model.ckpt").read_bytes() == (b / "model.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["single_task", "layer_share", "connection_share",
+                                      "neuron_share"])
+    def test_backward_matches_scatter_add_pipeline(self, tmp_path, cfg_file, capsys,
+                                                   monkeypatch, mode):
+        """A whole training run is byte-identical with the field-major cross
+        backward and table gradient swapped for the row-major ``ufunc.at``
+        references: checkpoints, masks, reports and train log."""
+        shipped, ref = tmp_path / "shipped", tmp_path / "ref"
+        assert run(capsys, "train", "--config", cfg_file, "--mode", mode,
+                   "--out", str(shipped))[0] == 0
+        with monkeypatch.context() as m:
+            m.setattr(model, "_field_major_cross_backward", row_major_cross_backward)
+            m.setattr(model, "_field_major_table_grads", scatter_table_grads)
+            assert run(capsys, "train", "--config", cfg_file, "--mode", mode,
+                       "--out", str(ref))[0] == 0
+        files = run_files(shipped)
+        assert files == run_files(ref)
+        assert "report.kv" in files and any(f.endswith(".ckpt") for f in files)
+        if mode in ("connection_share", "neuron_share"):
+            assert "mask_ctr.mask" in files and "masks/cvr_round2.mask" in files
+        for name in files:   # config.cfg records the output dir
+            if name != "config.cfg" and (shipped / name).is_file():
+                assert (shipped / name).read_bytes() == (ref / name).read_bytes(), name

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lotshare import model, nn
 from lotshare.errors import CheckpointFormatError, ConfigError, DataError, ShapeError
@@ -253,8 +255,47 @@ def scatter_embedding_grads(ids, d_emb, cardinalities):
     return out
 
 
+def row_major_cross_backward(emb, d_x, cross_kind):
+    """``scatter_cross_backward`` with the field-major (F, d, n) result of
+    ``model._field_major_cross_backward``: a drop-in replacement for it."""
+    return scatter_cross_backward(emb, d_x, cross_kind).transpose(1, 2, 0)
+
+
+def scatter_table_grads(rows, d_emb, n_rows):
+    """Reference for ``model._field_major_table_grads``: an unbuffered
+    scatter-add of the (F, d, n) d_emb, in (sample, field) order, into the
+    zeroed stacked tables, then their touched rows."""
+    table = np.zeros((n_rows, d_emb.shape[1]))
+    np.add.at(table, rows, d_emb.transpose(2, 0, 1))
+    touched = np.unique(rows)
+    return touched, table[touched]
+
+
+def embedding_grads(ids, d_emb, cardinalities, size):
+    """The dense form of ``model._field_major_table_grads`` for per-field
+    ids (n, F) and a row-major d_emb (n, F, d): a flat vector of ``size``
+    entries, the tables back to back from entry 0, then zeros."""
+    cards, d = np.array(cardinalities), d_emb.shape[2]
+    touched, values = model._field_major_table_grads(
+        ids + (np.cumsum(cards) - cards), d_emb.transpose(1, 2, 0), int(cards.sum()))
+    flat = np.zeros(size)
+    flat[:cards.sum() * d].reshape(-1, d)[touched] = values
+    return flat
+
+
+def edge_values(rng, shape):
+    """Normals over 13 decades with +0.0, -0.0 and denormals mixed in."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+    kind = rng.integers(0, 20, shape)
+    x[kind == 0] = 0.0
+    x[kind == 1] = -0.0
+    denormal = kind == 2
+    x[denormal] = rng.choice([5e-324, -5e-324, 1e-310, -2.5e-320], size=int(denormal.sum()))
+    return x
+
+
 class TestBackwardBitIdentity:
-    """The ordered-add cross backward and the bincount scatter reproduce the
+    """The field-major cross backward and table gradient reproduce the
     scatter-add references bit for bit; a wrong partner order for F >= 4
     would pass the gradient check but fail here."""
 
@@ -268,9 +309,9 @@ class TestBackwardBitIdentity:
         emb = rng.standard_normal((n, F, d)) * 10.0 ** rng.integers(-6, 7, (n, F, d))
         width = cross_output_width(F, d, cross)
         d_x = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-6, 7, (n, width))
-        got = model._feature_cross_backward(emb, d_x, cross)
-        want = scatter_cross_backward(emb, d_x, cross)
-        assert got.shape == want.shape
+        got = model._field_major_cross_backward(emb, d_x, cross)
+        want = scatter_cross_backward(emb, d_x, cross).transpose(1, 2, 0)
+        assert got.shape == want.shape == (F, d, n)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("F", [1, 2, 3, 5, 8])
@@ -283,7 +324,7 @@ class TestBackwardBitIdentity:
         ids = np.stack([rng.integers(0, c, n) for c in cards], axis=1)
         d_emb = rng.standard_normal((n, F, d)) * 10.0 ** rng.integers(-6, 7, (n, F, d))
         tables = sum(cards) * d
-        flat = model._embedding_grads(ids, d_emb, cards, tables + 5)
+        flat = embedding_grads(ids, d_emb, cards, tables + 5)
         assert flat.shape == (tables + 5,) and flat.dtype == np.float64
         assert flat[tables:].tobytes() == np.zeros(5).tobytes()
         got = np.split(flat[:tables], np.cumsum(np.array(cards) * d)[:-1])
@@ -312,6 +353,28 @@ class TestBackwardBitIdentity:
         want = scatter_embedding_grads(ids, d_emb, cfg.field_cardinalities)
         for g, w in zip(grads.embeddings, want):
             assert g.tobytes() == w.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), F=st.integers(1, 9), d=st.integers(1, 9),
+           n=st.integers(1, 300), cross=st.sampled_from(list(CrossKind)))
+    def test_field_major_path_matches_scatter_adds(self, seed, F, d, n, cross):
+        """Cross backward then table gradient, as ``backward`` chains them,
+        against both scatter-add references: one-row and few-row fields
+        repeat rows across samples, equal ids recur across one sample's
+        fields, and the values include +-0.0 and denormals."""
+        rng = nn.make_rng(seed)
+        cards = tuple(int(c) for c in rng.choice([1, 2, 3, 40], size=F))
+        ids = np.stack([rng.integers(0, c, n) for c in cards], axis=1)
+        emb = edge_values(rng, (n, F, d))
+        d_x = edge_values(rng, (n, cross_output_width(F, d, cross)))
+        rows = ids + (np.cumsum(cards) - cards)
+        d_emb = model._field_major_cross_backward(emb, d_x, cross)
+        touched, values = model._field_major_table_grads(rows, d_emb, sum(cards))
+        want = np.concatenate(
+            scatter_embedding_grads(ids, scatter_cross_backward(emb, d_x, cross), cards))
+        assert touched.tolist() == np.unique(rows).tolist()
+        assert values.shape == (len(touched), d) and values.dtype == np.float64
+        assert values.tobytes() == want[touched].tobytes()
 
 
 def gather_feature_cross(emb, cross_kind):

@@ -14,6 +14,7 @@ from lotshare.errors import FeatureIdError
 from lotshare.model import CrossKind, ModelConfig, SharingMode, Task, cross_output_width
 
 from test_flat_params import PerBlockAdam, flat_bytes
+from test_model import embedding_grads
 
 
 def bincount_embedding_grads(ids, d_emb, cardinalities, size):
@@ -77,9 +78,10 @@ class TestCompactTableGrads:
         d_emb[rng.random((n, F, d)) < 0.1] = -0.0
         size = sum(cards) * d + 5
         want = bincount_embedding_grads(ids, d_emb, cards, size)
-        assert model._embedding_grads(ids, d_emb, cards, size).tobytes() == want.tobytes()
+        assert embedding_grads(ids, d_emb, cards, size).tobytes() == want.tobytes()
         offsets = np.cumsum(cards) - np.array(cards)
-        rows, values = model._table_grads(ids + offsets, d_emb, sum(cards))
+        rows, values = model._field_major_table_grads(ids + offsets, d_emb.transpose(1, 2, 0),
+                                                      sum(cards))
         assert rows.tolist() == sorted(set((ids + offsets).ravel().tolist()))
         assert values.shape == (len(rows), d)
         assert not np.signbit(values[values == 0.0]).any()
@@ -99,7 +101,8 @@ class TestCompactTableGrads:
             if li < len(weights) - 1:
                 d_out = d_out * (cache.pre_activations[li] > 0)
             d_out = d_out @ weights[li].T
-        d_emb = model._feature_cross_backward(cache.emb, d_out, cfg.cross_kind)
+        d_emb = model._field_major_cross_backward(cache.emb, d_out, cfg.cross_kind)
+        d_emb = d_emb.transpose(2, 0, 1)
         tables = p.layout.table_size
         want = bincount_embedding_grads(ids, d_emb, cfg.field_cardinalities, tables)
         assert grads.flat.shape == (p.layout.size,)
@@ -156,7 +159,7 @@ def _compact_step_grads(layout, rng, step, idle_from, scale, d):
     d_emb = rng.standard_normal((n, 1, d)) * scale * 10.0 ** rng.integers(-3, 4, (n, 1, d))
     if rng.random() < 0.3:   # every row's terms cancel to +0.0
         rows, d_emb = np.concatenate([rows, rows]), np.concatenate([d_emb, -d_emb])
-    touched, values = model._table_grads(rows, d_emb, n_rows)
+    touched, values = model._field_major_table_grads(rows, d_emb.transpose(1, 2, 0), n_rows)
     mlp = rng.standard_normal(layout.size - layout.table_size) * scale
     return model.Grads(layout, mlp, touched, values)
 
