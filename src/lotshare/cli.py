@@ -341,9 +341,10 @@ def cmd_score(ctr_checkpoint, cvr_checkpoint, ctr_mask, cvr_mask, top_k,
               alpha, beta, gamma, candidates_file):
     """Rank candidates by pCTR^alpha * pCVR^beta * length^gamma.
 
-    A connection_share or neuron_share checkpoint needs its task's mask.
-    With one checkpoint for both tasks (the same bytes), both share one
-    embedding and feature-cross pass."""
+    A connection_share or neuron_share checkpoint needs its task's mask;
+    a single_task or layer_share checkpoint takes none. With one checkpoint
+    for both tasks (the same bytes), both share one embedding and
+    feature-cross pass."""
     for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not math.isfinite(value):
             raise ConfigError(f"--{name} must be finite, got {value!r}")
@@ -356,10 +357,10 @@ def cmd_score(ctr_checkpoint, cvr_checkpoint, ctr_mask, cvr_mask, top_k,
         raise ConfigError("CTR and CVR checkpoints disagree on the feature schema")
     for task, path, cfg, mask in ((Task.CTR, ctr_checkpoint, ctr_cfg, ctr_mask),
                                   (Task.CVR, cvr_checkpoint, cvr_cfg, cvr_mask)):
-        if mask is None and cfg.sharing_mode in (SharingMode.CONNECTION_SHARE,
-                                                 SharingMode.NEURON_SHARE):
-            raise ConfigError(f"--{task.value}-mask is required: {path} is a "
-                              f"{cfg.sharing_mode.value} checkpoint")
+        searched = cfg.sharing_mode in (SharingMode.CONNECTION_SHARE, SharingMode.NEURON_SHARE)
+        if (mask is None) == searched:
+            raise ConfigError(f"--{task.value}-mask is {'required' if searched else 'not taken'}: "
+                              f"{path} is a {cfg.sharing_mode.value} checkpoint")
     masks = {
         Task.CTR: masking.load_mask(ctr_mask) if ctr_mask else None,
         Task.CVR: masking.load_mask(cvr_mask) if cvr_mask else None,

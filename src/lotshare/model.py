@@ -1,7 +1,12 @@
-"""DLRM-style network: embeddings, feature cross, MLP trunk, sigmoid head.
+"""DLRM-style network: embeddings, feature cross, MLP, sigmoid head.
 
-Supports four sharing configurations. Masks (when used) apply to the MLP
-weight matrices only; embeddings and biases are always fully shared.
+Every sharing mode uses one MLP with the same parameter layout; the mode
+only decides where each task's mask comes from. single_task trains one net
+per task, unmasked. layer_share uses fixed masks (``tower_masks``): the
+trunk is shared and each task owns one half of the last hidden layer, its
+tower. connection_share and neuron_share search their masks by pruning.
+Masks apply to the MLP weight matrices only; embeddings and biases are
+always fully shared.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from .errors import (CheckpointFormatError, ConfigError, FeatureIdError, ShapeEr
 CKPT_MAGIC = b"LTCK"
 CKPT_VERSION = 1
 
-# layer_share: the last two FC transitions (hidden -> small hidden -> output)
-# form the per-task tower; everything below is the shared trunk.
+# layer_share: the last two FC transitions, into and out of the last hidden
+# layer, form the per-task towers; everything below is the shared trunk.
 TOWER_TRANSITIONS = 2
 
 
@@ -92,8 +97,12 @@ class ModelConfig:
             )
         if self.mlp_dims[-1] != 1:
             raise ConfigError(f"final MLP width must be 1, got {self.mlp_dims[-1]}")
-        if self.sharing_mode is SharingMode.LAYER_SHARE and len(self.mlp_dims) < TOWER_TRANSITIONS + 2:
-            raise ConfigError("layer_share needs at least one trunk transition below the tower")
+        if self.sharing_mode is SharingMode.LAYER_SHARE:
+            if len(self.mlp_dims) < TOWER_TRANSITIONS + 2:
+                raise ConfigError("layer_share needs at least one trunk transition below the tower")
+            if self.mlp_dims[-2] % 2:
+                raise ConfigError(f"layer_share splits the last hidden width between the two "
+                                  f"task towers, so it must be even: got {self.mlp_dims[-2]}")
 
     @property
     def n_fields(self) -> int:
@@ -124,36 +133,28 @@ class ParamLayout:
     """Shapes of every parameter block, grouped as ModelParams groups them.
 
     ``spans`` places them in ``blocks()`` order: embeddings, MLP weights,
-    MLP biases, then per task (CTR, CVR) its tower weights and biases. That
-    is the order of the flat vector and of the checkpoint payload.
+    then MLP biases. That is the order of the flat vector and of the
+    checkpoint payload. The layout does not depend on the sharing mode.
     """
 
     embeddings: tuple[tuple[int, ...], ...]
-    mlp_weights: tuple[tuple[int, ...], ...]   # trunk only in layer_share mode
+    mlp_weights: tuple[tuple[int, ...], ...]
     mlp_biases: tuple[tuple[int, ...], ...]
-    head_weights: tuple[tuple[int, ...], ...] = ()  # per task; layer_share only
-    head_biases: tuple[tuple[int, ...], ...] = ()
 
     @classmethod
     def of(cls, cfg: ModelConfig) -> "ParamLayout":
-        dims, tower = cfg.mlp_dims, ()
-        if cfg.sharing_mode is SharingMode.LAYER_SHARE:
-            split = len(dims) - TOWER_TRANSITIONS
-            dims, tower = dims[:split], dims[split - 1:]
+        dims = cfg.mlp_dims
         return cls(
             embeddings=tuple((c, cfg.embedding_dim) for c in cfg.field_cardinalities),
             mlp_weights=tuple(zip(dims, dims[1:])),
             mlp_biases=tuple((d,) for d in dims[1:]),
-            head_weights=tuple(zip(tower, tower[1:])),
-            head_biases=tuple((d,) for d in tower[1:]),
         )
 
     @cached_property
     def spans(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
         """``(start, stop, shape)`` of every block in the flat vector."""
-        heads = [*self.head_weights, *self.head_biases] * len(TASKS)
         out, start = [], 0
-        for shape in [*self.embeddings, *self.mlp_weights, *self.mlp_biases, *heads]:
+        for shape in [*self.embeddings, *self.mlp_weights, *self.mlp_biases]:
             stop = start + math.prod(shape)
             out.append((start, stop, shape))
             start = stop
@@ -199,10 +200,8 @@ class _FlatBlocks:
     layout: ParamLayout
     flat: np.ndarray
     embeddings: list[np.ndarray]            # per field: (cardinality, dim)
-    mlp_weights: list[np.ndarray]           # trunk only in layer_share mode
+    mlp_weights: list[np.ndarray]
     mlp_biases: list[np.ndarray]
-    head_weights: dict[Task, list[np.ndarray]] | None = None  # layer_share only
-    head_biases: dict[Task, list[np.ndarray]] | None = None
 
     @classmethod
     def on(cls, layout: ParamLayout, flat: np.ndarray | None = None):
@@ -215,14 +214,8 @@ class _FlatBlocks:
         def take(shapes):
             return [next(views) for _ in shapes]
 
-        out = cls(layout, flat, take(layout.embeddings), take(layout.mlp_weights),
-                  take(layout.mlp_biases))
-        if layout.head_weights:
-            out.head_weights, out.head_biases = {}, {}
-            for task in TASKS:
-                out.head_weights[task] = take(layout.head_weights)
-                out.head_biases[task] = take(layout.head_biases)
-        return out
+        return cls(layout, flat, take(layout.embeddings), take(layout.mlp_weights),
+                   take(layout.mlp_biases))
 
     @property
     def tables(self) -> np.ndarray:
@@ -231,12 +224,7 @@ class _FlatBlocks:
 
     def blocks(self) -> list[np.ndarray]:
         """All arrays in fixed declaration order."""
-        out = [*self.embeddings, *self.mlp_weights, *self.mlp_biases]
-        if self.head_weights is not None:
-            for task in TASKS:
-                out.extend(self.head_weights[task])
-                out.extend(self.head_biases[task])
-        return out
+        return [*self.embeddings, *self.mlp_weights, *self.mlp_biases]
 
     def __iter__(self):
         return iter(self.blocks())
@@ -266,10 +254,7 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     """Xavier-uniform weights, zero biases, deterministic under seed."""
     rng = nn.make_rng(seed)
     params = ModelParams.on(ParamLayout.of(cfg))
-    weights = [*params.embeddings, *params.mlp_weights]
-    if params.head_weights is not None:
-        weights += [w for task in TASKS for w in params.head_weights[task]]
-    for w in weights:
+    for w in [*params.embeddings, *params.mlp_weights]:
         w[...] = nn.xavier_init(*w.shape, rng)
     return params
 
@@ -384,7 +369,6 @@ class ForwardCache:
     pre_activations: list[np.ndarray]   # z of each FC transition
     logits: np.ndarray
     task: Task
-    used_tower: bool
 
 
 class Grads:
@@ -433,24 +417,43 @@ class Grads:
         return iter(self.blocks())
 
 
-def _mask_layers(mask) -> list[np.ndarray] | None:
+def tower_masks(cfg: ModelConfig) -> dict[Task, list[np.ndarray]]:
+    """layer_share's fixed mask layers per task, shaped like the MLP weights.
+
+    The trunk transitions are all ones for both tasks. In the last
+    ``TOWER_TRANSITIONS`` transitions each task owns one half of the last
+    hidden layer, CTR the first and CVR the second: its columns of the
+    transition into that layer and its rows of the transition out of it.
+    """
+    dims, half = cfg.mlp_dims, cfg.mlp_dims[-2] // 2
+    out = {}
+    for task, other in zip(TASKS, (slice(half, None), slice(None, half))):
+        layers = [np.ones(shape) for shape in zip(dims, dims[1:])]
+        layers[-2][:, other] = 0.0
+        layers[-1][other] = 0.0
+        out[task] = layers
+    return out
+
+
+def _mask_layers(cfg: ModelConfig, task: Task, mask) -> list[np.ndarray] | None:
+    """The mask layers ``task`` runs under: ``mask``'s, or when it is None
+    the fixed ``tower_masks`` in layer_share mode and no mask otherwise."""
     if mask is None:
+        if cfg.sharing_mode is SharingMode.LAYER_SHARE:
+            return tower_masks(cfg)[Task(task)]
         return None
     return mask.layers if hasattr(mask, "layers") else list(mask)
 
 
 def task_weights(params: ModelParams, cfg: ModelConfig, task: Task,
                  mask=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The weights and biases of ``task``'s MLP, trunk then (layer_share)
-    tower. ``mask`` (connection/neuron modes only) multiplies each weight
-    matrix elementwise; embeddings and biases are never masked."""
-    layers = _mask_layers(mask)
-    if layers is not None and cfg.sharing_mode in (SharingMode.SINGLE_TASK, SharingMode.LAYER_SHARE):
+    """The weights and biases of ``task``'s MLP. Its mask (see
+    ``_mask_layers``) multiplies each weight matrix elementwise; embeddings
+    and biases are never masked."""
+    if mask is not None and cfg.sharing_mode is SharingMode.SINGLE_TASK:
         raise ConfigError(f"mask supplied in {cfg.sharing_mode.value} mode")
+    layers = _mask_layers(cfg, task, mask)
     weights, biases = params.mlp_weights, params.mlp_biases
-    if cfg.sharing_mode is SharingMode.LAYER_SHARE:
-        weights = weights + params.head_weights[Task(task)]
-        biases = biases + params.head_biases[Task(task)]
     if layers is None:
         return weights, biases
     if len(layers) != len(weights):
@@ -498,8 +501,7 @@ def forward(ids: np.ndarray, params: ModelParams, cfg: ModelConfig, task: Task,
         return preds
     cache = ForwardCache(ids=np.asarray(ids), rows=rows, emb=emb, cross=x,
                          weights=weights, layer_inputs=layer_inputs,
-                         pre_activations=pre_acts, logits=logits, task=task,
-                         used_tower=cfg.sharing_mode is SharingMode.LAYER_SHARE)
+                         pre_activations=pre_acts, logits=logits, task=task)
     return preds, cache
 
 
@@ -526,7 +528,8 @@ def _field_major_table_grads(rows: np.ndarray, d_emb: np.ndarray,
     touched = np.flatnonzero(seen)
     slot = np.empty(n_rows, dtype=np.intp)
     slot[touched] = np.arange(len(touched))
-    bins = (slot[rows.T] * d)[:, None, :] + np.arange(d)[:, None]
+    # a C-contiguous (F, n) index gives C-contiguous bins, which ravel as a view
+    bins = (slot[rows.T.copy()] * d)[:, None, :] + np.arange(d)[:, None]
     values = np.bincount(bins.ravel(), weights=d_emb.ravel(), minlength=len(touched) * d)
     return touched, values.reshape(-1, d)
 
@@ -549,8 +552,7 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
     """
     if cache is None or not cache.layer_inputs:
         raise StateError("backward called without a cached forward pass")
-    task = cache.task
-    layers = _mask_layers(mask)
+    layers = _mask_layers(cfg, cache.task, mask)
     weights = cache.weights
 
     d_out = d_logits[:, None]
@@ -567,14 +569,9 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
     d_emb = _field_major_cross_backward(cache.emb, d_out, cfg.cross_kind)
     layout = params.layout
     mlp = _FlatBlocks.on(layout.without_tables)
-    if cache.used_tower:
-        g_w = mlp.mlp_weights + mlp.head_weights[task]
-        g_b = mlp.mlp_biases + mlp.head_biases[task]
-    else:
-        g_w, g_b = mlp.mlp_weights, mlp.mlp_biases
     for li, d_w, d_b in d_mlp:  # onto zeros: -0.0 becomes +0.0
-        g_w[li] += d_w
-        g_b[li] += d_b
+        mlp.mlp_weights[li] += d_w
+        mlp.mlp_biases[li] += d_b
     rows, values = _field_major_table_grads(cache.rows, d_emb, len(params.tables))
     return Grads(layout, mlp.flat, rows, values)
 

@@ -239,12 +239,12 @@ def joint_train(params: ModelParams, best_masks: dict[Task, TaskMask],
                 dataset: Dataset, cfg: ModelConfig, tcfg: TrainConfig,
                 history: list | None = None,
                 step_hook=None) -> None:
-    """Algorithm step 3: from the snapshot, alternate masked updates so each
-    task trains only its subnetwork; overlap weights are trained by both."""
+    """Algorithm step 3: from the live weights, which ``generate_masks``
+    leaves rewound to the snapshot, alternate masked updates so each task
+    trains only its subnetwork; overlap weights are trained by both."""
     for task in TASKS:
         if task not in best_masks:
             raise StateError(f"joint_train: missing best mask for task {task.value}")
-    params.rewind()
     opt = nn.Adam(params, tcfg.learning_rate)
     for epoch in range(tcfg.joint_epochs):
         total, count = 0.0, 0
@@ -264,54 +264,49 @@ def joint_train(params: ModelParams, best_masks: dict[Task, TaskMask],
 def train_baseline(dataset: Dataset, cfg: ModelConfig,
                    tcfg: TrainConfig) -> TrainedArtifacts:
     """single_task: two independent nets, one per task, each on its own
-    samples. layer_share: shared embeddings + trunk with per-task towers."""
+    samples."""
     mode = cfg.sharing_mode
+    if mode is not SharingMode.SINGLE_TASK:
+        raise ConfigError(f"train_baseline: mode {mode.value} is not single_task")
     history: list[dict] = []
-    if mode is SharingMode.SINGLE_TASK:
-        per_task: dict[Task, ModelParams] = {}
-        for ti, task in enumerate(TASKS):
-            if dataset.task(task).n == 0:
-                raise ConfigError(f"train_baseline: no samples for task {task.value}")
-            p = model.init_params(cfg, tcfg.seed + ti)
-            opt = nn.Adam(p, tcfg.learning_rate)
-            for epoch in range(tcfg.joint_epochs):
-                total, count = 0.0, 0
-                for batch in batches(dataset, [task], tcfg.batch_size, tcfg.seed,
-                                     _BASELINE_EPOCH_BASE + epoch):
-                    total += _train_step(p, cfg, tcfg, opt, batch, None, 1.0)
-                    count += 1
-                history.append({"stage": "single", "task": task.value,
-                                "epoch": epoch, "mean_loss": total / max(count, 1)})
-            per_task[task] = p
-        return TrainedArtifacts(mode, per_task, history=history)
-    if mode is SharingMode.LAYER_SHARE:
-        p = model.init_params(cfg, tcfg.seed)
+    per_task: dict[Task, ModelParams] = {}
+    for ti, task in enumerate(TASKS):
+        if dataset.task(task).n == 0:
+            raise ConfigError(f"train_baseline: no samples for task {task.value}")
+        p = model.init_params(cfg, tcfg.seed + ti)
         opt = nn.Adam(p, tcfg.learning_rate)
         for epoch in range(tcfg.joint_epochs):
             total, count = 0.0, 0
-            for batch in batches(dataset, TASKS, tcfg.batch_size, tcfg.seed,
+            for batch in batches(dataset, [task], tcfg.batch_size, tcfg.seed,
                                  _BASELINE_EPOCH_BASE + epoch):
-                total += _train_step(p, cfg, tcfg, opt, batch, None,
-                                     tcfg.omega(batch.task))
+                total += _train_step(p, cfg, tcfg, opt, batch, None, 1.0)
                 count += 1
-            history.append({"stage": "layer_share", "epoch": epoch,
-                            "mean_loss": total / max(count, 1)})
-        return TrainedArtifacts(mode, p, history=history)
-    raise ConfigError(f"train_baseline: mode {mode.value} is not a baseline")
+            history.append({"stage": "single", "task": task.value,
+                            "epoch": epoch, "mean_loss": total / max(count, 1)})
+        per_task[task] = p
+    return TrainedArtifacts(mode, per_task, history=history)
 
 
 def train_model(dataset: Dataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainedArtifacts:
-    """End-to-end training for any sharing mode."""
+    """End-to-end training for any sharing mode. The shared modes differ
+    only in where the masks of the joint training come from: layer_share
+    takes its fixed ``model.tower_masks`` and trains from the init, with no
+    warmup or search, and its artifacts carry no masks, since ``predict``
+    with no mask resolves to those; the pruning modes search theirs."""
     if cfg.sharing_mode is not tcfg.sharing_mode:
         raise ConfigError("model and train configs disagree on sharing mode")
     mode = cfg.sharing_mode
-    if mode in (SharingMode.SINGLE_TASK, SharingMode.LAYER_SHARE):
+    if mode is SharingMode.SINGLE_TASK:
         return train_baseline(dataset, cfg, tcfg)
     history: list[dict] = []
     params = model.init_params(cfg, tcfg.seed)
-    warmup(params, dataset, cfg, tcfg, history)
-    masks, best_i = generate_masks(params, dataset, cfg, tcfg, history)
-    best = {t: masks[t][best_i[t]] for t in TASKS}
+    masks = best_i = None
+    if mode is SharingMode.LAYER_SHARE:
+        best = {t: TaskMask(layers, t) for t, layers in model.tower_masks(cfg).items()}
+    else:
+        warmup(params, dataset, cfg, tcfg, history)
+        masks, best_i = generate_masks(params, dataset, cfg, tcfg, history)
+        best = {t: masks[t][best_i[t]] for t in TASKS}
     joint_train(params, best, dataset, cfg, tcfg, history)
     return TrainedArtifacts(mode, params, masks=masks, best_i=best_i,
                             history=history)

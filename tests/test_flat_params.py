@@ -92,19 +92,13 @@ def reference_save_checkpoint(path, params, cfg):
 
 
 def reference_init_blocks(cfg, seed):
-    """The per-block init: Xavier draws for embeddings, then trunk weights,
-    then each task's tower weights; zero biases; in blocks() order."""
+    """The per-block init: Xavier draws for embeddings, then MLP weights;
+    zero biases; in blocks() order. The same in every sharing mode."""
     rng = nn.make_rng(seed)
     emb = [nn.xavier_init(c, cfg.embedding_dim, rng) for c in cfg.field_cardinalities]
-    dims, tower = cfg.mlp_dims, ()
-    if cfg.sharing_mode is SharingMode.LAYER_SHARE:
-        dims, tower = dims[:-model.TOWER_TRANSITIONS], dims[-model.TOWER_TRANSITIONS - 1:]
+    dims = cfg.mlp_dims
     weights = [nn.xavier_init(a, b, rng) for a, b in zip(dims, dims[1:])]
-    blocks = emb + weights + [np.zeros(b) for b in dims[1:]]
-    for _ in range(2 if tower else 0):
-        blocks += [nn.xavier_init(a, b, rng) for a, b in zip(tower, tower[1:])]
-        blocks += [np.zeros(b) for b in tower[1:]]
-    return blocks
+    return emb + weights + [np.zeros(b) for b in dims[1:]]
 
 
 def flat_bytes(blocks) -> bytes:
@@ -203,26 +197,20 @@ class TestAdamBitIdentity:
         assert opt.v.tobytes() == flat_bytes([s.v for s in ref.states])
         assert opt.t == 60 and all(s.t == 60 for s in ref.states)
 
-    @pytest.mark.parametrize("gated", [False, True])
-    def test_layer_share_heads(self, gated):
+    def test_layer_share_tower_gates(self):
+        """layer_share's fixed tower masks as gates, alternating the tasks:
+        the trunk opens for both, each tower for its own task only."""
         rng = nn.make_rng(7)
         cfg = make_cfg(SharingMode.LAYER_SHARE, hidden=(10, 6, 4))
         params = model.init_params(cfg, 4)
-        assert params.head_weights is not None
+        towers = {t: TaskMask(layers, t) for t, layers in model.tower_masks(cfg).items()}
         ref_blocks = [b.copy() for b in params.blocks()]
         opt, ref = nn.Adam(params, 0.01), PerBlockAdam(ref_blocks, 0.01)
-        for _ in range(60):
-            gates = None
-            if gated:  # one task's tower open, the other's shut, trunk partly open
-                gates = [None] * len(params.embeddings)
-                gates += [(rng.random(w.shape) < 0.5).astype(float) for w in params.mlp_weights]
-                gates += [None] * len(params.mlp_biases)
-                for task, fill in ((Task.CTR, np.ones_like), (Task.CVR, np.zeros_like)):
-                    gates += [fill(b) for b in params.head_weights[task]]
-                    gates += [fill(b) for b in params.head_biases[task]]
+        for step in range(60):
+            mask = towers[Task.CTR if step % 3 else Task.CVR]
             grads = random_grads(params, rng)
-            opt.step(grads, gates)
-            ref.step(list(grads), gates)
+            opt.step(grads, mask.update_gate(params))
+            ref.step(list(grads), weight_gates(params, mask))
         assert params.flat.tobytes() == flat_bytes(ref_blocks)
         assert opt.m.tobytes() == flat_bytes([s.m for s in ref.states])
         assert opt.v.tobytes() == flat_bytes([s.v for s in ref.states])

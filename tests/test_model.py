@@ -152,12 +152,51 @@ class TestLayerShare:
         p = model.init_params(cfg, 3)
         ids = random_ids(cfg, 10, 4)
         before = model.forward(ids, p, cfg, Task.CTR)
-        for w in p.head_weights[Task.CVR]:
-            w += 10.0
+        cvr_before = model.forward(ids, p, cfg, Task.CVR)
+        # the CVR tower: the second half of the last hidden layer, its
+        # incoming columns, outgoing rows and biases
+        p.mlp_weights[-2][:, 2:] += 10.0
+        p.mlp_weights[-1][2:] += 10.0
+        p.mlp_biases[-2][2:] += 10.0
         after = model.forward(ids, p, cfg, Task.CTR)
         assert (before == after).all()
+        assert not (model.forward(ids, p, cfg, Task.CVR) == cvr_before).all()
         assert not (model.forward(ids, p, cfg, Task.CVR)
                     == model.forward(ids, p, cfg, Task.CTR)).all()
+
+    def test_tower_masks(self):
+        cfg = small_config(hidden=(8, 6, 4), mode=SharingMode.LAYER_SHARE)
+        masks = model.tower_masks(cfg)
+        p = model.init_params(cfg, 3)
+        for ti, task in enumerate((Task.CTR, Task.CVR)):
+            layers = masks[task]
+            assert [m.shape for m in layers] == [w.shape for w in p.mlp_weights]
+            assert all((m == 1.0).all() for m in layers[:-2])
+            own = np.zeros(4)
+            own[2 * ti:2 * ti + 2] = 1.0
+            assert (layers[-2] == own[None, :]).all()
+            assert (layers[-1] == own[:, None]).all()
+        # mask=None resolves to the tower masks in forward and backward
+        ids = random_ids(cfg, 10, 4)
+        preds, cache = model.forward(ids, p, cfg, Task.CVR, want_cache=True)
+        explicit = TaskMask(masks[Task.CVR], Task.CVR)
+        assert preds.tobytes() == model.forward(ids, p, cfg, Task.CVR, mask=explicit).tobytes()
+        d = np.linspace(-1.0, 1.0, 10)
+        assert (model.backward(d, cache, p, cfg).flat.tobytes()
+                == model.backward(d, cache, p, cfg, mask=explicit).flat.tobytes())
+
+    def test_odd_last_width_rejected(self):
+        small_config(hidden=(8, 5, 4), mode=SharingMode.LAYER_SHARE)  # only the last splits
+        for mode in SharingMode:
+            if mode is not SharingMode.LAYER_SHARE:
+                small_config(hidden=(8, 6, 3), mode=mode)
+        with pytest.raises(ConfigError, match="must be even: got 3"):
+            small_config(hidden=(8, 6, 3), mode=SharingMode.LAYER_SHARE)
+
+    def test_layout_same_in_every_mode(self):
+        layouts = {model.ParamLayout.of(small_config(hidden=(8, 6, 4), mode=mode))
+                   for mode in SharingMode}
+        assert len(layouts) == 1
 
 
 from gradcheck import analytic_grads, finite_diff_check, loss_of  # noqa: E402
@@ -185,7 +224,7 @@ class TestGradients:
         assert finite_diff_check(cfg, task, seed=11) < 1e-3
 
     def test_finite_difference_layer_share(self):
-        cfg = small_config(n_fields=3, dim=3, hidden=(5, 4, 3), cross=CrossKind.PAIRWISE_DOT,
+        cfg = small_config(n_fields=3, dim=3, hidden=(5, 4, 4), cross=CrossKind.PAIRWISE_DOT,
                            cards=(4, 3, 5), mode=SharingMode.LAYER_SHARE)
         assert finite_diff_check(cfg, Task.CTR, seed=12) < 1e-3
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lotshare import model, nn, training
-from lotshare.data import Batch, Dataset, SyntheticSpec, generate
+from lotshare.data import Batch, Dataset, SyntheticSpec, TaskData, generate
 from lotshare.errors import ConfigError, StateError
 from lotshare.masking import TaskMask
 from lotshare.model import (TASKS, CrossKind, ModelConfig, SharingMode, Task,
@@ -228,12 +228,32 @@ class TestBaselines:
             assert (a == b).all()
 
     def test_layer_share_shared_trunk(self):
+        """layer_share is one net trained jointly from the init under its
+        fixed tower masks: the trunk moves, and each task's tower moves on
+        its own steps only."""
         cfg = make_config(mode=SharingMode.LAYER_SHARE)
         tcfg = TrainConfig(seed=8, batch_size=64, sharing_mode=SharingMode.LAYER_SHARE)
         ds = make_dataset(400, seed=8)
-        art = train_baseline(ds, cfg, tcfg)
+        art = train_model(ds, cfg, tcfg)
         assert isinstance(art.params, model.ModelParams)
-        assert art.best_mask(Task.CTR) is None
+        assert art.masks is None and art.best_mask(Task.CTR) is None
+        assert [h["stage"] for h in art.history] == ["joint"]
+        init = model.init_params(cfg, tcfg.seed)
+        assert (art.params.mlp_weights[0] != init.mlp_weights[0]).any()
+        with pytest.raises(ConfigError, match="layer_share is not single_task"):
+            train_baseline(ds, cfg, tcfg)
+
+        # one CTR-only epoch leaves the CVR tower's weights at their init
+        cvr = ds.task(Task.CVR)
+        ctr_only = Dataset(ds.field_cardinalities, {
+            Task.CTR: ds.task(Task.CTR),
+            Task.CVR: TaskData(cvr.ids[:0], cvr.labels[:0], cvr.split[:0])})
+        art = train_model(ctr_only, cfg, tcfg)
+        half = cfg.mlp_dims[-2] // 2
+        w_in, w_out = art.params.mlp_weights[-2:]
+        assert (w_in[:, half:] == init.mlp_weights[-2][:, half:]).all()
+        assert (w_out[half:] == init.mlp_weights[-1][half:]).all()
+        assert (w_in[:, :half] != init.mlp_weights[-2][:, :half]).any()
 
     def test_mask_mode_rejected(self):
         cfg = make_config()
