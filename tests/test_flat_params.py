@@ -197,9 +197,11 @@ class TestAdamBitIdentity:
         assert opt.v.tobytes() == flat_bytes([s.v for s in ref.states])
         assert opt.t == 60 and all(s.t == 60 for s in ref.states)
 
-    def test_layer_share_tower_gates(self):
-        """layer_share's fixed tower masks as gates, alternating the tasks:
-        the trunk opens for both, each tower for its own task only."""
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_layer_share_heads(self, gated):
+        """layer_share's task heads are fixed tower masks on the shared net.
+        Gated, the tasks alternate: the trunk opens for both, each tower for
+        its own task only."""
         rng = nn.make_rng(7)
         cfg = make_cfg(SharingMode.LAYER_SHARE, hidden=(10, 6, 4))
         params = model.init_params(cfg, 4)
@@ -207,10 +209,14 @@ class TestAdamBitIdentity:
         ref_blocks = [b.copy() for b in params.blocks()]
         opt, ref = nn.Adam(params, 0.01), PerBlockAdam(ref_blocks, 0.01)
         for step in range(60):
-            mask = towers[Task.CTR if step % 3 else Task.CVR]
             grads = random_grads(params, rng)
-            opt.step(grads, mask.update_gate(params))
-            ref.step(list(grads), weight_gates(params, mask))
+            if gated:
+                mask = towers[Task.CTR if step % 3 else Task.CVR]
+                opt.step(grads, mask.update_gate(params))
+                ref.step(list(grads), weight_gates(params, mask))
+            else:
+                opt.step(grads, None)
+                ref.step(list(grads), None)
         assert params.flat.tobytes() == flat_bytes(ref_blocks)
         assert opt.m.tobytes() == flat_bytes([s.m for s in ref.states])
         assert opt.v.tobytes() == flat_bytes([s.v for s in ref.states])
