@@ -379,7 +379,8 @@ class Grads:
     of the stacked tables (``ModelParams.tables``) that the batch touched,
     and ``values`` (len(rows), dim), their gradients; every other table
     entry's gradient is 0.0. In both forms ``mlp`` holds the entries past
-    the tables. ``nn.Adam`` reads ``rows``, ``values`` and ``mlp``. ``dense``
+    the tables. ``nn.Adam`` reads ``rows``, ``values`` and ``mlp`` and
+    steps only the rows named; the dense form names every row. ``dense``
     holds every block as views of one flat vector, built on first use for a
     compact gradient; ``flat``, ``embeddings``, ``mlp_weights`` and
     ``blocks()`` read it. Iterating yields the blocks in order.

@@ -85,10 +85,10 @@ def check_views(flat: np.ndarray, blocks) -> None:
 
 
 def _bias_table(beta: float, n: int) -> np.ndarray:
-    """``1 - beta ** t`` for t < n by numpy's array pow, as a gated entry's
-    clock takes it. Entry 0 is set to 1.0: only entries that have never
-    stepped read it, and those are frozen, so it just keeps their scratch
-    arithmetic finite."""
+    """``1 - beta ** t`` for t < n by numpy's array pow: every bias
+    correction Adam takes, whichever clock it reads. Entry 0 is set to 1.0:
+    only entries that have never stepped read it, and those are frozen, so
+    it just keeps their scratch arithmetic finite."""
     table = 1.0 - beta ** np.arange(n)
     table[0] = 1.0
     return table
@@ -141,6 +141,20 @@ class UpdateGate:
              act[lo - start:lo - start + _CHUNK] if isinstance(act, np.ndarray) else act)
             for start, stop, act in runs for lo in range(start, stop, _CHUNK)]
 
+    def prefix(self, n: int):
+        """The gate over the first ``n`` entries: True if all are open (or
+        ungated), False if all are shut, else the bool array of open ones."""
+        if self.ungated_prefix >= n:
+            return True
+        is_open = np.zeros(n, dtype=bool)
+        for start, stop, active in self.chunks:
+            if start >= n:
+                break
+            stop = min(stop, n)
+            is_open[start:stop] = True if active is None or active is True \
+                else active[:stop - start]
+        return True if is_open.all() else (is_open if is_open.any() else False)
+
     def __iter__(self):
         return iter(self.per_block)
 
@@ -149,19 +163,27 @@ class Adam:
     """Adam over one flat float64 parameter vector, updated in place.
 
     ``params`` holds that vector as ``flat`` and returns views of it, back
-    to back, from ``blocks()`` (a ``model.ModelParams``). The moments ``m``
-    and ``v`` and the per-entry clocks ``t_entry`` share its layout.
-    ``beta1`` and ``beta2`` must lie in (0.5, 1): see ``_table_step``.
+    to back, from ``blocks()`` (a ``model.ModelParams``); its embedding
+    tables, if it has any, come first and are stacked as ``params.tables``.
+    The moments ``m`` and ``v`` and the per-entry clocks ``t_entry`` share
+    the vector's layout. ``beta1`` and ``beta2`` must lie in (0.5, 1).
 
-    Every step advances the step count ``t``. An ungated block updates every
-    entry and takes its bias correction from Python's scalar ``b ** t``. A
-    gated block updates only the entries whose gate is nonzero, and freezes
-    the others completely: parameter, moments and clock. That is what lets
-    a task leave the other task's private weights bit-identical. Each open
-    entry counts its own steps in ``t_entry`` and takes its bias correction
-    from numpy's array pow, read from tables. The two pows can differ in the
-    last bit, so each block keeps its flavour, and every entry follows the
-    same float operations, in the same order, as a per-block update would.
+    One rule: an entry that gets no gradient term this step, or whose gate
+    is shut, does not move. Its parameter, both moments and its clock stay
+    as they are; that is what lets a task leave the other task's private
+    weights bit-identical. Every other entry takes
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*square(g)`` and
+    ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, with ``bc = 1 - b**t``:
+
+    - Table rows are lazy: only the rows the gradient names step (a compact
+      ``model.Grads`` names the batch's rows, a dense one names every row),
+      each entry on its own clock in ``t_entry``.
+    - A gated MLP block steps its open entries, each on its own clock.
+    - An ungated MLP block steps every entry on the step count ``t``.
+
+    Every ``1 - b**t`` is read from one table made by numpy's array pow
+    (``_bias_table``), so an ungated entry and an always-open gated entry
+    get the same bits.
     """
 
     def __init__(self, params, lr: float,
@@ -173,117 +195,108 @@ class Adam:
         check_views(params.flat, blocks)
         self.flat = params.flat
         self.sizes = tuple(b.size for b in blocks)
+        tables = getattr(params, "tables", None)
+        self.dim = 1 if tables is None else tables.shape[1]
+        self.tables = 0 if tables is None else tables.size
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.t = 0
-        self.t_entry: np.ndarray | None = None   # allocated on the first gated step
+        # int32 halves the clocks' memory; no clock exceeds t, and the bias
+        # tables it indexes hold 2t floats each, so memory ends first
+        self.t_entry = np.zeros(self.flat.shape, dtype=np.int32)
         self._bc1 = self._bc2 = np.empty(0)
         self._ungated = UpdateGate([None] * len(blocks), self.sizes)
-        self._scratch = np.empty((5, min(self.flat.size, _CHUNK)))
+        self._scratch = np.empty((5, max(min(self.flat.size, _CHUNK), self.dim)))
+        # p, m, v and the clocks over the tables, one record per row, each
+        # with a buffer for the rows of one _table_step slice
+        n = min(self.tables, max(1, _CHUNK // self.dim) * self.dim)
+        self._table_rows = [
+            (a[:self.tables].view(np.dtype((np.void, a.itemsize * self.dim))),
+             np.empty(n, a.dtype)) for a in (self.flat, self.m, self.v, self.t_entry)]
 
     def step(self, grads, update_masks=None) -> None:
-        """One update from ``grads``, a ``model.Grads`` of this layout, or
-        any object whose ``flat`` holds every entry and which iterates over
-        its blocks. ``update_masks`` is None (all blocks ungated), an
-        ``UpdateGate``, or a per-block sequence to build one from.
-
-        A compact ``Grads`` (``rows`` set) over ungated tables takes
-        ``_table_step``; every other entry takes the chunked ``_update``."""
+        """One update from ``grads``: a ``model.Grads`` of this layout, or
+        any object whose ``flat`` holds every entry. ``update_masks`` is
+        None (all blocks ungated), an ``UpdateGate``, or a per-block
+        sequence to build one from. A compact ``Grads`` (``rows`` set) is
+        read through ``rows``, ``values`` and ``mlp`` only, so a step costs
+        the batch's rows, not the tables."""
         gate = self._ungated if update_masks is None else update_masks
         if not isinstance(gate, UpdateGate):
             gate = UpdateGate(gate, self.sizes)
         elif gate.sizes != self.sizes:
             raise ShapeError(f"Adam.step: gate block sizes {gate.sizes} vs {self.sizes}")
+        tables, d = self.tables, self.dim
         rows = getattr(grads, "rows", None)
-        tables = 0 if rows is None else self.flat.size - grads.mlp.size
-        if tables < 0 or gate.ungated_prefix < tables:
-            tables = 0   # a gated table block, or a layout mismatch: the dense path
-        if tables:
-            g, values = grads.mlp, grads.values
-            if values.ndim != 2 or len(values) != len(rows) or tables % values.shape[1]:
-                raise ShapeError(f"Adam.step: table gradient {values.shape} at "
-                                 f"{len(rows)} rows for {tables} table entries")
-        else:
+        if rows is None:
             g = grads.flat
             if g.shape != self.flat.shape:
                 raise ShapeError(f"Adam.step: grads {g.shape} for params {self.flat.shape}")
+            rows, values, g = np.arange(tables // d), g[:tables].reshape(-1, d), g[tables:]
+        else:
+            g, values = grads.mlp, grads.values
+            if values.shape != (len(rows), d) or g.size != self.flat.size - tables:
+                raise ShapeError(f"Adam.step: table gradient {values.shape} at {len(rows)} "
+                                 f"rows and {g.size} other entries, for tables of dim {d} "
+                                 f"and {self.flat.size - tables} other entries")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1, bc2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        if gate is not self._ungated:
-            if self.t_entry is None:
-                self.t_entry = np.zeros(self.flat.shape, dtype=np.int64)
-            if len(self._bc1) <= self.t:   # t_entry never exceeds t
-                n = max(1024, 2 * self.t)
-                self._bc1, self._bc2 = _bias_table(b1, n), _bias_table(b2, n)
-        if tables:
-            self._table_step(tables, rows, values, bc1, bc2)
+        if len(self._bc1) <= self.t:   # no clock exceeds t
+            n = max(1024, 2 * self.t)
+            self._bc1, self._bc2 = _bias_table(self.beta1, n), _bias_table(self.beta2, n)
+        self._table_step(rows, values, gate.prefix(tables))
+        bc1, bc2 = float(self._bc1[self.t]), float(self._bc2[self.t])
         for start, stop, active in gate.chunks:
-            if stop > tables:   # a chunk that starts in the tables is ungated there
-                start = max(start, tables)
-                self._update(slice(start, stop), g[start - tables:stop - tables],
-                             active, bc1, bc2)
+            if stop > tables:   # the part of a chunk in the tables is done there
+                if start < tables and isinstance(active, np.ndarray):
+                    active = active[tables - start:]
+                sl = slice(max(start, tables), stop)
+                self._update(self.flat[sl], self.m[sl], self.v[sl], self.t_entry[sl],
+                             g[sl.start - tables:stop - tables], active, bc1, bc2)
 
-    def _table_step(self, tables: int, rows, values, bc1, bc2) -> None:
-        """Adam on the first ``tables`` entries, all ungated, whose gradient
-        is ``values`` at ``rows`` of those entries viewed as (rows, d), and
-        +0.0 elsewhere. Bit for bit what ``_update`` gives with the dense
-        gradient, in fewer passes: the moments decay over the whole region,
-        the gradient terms are added at ``rows`` only, then the ratio runs
-        in chunks.
+    def _table_step(self, rows, values, is_open) -> None:
+        """Lazy Adam on the tables, viewed as (rows, dim): the entries of
+        ``rows`` whose gate is open (``is_open`` from ``UpdateGate.prefix``)
+        step on their own clocks, with ``values`` (len(rows), dim) as their
+        gradient; every other entry stays as it is. The rows' parameters,
+        moments and clocks are gathered in slices of at most ``_CHUNK``
+        entries, updated by ``_update`` and scattered back, each row moved
+        as one record."""
+        if is_open is False or not self.tables:
+            return
+        d = self.dim
+        step = len(self._table_rows[0][1]) // d
+        for lo in range(0, len(rows), step):
+            r = rows[lo:lo + step]
+            part = [buf[:len(r) * d] for _, buf in self._table_rows]
+            for (records, _), buf in zip(self._table_rows, part):
+                records.take(r, out=buf.view(records.dtype), mode="clip")
+            active = True if is_open is True else is_open.reshape(-1, d)[r].ravel()
+            self._update(*part, values[lo:lo + step].ravel(), active, None, None)
+            for (records, _), buf in zip(self._table_rows, part):
+                records.put(r, buf.view(records.dtype))
 
-        Leaving out the gradient terms elsewhere is exact. There ``_update``
-        computes ``m' = b1*m + 0.0``, which equals ``b1*m`` unless ``b1*m``
-        is -0.0. It never is: m starts at +0.0; a rounded sum is -0.0 only
-        if both addends are, and ``values`` never holds -0.0; and for
-        0.5 < b1 < 1 a nonzero m times b1 never rounds to zero. The same
-        holds for v, which is never negative.
-        """
-        b1, b2 = self.beta1, self.beta2
-        m, v = self.m[:tables], self.v[:tables]
-        np.multiply(m, b1, out=m)
-        np.multiply(v, b2, out=v)
-        d = values.shape[1]
-        m.reshape(-1, d)[rows] += values * (1.0 - b1)
-        v.reshape(-1, d)[rows] += np.square(values) * (1.0 - b2)
-        upd, den = self._scratch[:2]
-        for lo in range(0, tables, _CHUNK):
-            sl = slice(lo, min(lo + _CHUNK, tables))
-            n = sl.stop - lo
-            p = self.flat[sl]
-            np.subtract(p, self._ratio(self.m[sl], self.v[sl], bc1, bc2, upd[:n], den[:n]),
-                        out=p)
-
-    def _ratio(self, m, v, bc1, bc2, upd, den):
-        """``lr * (m/bc1) / (sqrt(v/bc2) + eps)`` into ``upd``, with ``den``
-        as scratch; ``den`` may be ``bc2``."""
-        np.divide(m, bc1, out=upd)
-        np.multiply(upd, self.lr, out=upd)
-        np.divide(v, bc2, out=den)
-        np.sqrt(den, out=den)
-        np.add(den, self.eps, out=den)
-        return np.divide(upd, den, out=upd)
-
-    def _update(self, sl: slice, g: np.ndarray, active, bc1, bc2) -> None:
-        """Adam on one slice, ``g`` being its gradient. The ops and their
+    def _update(self, p, m, v, te, g, active, bc1, bc2) -> None:
+        """Adam in place on one slice's parameters ``p``, moments ``m``,
+        ``v`` and clocks ``te``, ``g`` being its gradient. ``active`` is
+        None for ungated entries, which take the scalars ``bc1``/``bc2``;
+        otherwise the open entries (True for all) advance their clocks and
+        read their bias corrections from the tables. The ops and their
         operand order match ``m = b1*m + (1-b1)*g``,
         ``v = b2*v + (1-b2)*square(g)`` and
         ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, each rounded as numpy
         rounds it on whole arrays. A partly open slice computes every entry
         in scratch and writes back only the open ones."""
-        p, m, v = self.flat[sl], self.m[sl], self.v[sl]
-        t1, t2, m_new, v_new, upd = self._scratch[:, :sl.stop - sl.start]
+        t1, t2, m_new, v_new, upd = self._scratch[:, :p.size]
         if active is None or active is True:
             m_new, v_new = m, v
         if active is not None:
-            te = self.t_entry[sl]
             if active is True:
                 te += 1
             else:
                 np.add(te, active, out=te)
-            bc1 = np.take(self._bc1, te, out=t1, mode="clip")
-            bc2 = np.take(self._bc2, te, out=t2, mode="clip")
+            bc1 = self._bc1.take(te, out=t1, mode="clip")
+            bc2 = self._bc2.take(te, out=t2, mode="clip")
         b1, b2 = self.beta1, self.beta2
         np.multiply(m, b1, out=m_new)
         np.multiply(g, 1.0 - b1, out=upd)
@@ -292,7 +305,12 @@ class Adam:
         np.square(g, out=upd)
         np.multiply(upd, 1.0 - b2, out=upd)
         np.add(v_new, upd, out=v_new)
-        self._ratio(m_new, v_new, bc1, bc2, upd, t2)
+        np.divide(m_new, bc1, out=upd)
+        np.multiply(upd, self.lr, out=upd)
+        np.divide(v_new, bc2, out=t2)
+        np.sqrt(t2, out=t2)
+        np.add(t2, self.eps, out=t2)
+        np.divide(upd, t2, out=upd)
         if active is None or active is True:
             np.subtract(p, upd, out=p)
             return

@@ -1,5 +1,5 @@
 """The flat parameter vector and the fused Adam update against per-block
-references: the per-block Adam that nn.Adam replaced, and the per-block
+references: a per-block Adam with lazy embedding tables, and the per-block
 checkpoint writer. Every comparison is on bytes."""
 
 import json
@@ -38,14 +38,17 @@ class AdamState:
 
 
 def adam_step(params, grads, state, lr, update_mask=None):
-    """One in-place per-block Adam update, as lotshare ran it before the
-    flat vector: entries where ``update_mask`` is 0 are frozen completely."""
+    """One in-place per-block Adam update: entries where ``update_mask`` is
+    0 are frozen completely. Every bias correction ``1 - b**t`` is taken by
+    numpy's array pow, the ungated ones too (lotshare's per-block Adam took
+    those by Python's scalar pow, which can differ in the last bit)."""
     assert params.shape == grads.shape == state.m.shape == state.v.shape
     state.t += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     if update_mask is None:
-        bc1 = 1.0 - b1 ** state.t
-        bc2 = 1.0 - b2 ** state.t
+        t = np.array([state.t])
+        bc1 = (1.0 - b1 ** t)[0]
+        bc2 = (1.0 - b2 ** t)[0]
         state.m *= b1
         state.m += (1.0 - b1) * grads
         state.v *= b2
@@ -69,15 +72,33 @@ def adam_step(params, grads, state, lr, update_mask=None):
 
 
 class PerBlockAdam:
-    """One AdamState per block, one adam_step per block and step."""
+    """One AdamState per block, one adam_step per block and step.
 
-    def __init__(self, blocks, lr):
-        self.blocks, self.lr = blocks, lr
+    The first ``tables`` blocks are embedding tables, which step lazily,
+    entry by entry: an entry steps on its own clock where its gate is open
+    and its row is named by ``named`` (per table block, one bool per row;
+    None names every row), and is frozen everywhere else."""
+
+    def __init__(self, blocks, lr, tables=0):
+        self.blocks, self.lr, self.tables = blocks, lr, tables
         self.states = [AdamState.for_param(b) for b in blocks]
 
-    def step(self, grads, gates=None):
+    def step(self, grads, gates=None, named=None):
         for i, (p, g, s) in enumerate(zip(self.blocks, grads, self.states, strict=True)):
-            adam_step(p, g, s, self.lr, None if gates is None else gates[i])
+            gate = None if gates is None else gates[i]
+            if i < self.tables:
+                gate = np.ones(p.shape) if gate is None else np.asarray(gate, dtype=float)
+                if named is not None:
+                    gate = gate * named[i][:, None]
+            adam_step(p, g, s, self.lr, gate)
+
+
+def named_rows(grads):
+    """Per table block, the rows a compact ``model.Grads`` names."""
+    layout = grads.layout
+    hit = np.zeros(int(layout.cardinalities.sum()), dtype=bool)
+    hit[grads.rows] = True
+    return np.split(hit, layout.row_offsets[1:])
 
 
 def reference_save_checkpoint(path, params, cfg):
@@ -174,9 +195,9 @@ CASES = ["ungated", "pruned", "all_ones", "zero_emb_bias", "alternating", "mixed
 
 
 class TestAdamBitIdentity:
-    """nn.Adam over the flat vector reproduces the per-block Adam bit for bit
-    on params, m and v, past step 7, where Python's scalar pow and numpy's
-    array pow first differ for beta2 = 0.999."""
+    """nn.Adam over the flat vector reproduces the per-block Adam with lazy
+    tables bit for bit on params, m and v, past step 7, where Python's
+    scalar pow and numpy's array pow first differ for beta2 = 0.999."""
 
     @pytest.mark.parametrize("chunk", [None, 7])
     @pytest.mark.parametrize("case", CASES)
@@ -187,7 +208,8 @@ class TestAdamBitIdentity:
         cfg = make_cfg()
         params = model.init_params(cfg, 3)
         ref_blocks = [b.copy() for b in params.blocks()]
-        opt, ref = nn.Adam(params, 0.01), PerBlockAdam(ref_blocks, 0.01)
+        opt = nn.Adam(params, 0.01)
+        ref = PerBlockAdam(ref_blocks, 0.01, tables=len(params.embeddings))
         for flat_gate, ref_gates in _schedule(case, params, rng):
             grads = random_grads(params, rng)
             opt.step(grads, flat_gate)
@@ -223,7 +245,8 @@ class TestAdamBitIdentity:
 
     def test_joint_training_steps(self):
         """Real masked forward/backward steps alternating the CTR and CVR
-        masks, with the gradients fed to both optimizers."""
+        masks, with the gradients fed to both optimizers: compact to
+        nn.Adam, densified with the named rows to the lazy reference."""
         ds = generate(SyntheticSpec(n_users=30, n_items=30, field_cardinalities=(6,) * 4,
                                     latent_dim=4, n_impressions=2000, seed=5))
         cfg = model.ModelConfig(ds.field_cardinalities, 4,
@@ -232,7 +255,8 @@ class TestAdamBitIdentity:
         rng = nn.make_rng(8)
         masks = {t: random_mask(params, t, rng, 0.6) for t in (Task.CTR, Task.CVR)}
         ref_blocks = [b.copy() for b in params.blocks()]
-        opt, ref = nn.Adam(params, 0.01), PerBlockAdam(ref_blocks, 0.01)
+        opt = nn.Adam(params, 0.01)
+        ref = PerBlockAdam(ref_blocks, 0.01, tables=len(params.embeddings))
         steps = 0
         for batch in batches(ds, (Task.CTR, Task.CVR), 32, seed=9, epoch=0):
             mask = masks[batch.task]
@@ -242,7 +266,7 @@ class TestAdamBitIdentity:
                                                   batch.task)
             grads = model.backward(dlogit, cache, params, cfg, mask=mask)
             opt.step(grads, mask.update_gate(params))
-            ref.step(list(grads), weight_gates(params, mask))
+            ref.step(list(grads), weight_gates(params, mask), named_rows(grads))
             assert params.flat.tobytes() == flat_bytes(ref_blocks)
             steps += 1
         assert steps >= 50

@@ -163,6 +163,20 @@ class TestAdam:
         assert (m[gate == 1] != 0).all() and (opt.m[16:] != 0).all()
         assert (opt.t_entry[:16].reshape(4, 4) == 5 * gate).all()
 
+    def test_all_ones_gate_equals_ungated(self):
+        """One bias-correction flavour: an all-ones gated block and an
+        ungated block given the same gradients stay byte-identical."""
+        rng = nn.make_rng(0)
+        w = rng.standard_normal(2048)
+        p = Flat(w, w)
+        opt = nn.Adam(p, lr=1e-3)
+        for _ in range(50):
+            g = rng.standard_normal(2048)
+            opt.step(Flat(g, g), [np.ones(2048), None])
+        for arr in (p.flat, opt.m, opt.v):
+            assert arr[:2048].tobytes() == arr[2048:].tobytes()
+        assert (opt.t_entry[:2048] == 50).all()
+
     def test_shape_mismatch(self):
         opt = nn.Adam(Flat(np.zeros((2, 2))), 0.1)
         with pytest.raises(ShapeError):

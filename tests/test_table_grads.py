@@ -1,6 +1,6 @@
-"""The compact table gradient and the row-sparse Adam pass over the tables
-against the dense formulations they replaced: the full-table bincount, the
-per-field embedding loop and the dense ``_update`` arithmetic. Every
+"""The compact table gradient against the dense formulations it replaced
+(the full-table bincount and the per-field embedding loop), and the lazy
+Adam step over the tables against a per-entry lazy reference. Every
 comparison is on bytes."""
 
 import numpy as np
@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lotshare import model, nn, training
-from lotshare.data import SyntheticSpec, batches, generate
+from lotshare.data import Dataset, SyntheticSpec, TaskData, batches, generate
 from lotshare.errors import FeatureIdError
+from lotshare.masking import TaskMask
 from lotshare.model import CrossKind, ModelConfig, SharingMode, Task, cross_output_width
 
-from test_flat_params import PerBlockAdam, flat_bytes
+from test_flat_params import PerBlockAdam, flat_bytes, named_rows
 from test_model import embedding_grads
 
 
@@ -38,27 +39,6 @@ def per_field_embed(ids, embeddings):
                                  f"(cardinality {table.shape[0]})")
         cols.append(table[fid])
     return np.stack(cols, axis=1)
-
-
-def dense_update(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
-    """Reference: ``nn.Adam._update`` on an ungated slice with its dense
-    gradient, as it ran over the tables before the row-sparse pass."""
-    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
-    upd, den = np.empty_like(p), np.empty_like(p)
-    np.multiply(m, b1, out=m)
-    np.multiply(g, 1.0 - b1, out=upd)
-    np.add(m, upd, out=m)
-    np.multiply(v, b2, out=v)
-    np.square(g, out=upd)
-    np.multiply(upd, 1.0 - b2, out=upd)
-    np.add(v, upd, out=v)
-    np.divide(m, bc1, out=upd)
-    np.multiply(upd, lr, out=upd)
-    np.divide(v, bc2, out=den)
-    np.sqrt(den, out=den)
-    np.add(den, eps, out=den)
-    np.divide(upd, den, out=upd)
-    np.subtract(p, upd, out=p)
 
 
 def make_cfg(mode=SharingMode.CONNECTION_SHARE, cards=(5, 3, 7), dim=3, hidden=(8, 6, 4)):
@@ -165,16 +145,16 @@ def _compact_step_grads(layout, rng, step, idle_from, scale, d):
 
 
 class TestRowSparseAdam:
-    """nn.Adam given a compact gradient gives p, m and v byte-equal to the
-    dense ``_update`` reference and to nn.Adam given the same gradient
-    densified."""
+    """nn.Adam given a compact gradient steps only the rows it names, each
+    entry on its own clock: p, m, v and the clocks are byte-equal to the
+    per-entry lazy reference, and every other row does not move."""
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            scale=st.sampled_from([1.0, 1e-150, 1e-160, 1e-300, 1e-310]),
            idle_from=st.integers(20, 100),
            chunk=st.sampled_from([None, 5, 16]))
-    def test_matches_dense_references(self, seed, scale, idle_from, chunk):
+    def test_matches_lazy_reference(self, seed, scale, idle_from, chunk):
         old_chunk = nn._CHUNK
         if chunk is not None:   # chunks that end inside rows and the tables
             nn._CHUNK = chunk
@@ -183,63 +163,121 @@ class TestRowSparseAdam:
             d = cfg.embedding_dim
             rng = nn.make_rng(seed)
             params = model.init_params(cfg, seed % 1000)
-            dense_params = params.copy()
-            p_ref = params.flat.copy()
-            m_ref, v_ref = np.zeros_like(p_ref), np.zeros_like(p_ref)
-            opt, dense_opt = nn.Adam(params, 0.01), nn.Adam(dense_params, 0.01)
+            ref_blocks = [b.copy() for b in params.blocks()]
+            opt = nn.Adam(params, 0.01)
+            ref = PerBlockAdam(ref_blocks, 0.01, tables=len(params.embeddings))
             for step in range(320):
                 grads = _compact_step_grads(params.layout, rng, step, idle_from, scale, d)
                 opt.step(grads)
-                dense = grads.flat.copy()
-                dense_opt.step(model.Grads.on(params.layout, dense))
-                dense_update(p_ref, dense, m_ref, v_ref, step + 1, 0.01)
+                ref.step(list(grads), named=named_rows(grads))
         finally:
             nn._CHUNK = old_chunk
-        for got in (opt, dense_opt):
-            assert got.flat.tobytes() == p_ref.tobytes()
-            assert got.m.tobytes() == m_ref.tobytes()
-            assert got.v.tobytes() == v_ref.tobytes()
-        if scale <= 1e-300:
+        assert opt.flat.tobytes() == flat_bytes(ref_blocks)
+        assert opt.m.tobytes() == flat_bytes([s.m for s in ref.states])
+        assert opt.v.tobytes() == flat_bytes([s.v for s in ref.states])
+        tables = params.layout.table_size
+        clocks = np.concatenate([s.t_entry.ravel() for s in ref.states[:len(params.embeddings)]])
+        assert (opt.t_entry[:tables] == clocks).all()
+        if scale <= 1e-300:   # the square of g underflows, or m is subnormal
             tiny = np.finfo(np.float64).tiny
-            assert ((opt.m != 0) & (np.abs(opt.m) < tiny)).any()
+            assert ((opt.m != 0) & ((np.abs(opt.m) < tiny) | (opt.v < tiny))).any()
 
     @pytest.mark.parametrize("mode", [SharingMode.LAYER_SHARE, SharingMode.CONNECTION_SHARE])
     def test_real_steps_match_per_block_reference(self, mode):
         """Real forward/backward steps, ungated, fed to nn.Adam compact and
-        to the per-block reference densified."""
+        to the lazy per-block reference densified, with the named rows."""
         ds = generate(SyntheticSpec(n_users=30, n_items=30, field_cardinalities=(40, 3, 25),
                                     latent_dim=3, n_impressions=3000, seed=6))
         cfg = make_cfg(mode, cards=ds.field_cardinalities)
         params = model.init_params(cfg, 7)
         ref_blocks = [b.copy() for b in params.blocks()]
-        opt, ref = nn.Adam(params, 0.01), PerBlockAdam(ref_blocks, 0.01)
-        steps = 0
+        opt = nn.Adam(params, 0.01)
+        ref = PerBlockAdam(ref_blocks, 0.01, tables=len(params.embeddings))
+        steps, idle = 0, 0
         for batch in batches(ds, (Task.CTR, Task.CVR), 16, seed=8, epoch=0):
             preds, cache = model.forward(batch.ids, params, cfg, batch.task, want_cache=True)
             _, dlogit = training._loss_and_dlogit(cache.logits, preds, batch.labels, batch.task)
             grads = model.backward(dlogit, cache, params, cfg)
-            ref.step(list(grads))
             opt.step(grads)
+            assert "dense" not in grads.__dict__
+            ref.step(list(grads), named=named_rows(grads))
+            idle += len(params.tables) - len(grads.rows)
             steps += 1
-        assert steps >= 150
+        assert steps >= 150 and idle > 0
         assert params.flat.tobytes() == flat_bytes(ref_blocks)
         assert opt.m.tobytes() == flat_bytes([s.m for s in ref.states])
         assert opt.v.tobytes() == flat_bytes([s.v for s in ref.states])
 
-    def test_gated_table_block_takes_dense_path(self):
+    def test_gated_table_block_steps_lazily(self):
+        """A gate on a table block shuts entries of the named rows too."""
         cfg = make_cfg()
         params = model.init_params(cfg, 3)
         ref_blocks = [b.copy() for b in params.blocks()]
-        opt, ref = nn.Adam(params, 0.01), PerBlockAdam(ref_blocks, 0.01)
+        opt = nn.Adam(params, 0.01)
+        ref = PerBlockAdam(ref_blocks, 0.01, tables=len(params.embeddings))
         rng = nn.make_rng(5)
         gates = [None, (rng.random(params.embeddings[1].shape) < 0.5).astype(float)]
         gates += [None] * (len(params.blocks()) - 2)
         for step in range(40):
             grads = _compact_step_grads(params.layout, rng, step, 20, 1.0, cfg.embedding_dim)
-            ref.step(list(grads), gates)
             opt.step(grads, gates)
+            assert "dense" not in grads.__dict__
+            ref.step(list(grads), gates, named_rows(grads))
         assert params.flat.tobytes() == flat_bytes(ref_blocks)
         assert opt.m.tobytes() == flat_bytes([s.m for s in ref.states])
+        assert opt.v.tobytes() == flat_bytes([s.v for s in ref.states])
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_idle_rows_frozen(self, gated):
+        """A row the gradient does not name keeps p, m, v and its clocks
+        byte-equal, after steps that moved all of them; the step does not
+        build the dense gradient, so its cost follows the batch's rows."""
+        cfg = make_cfg()
+        params = model.init_params(cfg, 4)
+        gate = (TaskMask.all_ones(params.mlp_weights, Task.CTR).update_gate(params)
+                if gated else None)
+        opt = nn.Adam(params, 0.01)
+        rng = nn.make_rng(6)
+        n_rows, d = params.tables.shape
+        mlp = params.layout.size - params.layout.table_size
+        for _ in range(3):
+            opt.step(model.Grads(params.layout, rng.standard_normal(mlp), np.arange(n_rows),
+                                 rng.standard_normal((n_rows, d))), gate)
+        rows = np.array([0, 2, 5, n_rows - 1])
+        idle = np.setdiff1d(np.arange(n_rows), rows)
+        before = [a[:params.layout.table_size].reshape(n_rows, d)[idle].copy()
+                  for a in (opt.flat, opt.m, opt.v, opt.t_entry)]
+        grads = model.Grads(params.layout, rng.standard_normal(mlp), rows,
+                            rng.standard_normal((len(rows), d)))
+        opt.step(grads, gate)
+        assert "dense" not in grads.__dict__
+        after = [a[:params.layout.table_size].reshape(n_rows, d)
+                 for a in (opt.flat, opt.m, opt.v, opt.t_entry)]
+        for old, new in zip(before, after):
+            assert new[idle].tobytes() == old.tobytes()
+        assert (after[3][rows] == 4).all() and (after[3][idle] == 3).all()
+
+    @pytest.mark.parametrize("mode", [SharingMode.CONNECTION_SHARE, SharingMode.LAYER_SHARE])
+    def test_unused_row_ends_at_init(self, mode):
+        """A table row that no training sample uses ends ``train_model``
+        byte-equal to its ``init_params`` value; the used rows move. Field
+        0's id 4 occurs only outside the train split (train samples with it
+        get id 0), and id 5 never occurs."""
+        ds = generate(SyntheticSpec(n_users=30, n_items=30, field_cardinalities=(6, 5, 7),
+                                    latent_dim=3, n_impressions=600, seed=2))
+        tasks = {}
+        for task, td in ds.tasks.items():
+            ids = td.ids.copy()
+            ids[(td.split == 0) & (ids[:, 0] == 4), 0] = 0
+            tasks[task] = TaskData(ids, td.labels, td.split)
+        ds = Dataset(ds.field_cardinalities, tasks)
+        assert (ds.task(Task.CTR).ids[:, 0] == 4).any()
+        cfg = make_cfg(mode, cards=ds.field_cardinalities)
+        tcfg = training.TrainConfig(seed=3, batch_size=32, sharing_mode=mode, n_pruning=1)
+        art = training.train_model(ds, cfg, tcfg)
+        init = model.init_params(cfg, tcfg.seed)
+        assert art.params.embeddings[0][4:].tobytes() == init.embeddings[0][4:].tobytes()
+        assert (art.params.embeddings[0][:4] != init.embeddings[0][:4]).all()
 
 
 @pytest.mark.parametrize("beta1,beta2", [(0.5, 0.999), (1.0, 0.999), (0.9, 0.5),
