@@ -16,7 +16,7 @@ import numpy as np
 from . import data as data_mod
 from . import masking, metrics, model, training
 from .config import ExperimentConfig, load_experiment
-from .errors import ConfigError, DataError, LotshareError
+from .errors import ConfigError, DataError, LotshareError, ShapeError
 from .metrics import MetricsReport, format_gain, mtl_gain
 from .model import SharingMode, Task, TASKS
 
@@ -238,8 +238,11 @@ def cmd_compare(run_dirs):
         kv_path = Path(d) / "report.kv"
         if not kv_path.exists():
             raise DataError(f"{d}: no report.kv (not a finished run directory)")
-        reports.append(MetricsReport.from_kv_lines(
-            kv_path.read_text(encoding="utf-8").splitlines()))
+        try:
+            reports.append(MetricsReport.from_kv_lines(
+                kv_path.read_text(encoding="utf-8").splitlines()))
+        except DataError as exc:
+            raise DataError(f"{kv_path}: {exc}") from None
     click.echo(comparison_table(reports))
 
 
@@ -327,6 +330,22 @@ def _read_candidates(path, n_fields: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ids), np.concatenate(lengths)
 
 
+def _shapes(arrays) -> str:
+    return " ".join("x".join(map(str, a.shape)) for a in arrays)
+
+
+def _load_slot_mask(path, task: Task, params: model.ModelParams) -> masking.TaskMask:
+    """The mask in ``path`` given for ``task``; DataError unless it was
+    saved for that task and its layers match the MLP weights of ``params``."""
+    mask = masking.load_mask(path)
+    if mask.task is not task:
+        raise DataError(f"{path}: a {mask.task.value} mask given as --{task.value}-mask")
+    if [m.shape for m in mask.layers] != [w.shape for w in params.mlp_weights]:
+        raise DataError(f"{path}: mask layers {_shapes(mask.layers)} do not fit the "
+                        f"checkpoint's MLP weights {_shapes(params.mlp_weights)}")
+    return mask
+
+
 @cli.command("score")
 @click.option("--ctr-checkpoint", required=True, type=click.Path(exists=True))
 @click.option("--cvr-checkpoint", required=True, type=click.Path(exists=True))
@@ -341,8 +360,9 @@ def cmd_score(ctr_checkpoint, cvr_checkpoint, ctr_mask, cvr_mask, top_k,
               alpha, beta, gamma, candidates_file):
     """Rank candidates by pCTR^alpha * pCVR^beta * length^gamma.
 
-    A connection_share or neuron_share checkpoint needs its task's mask;
-    a single_task or layer_share checkpoint takes none. With one checkpoint
+    A connection_share or neuron_share checkpoint needs its task's mask,
+    saved for that task and shaped like the checkpoint's MLP; a single_task
+    or layer_share checkpoint takes none. With one checkpoint
     for both tasks (the same bytes), both share one embedding and
     feature-cross pass."""
     for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
@@ -362,8 +382,8 @@ def cmd_score(ctr_checkpoint, cvr_checkpoint, ctr_mask, cvr_mask, top_k,
             raise ConfigError(f"--{task.value}-mask is {'required' if searched else 'not taken'}: "
                               f"{path} is a {cfg.sharing_mode.value} checkpoint")
     masks = {
-        Task.CTR: masking.load_mask(ctr_mask) if ctr_mask else None,
-        Task.CVR: masking.load_mask(cvr_mask) if cvr_mask else None,
+        Task.CTR: _load_slot_mask(ctr_mask, Task.CTR, ctr_params) if ctr_mask else None,
+        Task.CVR: _load_slot_mask(cvr_mask, Task.CVR, cvr_params) if cvr_mask else None,
     }
     ids, lengths = _read_candidates(candidates_file, ctr_cfg.n_fields)
     if not len(lengths):
@@ -390,8 +410,11 @@ def cmd_mask():
 @click.argument("cvr_mask_file", type=click.Path(exists=True))
 def cmd_mask_stats(ctr_mask_file, cvr_mask_file):
     """Overlap statistics of a CTR mask and a CVR mask."""
-    stats = masking.overlap_stats(masking.load_mask(ctr_mask_file),
-                                  masking.load_mask(cvr_mask_file))
+    ctr, cvr = masking.load_mask(ctr_mask_file), masking.load_mask(cvr_mask_file)
+    try:
+        stats = masking.overlap_stats(ctr, cvr)
+    except ShapeError as exc:
+        raise DataError(f"{ctr_mask_file} and {cvr_mask_file} do not match: {exc}") from None
     click.echo(stats.to_text())
     for line in stats.to_kv_lines():
         click.echo(line)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, UndefinedMetricError
+from .errors import ConfigError, DataError, UndefinedMetricError
 from .model import Task
 
 
@@ -194,24 +194,29 @@ class MetricsReport:
 
     @classmethod
     def from_kv_lines(cls, lines) -> "MetricsReport":
+        """Parse ``report.kv`` lines; a DataError names the first line whose
+        value does not parse."""
         rep = cls(mode="", metrics={})
-        for line in lines:
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line or "=" not in line:
                 continue
             key, val = line.split("=", 1)
-            if key == "mode":
-                rep.mode = val
-            elif key == "config_fingerprint":
-                rep.config_fingerprint = val
-            elif key.startswith("metric."):
-                rep.metrics[key[7:]] = float(val)
-            elif key.startswith("sparsity."):
-                rep.sparsity[key[9:]] = float(val)
-            elif key.startswith("overlap."):
-                rep.overlap[key[8:]] = int(val)
-            elif key.startswith("gain."):
-                rep.gains[key[5:]] = val
-            elif key.startswith("note."):
-                rep.notes[key[5:]] = val
+            try:
+                if key == "mode":
+                    rep.mode = val
+                elif key == "config_fingerprint":
+                    rep.config_fingerprint = val
+                elif key.startswith("metric."):
+                    rep.metrics[key[7:]] = float(val)
+                elif key.startswith("sparsity."):
+                    rep.sparsity[key[9:]] = float(val)
+                elif key.startswith("overlap."):
+                    rep.overlap[key[8:]] = int(val)
+                elif key.startswith("gain."):
+                    rep.gains[key[5:]] = val
+                elif key.startswith("note."):
+                    rep.notes[key[5:]] = val
+            except ValueError:
+                raise DataError(f"line {lineno}: bad value in {line!r}") from None
         return rep

@@ -62,10 +62,6 @@ def affine_backward(inp: np.ndarray, weights: np.ndarray, d_out: np.ndarray):
     return d_w, d_b, d_in
 
 
-# Entries per slice of an Adam step: the slice's working arrays stay in L2.
-_CHUNK = 32768
-
-
 def check_views(flat: np.ndarray, blocks) -> None:
     """Raise ShapeError unless ``blocks`` are views of the contiguous 1-D
     float64 vector ``flat``, back to back from its start, covering it."""
@@ -98,12 +94,9 @@ class UpdateGate:
     """Which entries of a flat parameter vector an Adam step may change.
 
     Built once from one entry per block, in order: ``None`` for an ungated
-    block, or a 0/1 array for a gated one. Iterating yields those entries.
-    ``chunks`` covers the vector in slices of at most ``_CHUNK`` entries,
-    each ``(start, stop, active)``: ``active`` is None in ungated blocks,
-    True where a gated slice is all open, and the slice's bool array
-    otherwise. Fully closed gated blocks get no slice: nothing in them
-    changes.
+    block, which is all open, or a 0/1 array for a gated one. Iterating
+    yields those entries. ``is_open`` holds one bool per entry of the
+    vector.
     """
 
     def __init__(self, per_block, sizes):
@@ -112,48 +105,25 @@ class UpdateGate:
         if len(self.per_block) != len(self.sizes):
             raise ShapeError(f"gate has {len(self.per_block)} blocks, "
                              f"parameters have {len(self.sizes)}")
-        # entries in the ungated blocks before the first gated one
-        self.ungated_prefix = 0
-        for gate, n in zip(self.per_block, self.sizes):
-            if gate is not None:
-                break
-            self.ungated_prefix += n
-        runs: list[tuple[int, int, object]] = []
-        start = 0
+        parts = []
         for i, (gate, n) in enumerate(zip(self.per_block, self.sizes)):
-            stop = start + n
-            active = None
-            if gate is not None:
-                if np.size(gate) != n:
-                    raise ShapeError(f"gate {i} has {np.size(gate)} entries, block has {n}")
-                active = np.asarray(gate).ravel() != 0
-                active = True if active.all() else (active if active.any() else False)
-            if active is not False:
-                if runs and runs[-1][1] == start and type(runs[-1][2]) is type(active):
-                    first, _, prev = runs.pop()
-                    if isinstance(active, np.ndarray):
-                        active = np.concatenate([prev, active])
-                    start = first
-                runs.append((start, stop, active))
-            start = stop
-        self.chunks = [
-            (lo, min(lo + _CHUNK, stop),
-             act[lo - start:lo - start + _CHUNK] if isinstance(act, np.ndarray) else act)
-            for start, stop, act in runs for lo in range(start, stop, _CHUNK)]
+            if gate is None:
+                parts.append(np.ones(n, dtype=bool))
+            elif np.size(gate) != n:
+                raise ShapeError(f"gate {i} has {np.size(gate)} entries, block has {n}")
+            else:
+                parts.append(np.asarray(gate).ravel() != 0)
+        self.is_open = np.concatenate(parts)
+        self._splits: dict[int, tuple] = {}
 
-    def prefix(self, n: int):
-        """The gate over the first ``n`` entries: True if all are open (or
-        ungated), False if all are shut, else the bool array of open ones."""
-        if self.ungated_prefix >= n:
-            return True
-        is_open = np.zeros(n, dtype=bool)
-        for start, stop, active in self.chunks:
-            if start >= n:
-                break
-            stop = min(stop, n)
-            is_open[start:stop] = True if active is None or active is True \
-                else active[:stop - start]
-        return True if is_open.all() else (is_open if is_open.any() else False)
+    def split(self, n: int) -> tuple:
+        """The gate over the first ``n`` entries and over the rest: each is
+        True when all its entries are open, else its bool array. Kept per
+        ``n``, as a gate steps many times."""
+        if n not in self._splits:
+            self._splits[n] = tuple(True if part.all() else part
+                                    for part in (self.is_open[:n], self.is_open[n:]))
+        return self._splits[n]
 
     def __iter__(self):
         return iter(self.per_block)
@@ -171,19 +141,16 @@ class Adam:
     One rule: an entry that gets no gradient term this step, or whose gate
     is shut, does not move. Its parameter, both moments and its clock stay
     as they are; that is what lets a task leave the other task's private
-    weights bit-identical. Every other entry takes
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*square(g)`` and
-    ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, with ``bc = 1 - b**t``:
+    weights bit-identical. Every other entry advances its own clock ``te``
+    and takes ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*square(g)`` and
+    ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, with ``bc = 1 - b**te``:
+    each entry's bias correction counts the steps it took. Every
+    ``1 - b**te`` is read from one table made by numpy's array pow
+    (``_bias_table``).
 
-    - Table rows are lazy: only the rows the gradient names step (a compact
-      ``model.Grads`` names the batch's rows, a dense one names every row),
-      each entry on its own clock in ``t_entry``.
-    - A gated MLP block steps its open entries, each on its own clock.
-    - An ungated MLP block steps every entry on the step count ``t``.
-
-    Every ``1 - b**t`` is read from one table made by numpy's array pow
-    (``_bias_table``), so an ungated entry and an always-open gated entry
-    get the same bits.
+    Table rows are lazy: only the rows the gradient names step (a compact
+    ``model.Grads`` names the batch's rows, a dense one names every row).
+    An ungated block is all open, so its clocks count every step.
     """
 
     def __init__(self, params, lr: float,
@@ -206,14 +173,10 @@ class Adam:
         # tables it indexes hold 2t floats each, so memory ends first
         self.t_entry = np.zeros(self.flat.shape, dtype=np.int32)
         self._bc1 = self._bc2 = np.empty(0)
-        self._ungated = UpdateGate([None] * len(blocks), self.sizes)
-        self._scratch = np.empty((5, max(min(self.flat.size, _CHUNK), self.dim)))
-        # p, m, v and the clocks over the tables, one record per row, each
-        # with a buffer for the rows of one _table_step slice
-        n = min(self.tables, max(1, _CHUNK // self.dim) * self.dim)
+        # p, m, v and the clocks over the tables, one record per row
         self._table_rows = [
-            (a[:self.tables].view(np.dtype((np.void, a.itemsize * self.dim))),
-             np.empty(n, a.dtype)) for a in (self.flat, self.m, self.v, self.t_entry)]
+            (a[:self.tables].view(np.dtype((np.void, a.itemsize * self.dim))), a.dtype)
+            for a in (self.flat, self.m, self.v, self.t_entry)]
 
     def step(self, grads, update_masks=None) -> None:
         """One update from ``grads``: a ``model.Grads`` of this layout, or
@@ -222,12 +185,16 @@ class Adam:
         sequence to build one from. A compact ``Grads`` (``rows`` set) is
         read through ``rows``, ``values`` and ``mlp`` only, so a step costs
         the batch's rows, not the tables."""
-        gate = self._ungated if update_masks is None else update_masks
-        if not isinstance(gate, UpdateGate):
-            gate = UpdateGate(gate, self.sizes)
-        elif gate.sizes != self.sizes:
-            raise ShapeError(f"Adam.step: gate block sizes {gate.sizes} vs {self.sizes}")
         tables, d = self.tables, self.dim
+        if update_masks is None:
+            table_open = rest_open = True
+        else:
+            gate = update_masks
+            if not isinstance(gate, UpdateGate):
+                gate = UpdateGate(gate, self.sizes)
+            if gate.sizes != self.sizes:
+                raise ShapeError(f"Adam.step: gate block sizes {gate.sizes} vs {self.sizes}")
+            table_open, rest_open = gate.split(tables)
         rows = getattr(grads, "rows", None)
         if rows is None:
             g = grads.flat
@@ -244,77 +211,37 @@ class Adam:
         if len(self._bc1) <= self.t:   # no clock exceeds t
             n = max(1024, 2 * self.t)
             self._bc1, self._bc2 = _bias_table(self.beta1, n), _bias_table(self.beta2, n)
-        self._table_step(rows, values, gate.prefix(tables))
-        bc1, bc2 = float(self._bc1[self.t]), float(self._bc2[self.t])
-        for start, stop, active in gate.chunks:
-            if stop > tables:   # the part of a chunk in the tables is done there
-                if start < tables and isinstance(active, np.ndarray):
-                    active = active[tables - start:]
-                sl = slice(max(start, tables), stop)
-                self._update(self.flat[sl], self.m[sl], self.v[sl], self.t_entry[sl],
-                             g[sl.start - tables:stop - tables], active, bc1, bc2)
+        # the named table rows, gathered with their moments and clocks
+        part = [records.take(rows).view(dtype) for records, dtype in self._table_rows]
+        active = True if table_open is True else table_open.reshape(-1, d)[rows].ravel()
+        self._update(*part, values.ravel(), active)
+        for (records, _), buf in zip(self._table_rows, part):
+            records.put(rows, buf.view(records.dtype))
+        rest = slice(tables, None)
+        self._update(self.flat[rest], self.m[rest], self.v[rest], self.t_entry[rest], g,
+                     rest_open)
 
-    def _table_step(self, rows, values, is_open) -> None:
-        """Lazy Adam on the tables, viewed as (rows, dim): the entries of
-        ``rows`` whose gate is open (``is_open`` from ``UpdateGate.prefix``)
-        step on their own clocks, with ``values`` (len(rows), dim) as their
-        gradient; every other entry stays as it is. The rows' parameters,
-        moments and clocks are gathered in slices of at most ``_CHUNK``
-        entries, updated by ``_update`` and scattered back, each row moved
-        as one record."""
-        if is_open is False or not self.tables:
-            return
-        d = self.dim
-        step = len(self._table_rows[0][1]) // d
-        for lo in range(0, len(rows), step):
-            r = rows[lo:lo + step]
-            part = [buf[:len(r) * d] for _, buf in self._table_rows]
-            for (records, _), buf in zip(self._table_rows, part):
-                records.take(r, out=buf.view(records.dtype), mode="clip")
-            active = True if is_open is True else is_open.reshape(-1, d)[r].ravel()
-            self._update(*part, values[lo:lo + step].ravel(), active, None, None)
-            for (records, _), buf in zip(self._table_rows, part):
-                records.put(r, buf.view(records.dtype))
-
-    def _update(self, p, m, v, te, g, active, bc1, bc2) -> None:
-        """Adam in place on one slice's parameters ``p``, moments ``m``,
-        ``v`` and clocks ``te``, ``g`` being its gradient. ``active`` is
-        None for ungated entries, which take the scalars ``bc1``/``bc2``;
-        otherwise the open entries (True for all) advance their clocks and
-        read their bias corrections from the tables. The ops and their
-        operand order match ``m = b1*m + (1-b1)*g``,
-        ``v = b2*v + (1-b2)*square(g)`` and
+    def _update(self, p, m, v, te, g, active) -> None:
+        """Adam in place on parameters ``p``, moments ``m``, ``v`` and clocks
+        ``te``, ``g`` being their gradient. The open entries (``active``:
+        True for all, else a bool array) advance their clocks and read their
+        bias corrections from the tables. The ops and their operand order
+        match ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*square(g)`` and
         ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, each rounded as numpy
-        rounds it on whole arrays. A partly open slice computes every entry
-        in scratch and writes back only the open ones."""
-        t1, t2, m_new, v_new, upd = self._scratch[:, :p.size]
-        if active is None or active is True:
-            m_new, v_new = m, v
-        if active is not None:
-            if active is True:
-                te += 1
-            else:
-                np.add(te, active, out=te)
-            bc1 = self._bc1.take(te, out=t1, mode="clip")
-            bc2 = self._bc2.take(te, out=t2, mode="clip")
+        rounds it on whole arrays. Every entry is computed; only the open
+        ones are written back."""
+        te += active
         b1, b2 = self.beta1, self.beta2
-        np.multiply(m, b1, out=m_new)
-        np.multiply(g, 1.0 - b1, out=upd)
-        np.add(m_new, upd, out=m_new)
-        np.multiply(v, b2, out=v_new)
-        np.square(g, out=upd)
-        np.multiply(upd, 1.0 - b2, out=upd)
-        np.add(v_new, upd, out=v_new)
-        np.divide(m_new, bc1, out=upd)
-        np.multiply(upd, self.lr, out=upd)
-        np.divide(v_new, bc2, out=t2)
-        np.sqrt(t2, out=t2)
-        np.add(t2, self.eps, out=t2)
-        np.divide(upd, t2, out=upd)
-        if active is None or active is True:
-            np.subtract(p, upd, out=p)
-            return
-        np.subtract(p, upd, out=upd)
-        np.putmask(m, active, m_new)
-        np.putmask(v, active, v_new)
-        np.putmask(p, active, upd)
+        m_new = m * b1
+        m_new += g * (1.0 - b1)
+        v_new = v * b2
+        v_new += np.square(g) * (1.0 - b2)
+        upd = m_new / self._bc1.take(te)
+        upd *= self.lr
+        den = v_new / self._bc2.take(te)
+        np.sqrt(den, out=den)
+        den += self.eps
+        upd /= den
+        np.copyto(m, m_new, where=active)
+        np.copyto(v, v_new, where=active)
+        np.copyto(p, p - upd, where=active)

@@ -277,6 +277,17 @@ class TestCompare:
         rc, _, _ = run(capsys, "compare", str(tmp_path))
         assert rc == 3
 
+    def test_corrupt_report_exit_3(self, tmp_path, cfg_file, capsys):
+        single = self._train(capsys, cfg_file, tmp_path, "single_task")
+        kv = tmp_path / "single_task" / "report.kv"
+        lines = kv.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("metric.ctr_auc="))
+        lines[at] = "metric.ctr_auc=abc"
+        kv.write_text("\n".join(lines) + "\n")
+        rc, stdout, err = run(capsys, "compare", single)
+        assert rc == 3 and stdout == ""
+        assert err == f"data error: {kv}: line {at + 1}: bad value in 'metric.ctr_auc=abc'\n"
+
     def test_table_formatting_known_values(self):
         single = MetricsReport(mode="single_task",
                                metrics={"cvr_mse": 0.13688, "ctr_auc": 0.78572})
@@ -479,6 +490,30 @@ class TestScore:
             for r, i in enumerate(order.tolist(), start=1)]
         assert any(order[j] + 150 == order[j + 1] for j in range(39))  # ties shown
 
+    def test_swapped_masks_exit_3(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "cs"
+        assert run(capsys, "train", "--config", cfg_file, "--out", str(out))[0] == 0
+        ckpt, ctr, cvr = (str(out / name) for name in ("model.ckpt", "mask_ctr.mask",
+                                                       "mask_cvr.mask"))
+        rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpt, "--cvr-checkpoint",
+                              ckpt, "--ctr-mask", cvr, "--cvr-mask", ctr,
+                              self._cands(tmp_path, [10, 20]))
+        assert rc == 3 and stdout == ""
+        assert err == f"data error: {cvr}: a cvr mask given as --ctr-mask\n"
+
+    def test_mask_of_other_hidden_dims_exit_3(self, tmp_path, cfg_file, capsys):
+        out, other = tmp_path / "cs", tmp_path / "other"
+        assert run(capsys, "train", "--config", cfg_file, "--out", str(out))[0] == 0
+        assert run(capsys, "train", "--config", cfg_file, "--out", str(other),
+                   "--set", "model.hidden_dims=8")[0] == 0
+        ckpt, mask = str(out / "model.ckpt"), str(other / "mask_cvr.mask")
+        rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpt, "--cvr-checkpoint",
+                              ckpt, "--ctr-mask", str(out / "mask_ctr.mask"),
+                              "--cvr-mask", mask, self._cands(tmp_path, [10, 20]))
+        assert rc == 3 and stdout == ""
+        assert err == (f"data error: {mask}: mask layers 18x8 8x1 do not fit the "
+                       f"checkpoint's MLP weights 18x8 8x6 6x1\n")
+
     def test_two_checkpoints_loaded_separately(self, tmp_path, ckpts, capsys, monkeypatch):
         loads = []
         load = model.load_checkpoint
@@ -617,6 +652,14 @@ class TestMaskStats:
         p.write_bytes(b"not a mask")
         rc, _, _ = run(capsys, "mask", "stats", str(p), str(p))
         assert rc == 3
+
+    def test_masks_of_different_depth_exit_3(self, tmp_path, capsys):
+        ctr, cvr = tmp_path / "ctr.mask", tmp_path / "cvr.mask"
+        masking.save_mask(ctr, masking.TaskMask([np.ones((4, 3)), np.ones((3, 1))], Task.CTR))
+        masking.save_mask(cvr, masking.TaskMask([np.ones((4, 1))], Task.CVR))
+        rc, stdout, err = run(capsys, "mask", "stats", str(ctr), str(cvr))
+        assert rc == 3 and stdout == ""
+        assert err == f"data error: {ctr} and {cvr} do not match: masks have 2 vs 1 layers\n"
 
 
 class TestDeterminism:

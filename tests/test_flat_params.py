@@ -18,57 +18,45 @@ from lotshare.model import CrossKind, ModelConfig, SharingMode, Task, cross_outp
 
 @dataclass
 class AdamState:
-    """Per-parameter-block Adam moments and step counter.
-
-    ``t_entry`` is allocated on first gated step: a frozen entry must keep its
-    bias-correction clock stopped too, so gated blocks count steps per entry.
-    """
+    """Per-parameter-block Adam moments, step counter and per-entry clocks:
+    a frozen entry keeps its bias-correction clock stopped too."""
 
     m: np.ndarray
     v: np.ndarray
+    t_entry: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    t_entry: np.ndarray | None = None
 
     @classmethod
     def for_param(cls, param: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param))
+        return cls(m=np.zeros_like(param), v=np.zeros_like(param),
+                   t_entry=np.zeros(param.shape, dtype=np.int64))
 
 
 def adam_step(params, grads, state, lr, update_mask=None):
     """One in-place per-block Adam update: entries where ``update_mask`` is
-    0 are frozen completely. Every bias correction ``1 - b**t`` is taken by
-    numpy's array pow, the ungated ones too (lotshare's per-block Adam took
-    those by Python's scalar pow, which can differ in the last bit)."""
+    0 are frozen completely, and every other entry steps on its own clock;
+    None is an all-ones mask. Every bias correction ``1 - b**t`` is taken by
+    numpy's array pow."""
     assert params.shape == grads.shape == state.m.shape == state.v.shape
     state.t += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     if update_mask is None:
-        t = np.array([state.t])
-        bc1 = (1.0 - b1 ** t)[0]
-        bc2 = (1.0 - b2 ** t)[0]
-        state.m *= b1
-        state.m += (1.0 - b1) * grads
-        state.v *= b2
-        state.v += (1.0 - b2) * np.square(grads)
-        params -= lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + eps)
-    else:
-        assert update_mask.shape == params.shape
-        if state.t_entry is None:
-            state.t_entry = np.zeros(params.shape, dtype=np.int64)
-        active = update_mask != 0
-        state.t_entry[active] += 1
-        t = state.t_entry[active]
-        bc1 = 1.0 - b1 ** t
-        bc2 = 1.0 - b2 ** t
-        g = grads[active]
-        m = b1 * state.m[active] + (1.0 - b1) * g
-        v = b2 * state.v[active] + (1.0 - b2) * np.square(g)
-        state.m[active] = m
-        state.v[active] = v
-        params[active] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        update_mask = np.ones(params.shape)
+    assert update_mask.shape == params.shape
+    active = update_mask != 0
+    state.t_entry[active] += 1
+    t = state.t_entry[active]
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    g = grads[active]
+    m = b1 * state.m[active] + (1.0 - b1) * g
+    v = b2 * state.v[active] + (1.0 - b2) * np.square(g)
+    state.m[active] = m
+    state.v[active] = v
+    params[active] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 class PerBlockAdam:
@@ -177,8 +165,8 @@ def _schedule(case, params, rng):
             m = ctr if step % 3 else cvr
             out.append((m.update_gate(params), weight_gates(params, m)))
         elif case == "mixed":
-            # ungated, then gated, then ungated again: blocks switch flavour
-            # while their per-entry clocks have run
+            # ungated, then gated, then ungated again: the gated entries'
+            # clocks fall behind the step count and stay behind
             if step < 10 or step >= 45:
                 out.append((None, None))
             else:
@@ -196,14 +184,11 @@ CASES = ["ungated", "pruned", "all_ones", "zero_emb_bias", "alternating", "mixed
 
 class TestAdamBitIdentity:
     """nn.Adam over the flat vector reproduces the per-block Adam with lazy
-    tables bit for bit on params, m and v, past step 7, where Python's
-    scalar pow and numpy's array pow first differ for beta2 = 0.999."""
+    tables bit for bit on params, m and v: every entry that steps does so on
+    its own clock."""
 
-    @pytest.mark.parametrize("chunk", [None, 7])
     @pytest.mark.parametrize("case", CASES)
-    def test_matches_per_block_reference(self, case, chunk, monkeypatch):
-        if chunk is not None:  # slices that cut through blocks and gates
-            monkeypatch.setattr(nn, "_CHUNK", chunk)
+    def test_matches_per_block_reference(self, case):
         rng = nn.make_rng(100 + CASES.index(case))
         cfg = make_cfg()
         params = model.init_params(cfg, 3)
@@ -272,6 +257,52 @@ class TestAdamBitIdentity:
         assert steps >= 50
         assert opt.m.tobytes() == flat_bytes([s.m for s in ref.states])
         assert opt.v.tobytes() == flat_bytes([s.v for s in ref.states])
+
+
+class TestEntryClocks:
+    """Real forward/backward steps through nn.Adam: each entry's clock
+    counts the steps it took. An ungated entry steps on every step, so its
+    clock reads ``t`` and its bias correction is the step count's."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_clocks_count_steps_taken(self, masked):
+        ds = generate(SyntheticSpec(n_users=30, n_items=30, field_cardinalities=(9, 5, 40, 7),
+                                    latent_dim=4, n_impressions=2000, seed=3))
+        cfg = model.ModelConfig(ds.field_cardinalities, 4,
+                                (cross_output_width(4, 4, CrossKind.PAIRWISE_DOT), 12, 6, 1))
+        params = model.init_params(cfg, 2)
+        rng = nn.make_rng(4)
+        masks = {t: random_mask(params, t, rng, 0.6) for t in (Task.CTR, Task.CVR)}
+        opt = nn.Adam(params, 0.01)
+        named = np.zeros(len(params.tables), dtype=np.int64)
+        opened = [np.zeros(w.shape, dtype=np.int64) for w in params.mlp_weights]
+        tasks = []
+        for batch in batches(ds, (Task.CTR, Task.CVR), 32, seed=5, epoch=0):
+            mask = masks[batch.task] if masked else None
+            preds, cache = model.forward(batch.ids, params, cfg, batch.task,
+                                         mask=mask, want_cache=True)
+            _, dlogit = training._loss_and_dlogit(cache.logits, preds, batch.labels,
+                                                  batch.task)
+            grads = model.backward(dlogit, cache, params, cfg, mask=mask)
+            opt.step(grads, None if mask is None else mask.update_gate(params))
+            named[grads.rows] += 1
+            for count, layer in zip(opened, masks[batch.task].layers):
+                count += True if mask is None else layer != 0
+            tasks.append(batch.task)
+        assert opt.t == len(tasks) >= 50 and tasks.count(Task.CTR) > tasks.count(Task.CVR) > 0
+        tables = params.layout.table_size
+        assert (opt.t_entry[:tables].reshape(named.size, -1) == named[:, None]).all()
+        assert len(np.unique(named)) > 2   # rows sat out different steps
+        clocks = np.split(opt.t_entry, np.cumsum(opt.sizes)[:-1])[len(params.embeddings):]
+        for clock, count in zip(clocks, opened):
+            assert (clock == count.ravel()).all()
+        for clock in clocks[len(opened):]:   # biases are never gated
+            assert (clock == opt.t).all()
+        if masked:
+            counts = np.concatenate([c.ravel() for c in opened])
+            assert counts.min() == 0 and len(np.unique(counts)) == 4
+        else:
+            assert (opt.t_entry[tables:] == opt.t).all()
 
 
 class TestFlatLayout:

@@ -204,17 +204,19 @@ class TestAdam:
 
 
 class TestUpdateGate:
-    def test_runs_merge_and_skip_closed_blocks(self, monkeypatch):
-        monkeypatch.setattr(nn, "_CHUNK", 4)
+    def test_split_at_table_boundary(self):
         part = np.array([1.0, 0.0, 1.0])
-        gate = nn.UpdateGate([None, None, np.ones(2), np.zeros(3), part, part, None],
-                             [2, 3, 2, 3, 3, 3, 1])
-        assert list(gate)[3] is not None and list(gate)[6] is None
-        spans = [(s, e, a if a is None or a is True else a.tolist())
-                 for s, e, a in gate.chunks]
-        assert spans == [(0, 4, None), (4, 5, None), (5, 7, True),
-                         (10, 14, [True, False, True, True]),
-                         (14, 16, [False, True]), (16, 17, None)]
+        gate = nn.UpdateGate([None, np.ones(2), np.zeros(3), part, None], [2, 2, 3, 3, 1])
+        assert list(gate)[2] is not None and list(gate)[4] is None
+        assert gate.is_open.tolist() == [True] * 4 + [False] * 3 + [True, False, True, True]
+        assert gate.split(4)[0] is True     # ungated and open blocks: all open
+        assert gate.split(4)[1].tolist() == [False] * 3 + [True, False, True, True]
+        head, rest = gate.split(8)          # the boundary cuts the partly open block
+        assert head.tolist() == [True] * 4 + [False] * 3 + [True] and rest.tolist() == [False, True, True]
+        assert gate.split(9)[1] is True and gate.split(0)[0] is True
+        assert nn.UpdateGate([None, None], [2, 3]).split(2) == (True, True)
+        shut = nn.UpdateGate([np.zeros(2), np.zeros((1, 3))], [2, 3])
+        assert [part.tolist() for part in shut.split(2)] == [[False] * 2, [False] * 3]
 
     def test_per_block_size_checked(self):
         with pytest.raises(ShapeError):
