@@ -80,6 +80,11 @@ def check_views(flat: np.ndarray, blocks) -> None:
         raise ShapeError(f"blocks cover {offset} of {flat.size} flat entries")
 
 
+# the bias tables' least length; they double past the step count when it
+# reaches them
+_BIAS_ROWS = 1024
+
+
 def _bias_table(beta: float, n: int) -> np.ndarray:
     """``1 - beta ** t`` for t < n by numpy's array pow: every bias
     correction Adam takes, whichever clock it reads. Entry 0 is set to 1.0:
@@ -209,7 +214,7 @@ class Adam:
                                  f"and {self.flat.size - tables} other entries")
         self.t += 1
         if len(self._bc1) <= self.t:   # no clock exceeds t
-            n = max(1024, 2 * self.t)
+            n = max(_BIAS_ROWS, 2 * self.t)
             self._bc1, self._bc2 = _bias_table(self.beta1, n), _bias_table(self.beta2, n)
         # the named table rows, gathered with their moments and clocks
         part = [records.take(rows).view(dtype) for records, dtype in self._table_rows]

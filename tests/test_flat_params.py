@@ -187,8 +187,11 @@ class TestAdamBitIdentity:
     tables bit for bit on params, m and v: every entry that steps does so on
     its own clock."""
 
+    @pytest.mark.parametrize("rows", [None, 7])
     @pytest.mark.parametrize("case", CASES)
-    def test_matches_per_block_reference(self, case):
+    def test_matches_per_block_reference(self, case, rows, monkeypatch):
+        if rows is not None:  # bias tables that regrow at steps 7, 14, 28 and 56
+            monkeypatch.setattr(nn, "_BIAS_ROWS", rows)
         rng = nn.make_rng(100 + CASES.index(case))
         cfg = make_cfg()
         params = model.init_params(cfg, 3)
