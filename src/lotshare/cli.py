@@ -330,19 +330,16 @@ def _read_candidates(path, n_fields: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ids), np.concatenate(lengths)
 
 
-def _shapes(arrays) -> str:
-    return " ".join("x".join(map(str, a.shape)) for a in arrays)
-
-
 def _load_slot_mask(path, task: Task, params: model.ModelParams) -> masking.TaskMask:
     """The mask in ``path`` given for ``task``; DataError unless it was
     saved for that task and its layers match the MLP weights of ``params``."""
     mask = masking.load_mask(path)
     if mask.task is not task:
         raise DataError(f"{path}: a {mask.task.value} mask given as --{task.value}-mask")
-    if [m.shape for m in mask.layers] != [w.shape for w in params.mlp_weights]:
-        raise DataError(f"{path}: mask layers {_shapes(mask.layers)} do not fit the "
-                        f"checkpoint's MLP weights {_shapes(params.mlp_weights)}")
+    try:
+        masking._check_shapes(params.mlp_weights, mask)
+    except ShapeError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return mask
 
 

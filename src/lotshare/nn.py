@@ -80,11 +80,6 @@ def check_views(flat: np.ndarray, blocks) -> None:
         raise ShapeError(f"blocks cover {offset} of {flat.size} flat entries")
 
 
-# the bias tables' least length; they double past the step count when it
-# reaches them
-_BIAS_ROWS = 1024
-
-
 def _bias_table(beta: float, n: int) -> np.ndarray:
     """``1 - beta ** t`` for t < n by numpy's array pow: every bias
     correction Adam takes, whichever clock it reads. Entry 0 is set to 1.0:
@@ -119,16 +114,16 @@ class UpdateGate:
             else:
                 parts.append(np.asarray(gate).ravel() != 0)
         self.is_open = np.concatenate(parts)
-        self._splits: dict[int, tuple] = {}
+        self._split = None
 
     def split(self, n: int) -> tuple:
         """The gate over the first ``n`` entries and over the rest: each is
-        True when all its entries are open, else its bool array. Kept per
-        ``n``, as a gate steps many times."""
-        if n not in self._splits:
-            self._splits[n] = tuple(True if part.all() else part
-                                    for part in (self.is_open[:n], self.is_open[n:]))
-        return self._splits[n]
+        True when all its entries are open, else its bool array. Kept from
+        the last call, as a gate steps many times at one table size."""
+        if self._split is None or self._split[0] != n:
+            self._split = (n, tuple(True if part.all() else part
+                                    for part in (self.is_open[:n], self.is_open[n:])))
+        return self._split[1]
 
     def __iter__(self):
         return iter(self.per_block)
@@ -213,8 +208,8 @@ class Adam:
                                  f"rows and {g.size} other entries, for tables of dim {d} "
                                  f"and {self.flat.size - tables} other entries")
         self.t += 1
-        if len(self._bc1) <= self.t:   # no clock exceeds t
-            n = max(_BIAS_ROWS, 2 * self.t)
+        if len(self._bc1) <= self.t:   # no clock exceeds t; double past it
+            n = max(1024, 2 * self.t)
             self._bc1, self._bc2 = _bias_table(self.beta1, n), _bias_table(self.beta2, n)
         # the named table rows, gathered with their moments and clocks
         part = [records.take(rows).view(dtype) for records, dtype in self._table_rows]

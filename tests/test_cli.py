@@ -511,8 +511,7 @@ class TestScore:
                               ckpt, "--ctr-mask", str(out / "mask_ctr.mask"),
                               "--cvr-mask", mask, self._cands(tmp_path, [10, 20]))
         assert rc == 3 and stdout == ""
-        assert err == (f"data error: {mask}: mask layers 18x8 8x1 do not fit the "
-                       f"checkpoint's MLP weights 18x8 8x6 6x1\n")
+        assert err == f"data error: {mask}: mask has 2 layers, params have 3\n"
 
     def test_two_checkpoints_loaded_separately(self, tmp_path, ckpts, capsys, monkeypatch):
         loads = []

@@ -5,6 +5,7 @@ checkpoint writer. Every comparison is on bytes."""
 import json
 import struct
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -189,9 +190,10 @@ class TestAdamBitIdentity:
 
     @pytest.mark.parametrize("rows", [None, 7])
     @pytest.mark.parametrize("case", CASES)
-    def test_matches_per_block_reference(self, case, rows, monkeypatch):
-        if rows is not None:  # bias tables that regrow at steps 7, 14, 28 and 56
-            monkeypatch.setattr(nn, "_BIAS_ROWS", rows)
+    def test_matches_per_block_reference(self, case, rows):
+        """``rows`` None steps dense gradients, which name every table row;
+        7 steps compact ones naming 7 random rows of the 15, so the other
+        rows sit the step out."""
         rng = nn.make_rng(100 + CASES.index(case))
         cfg = make_cfg()
         params = model.init_params(cfg, 3)
@@ -200,12 +202,34 @@ class TestAdamBitIdentity:
         ref = PerBlockAdam(ref_blocks, 0.01, tables=len(params.embeddings))
         for flat_gate, ref_gates in _schedule(case, params, rng):
             grads = random_grads(params, rng)
+            if rows is not None:
+                named = np.sort(rng.choice(len(params.tables), rows, replace=False))
+                grads = model.Grads(params.layout, grads.mlp, named,
+                                    grads.dense.tables[named])
             opt.step(grads, flat_gate)
-            ref.step(list(grads), ref_gates)
+            ref.step(list(grads), ref_gates, None if rows is None else named_rows(grads))
         assert params.flat.tobytes() == flat_bytes(ref_blocks)
         assert opt.m.tobytes() == flat_bytes([s.m for s in ref.states])
         assert opt.v.tobytes() == flat_bytes([s.v for s in ref.states])
         assert opt.t == 60 and all(s.t == 60 for s in ref.states)
+
+    def test_bias_tables_regrow(self):
+        """Past 1024 steps the bias-correction tables regrow; clocks that
+        fell behind and clocks that kept up both still match."""
+        rng = nn.make_rng(11)
+        flat = rng.standard_normal(6)
+        ref_flat = flat.copy()
+        vector = SimpleNamespace(flat=flat, blocks=lambda: [flat])
+        opt, state = nn.Adam(vector, 0.01), AdamState.for_param(ref_flat)
+        for _ in range(1100):
+            g = rng.standard_normal(6)
+            gate = (rng.random(6) < 0.8).astype(float)
+            gate[0] = 1.0
+            opt.step(SimpleNamespace(flat=g), [gate])
+            adam_step(ref_flat, g, state, 0.01, gate)
+        assert opt.t_entry[0] == 1100 and opt.t_entry.min() < 1024
+        assert flat.tobytes() == ref_flat.tobytes()
+        assert opt.m.tobytes() == state.m.tobytes() and opt.v.tobytes() == state.v.tobytes()
 
     @pytest.mark.parametrize("gated", [False, True])
     def test_layer_share_heads(self, gated):
