@@ -239,10 +239,12 @@ def cmd_compare(run_dirs):
         if not kv_path.exists():
             raise DataError(f"{d}: no report.kv (not a finished run directory)")
         try:
-            reports.append(MetricsReport.from_kv_lines(
-                kv_path.read_text(encoding="utf-8").splitlines()))
+            report = MetricsReport.from_kv_lines(kv_path.read_text(encoding="utf-8").splitlines())
         except DataError as exc:
             raise DataError(f"{kv_path}: {exc}") from None
+        if report.mode not in {m.value for m in SharingMode}:
+            raise DataError(f"{kv_path}: no 'mode=' line naming a sharing mode")
+        reports.append(report)
     click.echo(comparison_table(reports))
 
 
@@ -282,35 +284,42 @@ def _parse_candidate_lines(lines: list[str], linenos,
                            n_fields: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse ``id,...,id<TAB>length`` lines into ``(ids (n, F) int64,
     lengths (n,) float64)``, converting with Python's ``int()`` and
-    ``float()``. Surrounding whitespace is ignored and lines starting with
-    ``#`` are skipped. Raises ValueError on the first failed check, in this
-    order: tab count, ids, length, id count, length positive and finite, id
-    range. For a single line that order gives its error message."""
+    ``float()``; ids of plain ASCII digits are read in bulk by
+    ``data.digit_ids``, with the same result. Surrounding whitespace is
+    ignored and lines starting with ``#`` are skipped. Raises ValueError on
+    the first failed check, in this order: tab count, ids, length, id count,
+    length positive and finite, id range. For a single line that order gives
+    its error message."""
     lines = list(map(str.strip, lines))
-    if any(map(str.startswith, lines, repeat("#"))):
+    text = "\t".join(lines)
+    if "#" in text:
         lines = [line for line in lines if line[0] != "#"]
+        text = "\t".join(lines)
     n = len(lines)
     if not n:
         return np.empty((0, n_fields), dtype=np.int64), np.empty(0)
     if (np.fromiter(map(str.count, lines, repeat("\t")), np.intp, n) != 1).any():
         raise ValueError("expected 'ids<TAB>length'")
-    halves = "\t".join(lines).split("\t")
+    halves = text.split("\t")
     id_text = halves[0::2]
-    tokens = ",".join(id_text).split(",")
-    values = list(map(int, tokens))
-    lengths = np.array(list(map(float, halves[1::2])), dtype=np.float64)
-    counts = np.fromiter(map(str.count, id_text, repeat(",")), np.intp, n) + 1
-    if (counts != n_fields).any():
-        raise ValueError(f"{counts[counts != n_fields][0]} ids for {n_fields} fields")
+    ids = data_mod.digit_ids(id_text, n_fields)
+    if ids is None:
+        values = data_mod.int_ids(id_text)
+    lengths = np.fromiter(map(float, halves[1::2]), np.float64, n)
+    if ids is None:
+        counts = np.fromiter(map(str.count, id_text, repeat(",")), np.intp, n) + 1
+        if (counts != n_fields).any():
+            raise ValueError(f"{counts[counts != n_fields][0]} ids for {n_fields} fields")
     if (lengths <= 0).any():
         raise ValueError("video length must be positive")
     if not np.isfinite(lengths).all():
         raise ValueError("video length must be finite")
-    try:
-        ids = np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("feature id out of the 64-bit integer range") from None
-    return ids.reshape(n, n_fields), lengths
+    if ids is None:
+        try:
+            ids = np.array(values, dtype=np.int64).reshape(n, n_fields)
+        except OverflowError:
+            raise ValueError("feature id out of the 64-bit integer range") from None
+    return ids, lengths
 
 
 def _read_candidates(path, n_fields: int) -> tuple[np.ndarray, np.ndarray]:
@@ -330,12 +339,19 @@ def _read_candidates(path, n_fields: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ids), np.concatenate(lengths)
 
 
+def _load_task_mask(path, task: Task, slot: str) -> masking.TaskMask:
+    """The mask in ``path``, given as the argument ``slot`` for ``task``;
+    DataError unless it was saved for that task."""
+    mask = masking.load_mask(path)
+    if mask.task is not task:
+        raise DataError(f"{path}: a {mask.task.value} mask given as {slot}")
+    return mask
+
+
 def _load_slot_mask(path, task: Task, params: model.ModelParams) -> masking.TaskMask:
     """The mask in ``path`` given for ``task``; DataError unless it was
     saved for that task and its layers match the MLP weights of ``params``."""
-    mask = masking.load_mask(path)
-    if mask.task is not task:
-        raise DataError(f"{path}: a {mask.task.value} mask given as --{task.value}-mask")
+    mask = _load_task_mask(path, task, f"--{task.value}-mask")
     try:
         masking._check_shapes(params.mlp_weights, mask)
     except ShapeError as exc:
@@ -407,7 +423,8 @@ def cmd_mask():
 @click.argument("cvr_mask_file", type=click.Path(exists=True))
 def cmd_mask_stats(ctr_mask_file, cvr_mask_file):
     """Overlap statistics of a CTR mask and a CVR mask."""
-    ctr, cvr = masking.load_mask(ctr_mask_file), masking.load_mask(cvr_mask_file)
+    ctr = _load_task_mask(ctr_mask_file, Task.CTR, "CTR_MASK_FILE")
+    cvr = _load_task_mask(cvr_mask_file, Task.CVR, "CVR_MASK_FILE")
     try:
         stats = masking.overlap_stats(ctr, cvr)
     except ShapeError as exc:

@@ -201,9 +201,11 @@ def read_blocks(path, fh, parse, block_lines: int, first_line: int = 1):
 
     ``lines`` are the block's lines without their line ending, blank lines
     (empty or all whitespace) left out, and ``linenos`` their line numbers.
-    ``parse`` raises ValueError when a line breaks a rule. A failing block is
-    checked again line by line, and the DataError ``path:line: problem``
-    names the first line that is not UTF-8 or that ``parse`` rejects alone.
+    ``parse`` raises ValueError when a line breaks a rule, and every rule
+    must be one a line breaks alone. A failing block is bisected for the
+    shortest failing run of its first lines, and the DataError
+    ``path:line: problem`` names the last line of that run: the first line
+    that is not UTF-8 or that ``parse`` rejects alone.
     """
     for first in count(first_line, block_lines):
         text = "".join(islice(fh, block_lines))
@@ -223,17 +225,35 @@ def read_blocks(path, fh, parse, block_lines: int, first_line: int = 1):
                 raise ValueError("not valid UTF-8")
             result = parse(lines, linenos)
         except ValueError as exc:
-            for line, lineno in zip(lines, linenos):  # find the first bad line
-                if not _is_utf8(line):
-                    raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
-                try:
-                    parse([line], [lineno])
-                except ValueError as line_exc:
-                    raise DataError(f"{path}:{lineno}: {line_exc}") from None
-            # not reached: every check is per line, so a block fails only
-            # where one of its lines fails alone
+            good, bad = 0, len(lines)  # lines[:good] pass together, lines[:bad] fail
+            while bad - good > 1:
+                mid = (good + bad) // 2
+                if _passes(parse, lines[good:mid], linenos[good:mid]):
+                    good = mid
+                else:
+                    bad = mid
+            line, lineno = lines[bad - 1], linenos[bad - 1]
+            if not _is_utf8(line):
+                raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
+            try:
+                parse([line], [lineno])
+            except ValueError as line_exc:
+                raise DataError(f"{path}:{lineno}: {line_exc}") from None
+            # not reached: every check is per line, so lines fail together
+            # only where one of them fails alone
             raise DataError(f"{path}: {exc}") from exc
         yield result
+
+
+def _passes(parse, lines, linenos) -> bool:
+    """True if ``lines`` are UTF-8 and ``parse`` accepts them together."""
+    if not _is_utf8("".join(lines)):
+        return False
+    try:
+        parse(lines, linenos)
+    except ValueError:
+        return False
+    return True
 
 
 def save(dataset: Dataset, path) -> None:
@@ -270,14 +290,79 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
+def int_ids(id_col: list[str]) -> list[int]:
+    """``int()`` of every comma-separated id in ``id_col``, in order: the
+    full grammar of Python's ``int()``, and its ValueError on a bad id."""
+    return list(map(int, ",".join(id_col).split(",")))
+
+
+def digit_ids(id_col: list[str], n_fields: int) -> np.ndarray | None:
+    """The ids of ``id_col``, strings of comma-separated ids, as an ``(n,
+    n_fields)`` int64 array equal to :func:`int_ids`; None unless every
+    string holds exactly ``n_fields`` ids of 1 to 18 ASCII digits each.
+
+    Works over the bytes of ``",".join(id_col)``: each id is read right
+    aligned in a window of the block's widest id, shorter ids padded with
+    zeros, and dotted with powers of ten. 18 digits cannot overflow int64,
+    and leading zeros read as ``int()`` reads them. Callers parse what this
+    returns None for with :func:`int_ids`, which also words every error."""
+    text = ",".join(id_col)
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), np.uint8)
+    commas = np.flatnonzero(buf == ord(","))
+    n = len(id_col)
+    if len(commas) != n * n_fields - 1:
+        return None
+    digits = buf - np.uint8(ord("0"))  # bytes below '0' wrap to above 9
+    if len(buf) - np.count_nonzero(digits <= 9) != len(commas):
+        return None  # a byte that is neither a digit nor a comma
+    # row k is joined to row k + 1 by the comma after its last id, which
+    # must be the (k + 1) * n_fields-th comma for every row to hold n_fields
+    row_ends = np.cumsum(np.fromiter(map(len, id_col), np.intp, n))[:-1]
+    if (commas[n_fields - 1::n_fields] != row_ends + np.arange(n - 1)).any():
+        return None
+    ends = np.append(commas, len(buf))
+    widths = np.diff(ends, prepend=-1) - 1
+    width = int(widths.max())
+    if widths.min() < 1 or width > 18:
+        return None
+    # window[j, i]: the byte width - j before the end of id i, 0 before its start
+    offsets = np.arange(-width, 0)[:, None]
+    window = np.concatenate((np.zeros(width, np.uint8), digits))[ends + width + offsets]
+    window = np.where(offsets < -widths, 0, window)
+    return (10 ** np.arange(width - 1, -1, -1) @ window).reshape(n, n_fields)
+
+
+def _checked_int_ids(id_col: list[str], n_fields: int) -> tuple[np.ndarray, list[int]]:
+    """:func:`_parse_rows`' ids by ``int()``: ``(ids (n, F) int64, the ints
+    in row-major order)``. An id outside int64 is outside every field, so
+    -1 stands in for it in ``ids``. Raises ValueError on a bad id first,
+    then on a row with another id count than ``n_fields``."""
+    try:
+        values = int_ids(id_col)
+    except ValueError:
+        raise ValueError(f"bad feature ids {_first_failing(_int_list, id_col)!r}") from None
+    counts = np.fromiter(map(str.count, id_col, repeat(",")), np.intp, len(id_col)) + 1
+    if (counts != n_fields).any():
+        raise ValueError(f"{counts[counts != n_fields][0]} ids for {n_fields} fields")
+    try:
+        ids = np.array(values, dtype=np.int64)
+    except OverflowError:
+        ids = np.array([v if -_INT64_MAX - 1 <= v <= _INT64_MAX else -1 for v in values],
+                       dtype=np.int64)
+    return ids.reshape(len(id_col), n_fields), values
+
+
 def _parse_rows(lines: list[str], linenos, cards: tuple[int, ...]):
     """Parse ``task<TAB>label<TAB>id,...,id[<TAB>split]`` rows into ``(task
     codes (n,) int8, labels (n,) float64, ids (n, F) int64, split (n,)
-    uint8)``, converting with Python's ``int()`` and ``float()``. A 3-field
-    row takes its split from its line number. Raises ValueError on the first
-    failed check, in this order: tab count, task, label, label domain per
-    task, ids, id count, id range per field, split name. For a single line
-    that order gives its error message."""
+    uint8)``, converting with Python's ``int()`` and ``float()``; ids of
+    plain ASCII digits are read in bulk by :func:`digit_ids`, with the same
+    result. A 3-field row takes its split from its line number. Raises
+    ValueError on the first failed check, in this order: tab count, task,
+    label, label domain per task, ids, id count, id range per field, split
+    name. For a single line that order gives its error message."""
     n, n_fields = len(lines), len(cards)
     tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.intp, n)
     short = tabs == 2
@@ -302,25 +387,18 @@ def _parse_rows(lines: list[str], linenos, cards: tuple[int, ...]):
         if ctr[i]:
             raise ValueError(f"CTR label must be 0 or 1, got {float(labels[i])}")
         raise ValueError(f"CVR label must be in [0,1], got {float(labels[i])}")
-    try:
-        values = list(map(int, ",".join(id_col).split(",")))
-    except ValueError:
-        raise ValueError(f"bad feature ids {_first_failing(_int_list, id_col)!r}") from None
-    counts = np.fromiter(map(str.count, id_col, repeat(",")), np.intp, n) + 1
-    if (counts != n_fields).any():
-        raise ValueError(f"{counts[counts != n_fields][0]} ids for {n_fields} fields")
-    try:
-        ids = np.array(values, dtype=np.int64)
-    except OverflowError:  # ids outside int64 are outside every field; -1 stands in
-        ids = np.array([v if -_INT64_MAX - 1 <= v <= _INT64_MAX else -1 for v in values],
-                       dtype=np.int64)
-    ids = ids.reshape(n, n_fields)
+    ids = digit_ids(id_col, n_fields)
+    if ids is None:
+        ids, values = _checked_int_ids(id_col, n_fields)
+    else:
+        values = ids.ravel()
     top = np.array([max(-1, min(c - 1, _INT64_MAX)) for c in cards], dtype=np.int64)
     bad = (ids < 0) | (ids > top)
     if bad.any():
         k = int(np.argmax(bad))  # row-major: row k // F, field k % F
         f = k % n_fields
-        raise ValueError(f"id {values[k]} out of range for field {f} (cardinality {cards[f]})")
+        raise ValueError(f"id {int(values[k])} out of range for field {f} "
+                         f"(cardinality {cards[f]})")
     split = np.fromiter(map(_SPLIT_INDEX.get, split_col, repeat(-1)), np.int8, n)
     bad = (split < 0) & ~short
     if bad.any():

@@ -101,20 +101,22 @@ def rank_scores(pctr, pcvr, lengths, alpha: float = 1.0, beta: float = 1.0,
                 gamma: float = 1.0) -> np.ndarray:
     """pCTR^alpha * pCVR^beta * length^gamma per candidate, each bit for bit
     as Python's ``pctr ** alpha * pcvr ** beta * length ** gamma``. Raises
-    ConfigError when a power, or the product of finite powers, overflows."""
+    ConfigError on inputs of different lengths, a probability outside (0,1)
+    or a length that is not positive, and when a power, or the product of
+    finite powers, overflows."""
     pctr, pcvr, lengths = (np.asarray(a, dtype=np.float64).ravel()
                            for a in (pctr, pcvr, lengths))
     if not len(pctr) == len(pcvr) == len(lengths):
-        raise ValueError(f"rank_scores: {len(pctr)} pctr, {len(pcvr)} pcvr, "
-                         f"{len(lengths)} lengths")
+        raise ConfigError(f"rank_scores: {len(pctr)} pctr, {len(pcvr)} pcvr, "
+                          f"{len(lengths)} lengths")
     ok_p = (pctr > 0.0) & (pctr < 1.0) & (pcvr > 0.0) & (pcvr < 1.0)
     ok = ok_p & (lengths > 0)
     if not ok.all():
         i = int(np.argmin(ok))
         if not ok_p[i]:
-            raise ValueError(f"probabilities must be in (0,1): pctr={float(pctr[i])}, "
-                             f"pcvr={float(pcvr[i])}")
-        raise ValueError(f"video_length must be positive, got {float(lengths[i])}")
+            raise ConfigError(f"probabilities must be in (0,1): pctr={float(pctr[i])}, "
+                              f"pcvr={float(pcvr[i])}")
+        raise ConfigError(f"video_length must be positive, got {float(lengths[i])}")
     factors = (_pow(pctr, alpha, "pctr", "alpha"), _pow(pcvr, beta, "pcvr", "beta"),
                _pow(lengths, gamma, "length", "gamma"))
     with np.errstate(over="ignore"):
@@ -133,12 +135,12 @@ def rank_top_k(scores, k: int) -> list[int]:
     """Indices of the k highest scores, ties broken by candidate index.
 
     Only the entries scoring at least the k-th highest score, ties at it
-    included, are sorted.
+    included, are sorted. Raises ConfigError unless ``0 <= k <= len(scores)``.
     """
     neg = -np.asarray(scores, dtype=np.float64).ravel()
     n = len(neg)
     if not 0 <= k <= n:
-        raise ValueError(f"rank_top_k: k={k} for {n} candidates")
+        raise ConfigError(f"rank_top_k: k={k} for {n} candidates")
     if k == 0:
         return []
     kth = np.partition(neg, k - 1)[k - 1]

@@ -14,7 +14,7 @@ from lotshare.errors import DataError
 from lotshare.config import load_experiment, parse_kv_text
 from lotshare.metrics import MetricsReport
 from lotshare.model import Task
-from test_data import per_line_load, per_row_save
+from test_data import DIGIT_ID, per_line_load, per_row_save
 from test_model import row_major_cross_backward, scatter_table_grads
 
 BASE_CFG = """\
@@ -287,6 +287,18 @@ class TestCompare:
         rc, stdout, err = run(capsys, "compare", single)
         assert rc == 3 and stdout == ""
         assert err == f"data error: {kv}: line {at + 1}: bad value in 'metric.ctr_auc=abc'\n"
+
+    @pytest.mark.parametrize("text", ["", "metric.ctr_auc=0.5\n", "mode=\n",
+                                      "mode=two_tower\nmetric.ctr_auc=0.5\n", "a=b\nc\n"])
+    def test_report_without_known_mode_exit_3(self, tmp_path, cfg_file, capsys, text):
+        single = self._train(capsys, cfg_file, tmp_path, "single_task")
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "report.kv").write_text(text)
+        rc, stdout, err = run(capsys, "compare", single, str(other))
+        assert rc == 3 and stdout == ""
+        assert err == (f"data error: {other / 'report.kv'}: "
+                       "no 'mode=' line naming a sharing mode\n")
 
     def test_table_formatting_known_values(self):
         single = MetricsReport(mode="single_task",
@@ -586,6 +598,9 @@ _LINE = st.one_of(  # repeated branches are drawn more often
 
 
 _MIXED_FILE = st.lists(_LINE, max_size=12)
+# candidates whose ids are all digit strings (data.digit_ids), some past int64
+_DIGIT_FILE = st.lists(st.tuples(st.lists(DIGIT_ID, min_size=4, max_size=4).map(",".join),
+                                 st.floats(0.5, 1e4).map(repr)).map("\t".join), max_size=20)
 # good lines, blanks and comments, with at most one line of any kind inserted
 _MOSTLY_GOOD_FILE = st.tuples(
     st.lists(st.one_of(_GOOD_LINE, _GOOD_LINE, st.sampled_from(["", " ", "#c"])), max_size=20),
@@ -598,9 +613,9 @@ class TestReadCandidates:
     with the same arrays, and rejects the rest naming the same line."""
 
     @settings(max_examples=500, deadline=None)
-    @given(lines=st.one_of(_MIXED_FILE, _MOSTLY_GOOD_FILE),
+    @given(lines=st.one_of(_MIXED_FILE, _MOSTLY_GOOD_FILE, _DIGIT_FILE),
            newlines=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=21, max_size=21),
-           block=st.integers(1, 5))
+           block=st.one_of(st.integers(1, 5), st.sampled_from([8, 64])))
     def test_matches_per_line_reference(self, tmp_path_factory, lines, newlines, block):
         p = tmp_path_factory.mktemp("cands") / "c.tsv"
         p.write_bytes("".join(a + b for a, b in zip(lines, newlines)).encode("utf-8"))
@@ -636,6 +651,19 @@ class TestReadCandidates:
             with pytest.raises(DataError, match=r"c.tsv:6: 3 ids for 4 fields$"):
                 cli._read_candidates(p, 4)
 
+    def test_plain_ids_never_reach_int(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        with mock.patch.object(data_mod, "int_ids", wraps=data_mod.int_ids) as int_ids:
+            p.write_text("# c\n1,02,3,4\t10\n 0,0,0,999999999999999999\t2.5\n")
+            plain = cli._read_candidates(p, 4)
+            assert int_ids.call_count == 0
+            p.write_text("# c\n+1,02,3,4\t10\n 0,0,0,999999999999999999\t2.5\n")
+            signed = cli._read_candidates(p, 4)
+            assert int_ids.call_count == 1
+        assert plain[0].tolist() == [[1, 2, 3, 4], [0, 0, 0, 10 ** 18 - 1]]
+        assert signed[0].tobytes() == plain[0].tobytes()
+        assert signed[1].tobytes() == plain[1].tobytes()
+
 
 class TestMaskStats:
     def test_stats_from_run(self, tmp_path, cfg_file, capsys):
@@ -659,6 +687,17 @@ class TestMaskStats:
         rc, stdout, err = run(capsys, "mask", "stats", str(ctr), str(cvr))
         assert rc == 3 and stdout == ""
         assert err == f"data error: {ctr} and {cvr} do not match: masks have 2 vs 1 layers\n"
+
+    def test_swapped_masks_exit_3(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "run"
+        assert run(capsys, "train", "--config", cfg_file, "--out", str(out))[0] == 0
+        ctr, cvr = str(out / "mask_ctr.mask"), str(out / "mask_cvr.mask")
+        rc, stdout, err = run(capsys, "mask", "stats", cvr, ctr)
+        assert rc == 3 and stdout == ""
+        assert err == f"data error: {cvr}: a cvr mask given as CTR_MASK_FILE\n"
+        rc, stdout, err = run(capsys, "mask", "stats", ctr, ctr)
+        assert rc == 3 and stdout == ""
+        assert err == f"data error: {ctr}: a ctr mask given as CVR_MASK_FILE\n"
 
 
 class TestDeterminism:

@@ -297,10 +297,26 @@ _ROW = st.one_of(  # repeated branches are drawn more often
                      "ctr\t1\t0,4\ttrain", "ctr\t1\t0,0,0\ttest", "ctr\t1\t0,0\televen",
                      "ctr\t1\t0,99999999999999999999\ttrain", "cvr\t0\t-9223372036854775809,9"]),
     st.text(max_size=12))
+# every id in int64 is in range, every id past it out of range, as in the reference
+_WIDE_HEADER = "cardinalities\t9223372036854775808,9223372036854775808"
 _HEADER = st.sampled_from(["cardinalities\t4,4"] * 20 + [
     "cardinalities\t4,4,2", "cardinalities\t99999999999999999999,0", "cardinalities\t4",
-    "cardinalities\t4,x", "cardinalities", "Cardinalities\t4,4", "", " ", "\x0c"])
+    "cardinalities\t4,x", "cardinalities", "Cardinalities\t4,4", "", " ", "\x0c",
+    _WIDE_HEADER])
 _MIXED_FILE = st.tuples(_HEADER, st.lists(_ROW, max_size=12)).map(lambda t: [t[0], *t[1]])
+# ids of ASCII digits, leading zeros included, mostly short enough for data.digit_ids
+DIGIT_ID = st.one_of(
+    st.text("0123456789", min_size=1, max_size=18), st.text("0123456789", min_size=1, max_size=18),
+    st.text("0123456789", min_size=19, max_size=20),
+    st.sampled_from(["0", "00", "007", "9" * 18, "0" * 17 + "1", "1" + "0" * 17,
+                     "0" * 18 + "5", "1" + "0" * 18, "9" * 19, "9" * 20,
+                     "9223372036854775806", "9223372036854775807", "9223372036854775808",
+                     "-9223372036854775807", "-9223372036854775808", "-9223372036854775809"]))
+# rows whose ids are all digit strings, under a header that takes every int64 id
+_DIGIT_FILE = st.lists(st.tuples(
+    st.sampled_from(["ctr", "cvr"]), st.sampled_from(["0", "1"]),
+    st.lists(DIGIT_ID, min_size=2, max_size=2).map(",".join),
+    st.sampled_from(SPLITS)).map("\t".join), max_size=20).map(lambda rows: [_WIDE_HEADER, *rows])
 # good rows and blank lines, with at most one row of any kind inserted
 _MOSTLY_GOOD_FILE = st.tuples(
     st.lists(st.one_of(_GOOD_ROW, _GOOD_ROW, _GOOD_CVR_ROW, st.sampled_from(["", " "])),
@@ -315,9 +331,10 @@ class TestLoadMatchesPerLine:
     with byte-equal arrays, and rejects the rest with the same message."""
 
     @settings(max_examples=500, deadline=None)
-    @given(lines=st.one_of(_MIXED_FILE, _MOSTLY_GOOD_FILE, st.just([])),
+    @given(lines=st.one_of(_MIXED_FILE, _MOSTLY_GOOD_FILE, _DIGIT_FILE, st.just([])),
            newlines=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=22, max_size=22),
-           last_newline=st.booleans(), block=st.integers(1, 5))
+           last_newline=st.booleans(),
+           block=st.one_of(st.integers(1, 5), st.sampled_from([8, 64])))
     def test_matches_per_line_reference(self, tmp_path_factory, lines, newlines,
                                         last_newline, block):
         p = tmp_path_factory.mktemp("tsv") / "d.tsv"
@@ -387,6 +404,62 @@ class TestLoadMatchesPerLine:
             p.write_bytes(b"cardinalities\t4,\xe94\n")
             with pytest.raises(DataError, match=r"d.tsv:1: not valid UTF-8$"):
                 data.load(p)
+
+
+class TestDigitIds:
+    """``data.digit_ids`` reads exactly the blocks of plain 1-18 digit ids,
+    each as ``int()`` reads it, and leaves every other block to ``int()``."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_int_on_random_digit_strings(self, seed):
+        rng = np.random.default_rng(seed)
+        n, n_fields = 3000, 3
+        tokens = ["".join(map(str, rng.integers(0, 10, w)))
+                  for w in rng.integers(1, 19, n * n_fields).tolist()]
+        rows = [",".join(tokens[i:i + n_fields]) for i in range(0, len(tokens), n_fields)]
+        got = data.digit_ids(rows, n_fields)
+        want = np.array(list(map(int, tokens)), dtype=np.int64).reshape(n, n_fields)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.lists(st.one_of(DIGIT_ID, DIGIT_ID, st.sampled_from([
+               "+5", "1_0", " 5", "5 ", "-1", "\u0663", "", "x", "1.0", "\udcff", "\t"])),
+               min_size=1, max_size=4).map(",".join), min_size=1, max_size=8),
+           n_fields=st.integers(1, 4))
+    def test_none_unless_every_id_is_plain(self, rows, n_fields):
+        tokens = [row.split(",") for row in rows]
+        plain = all(len(row) == n_fields and all(
+            1 <= len(t) <= 18 and t.isascii() and t.isdigit() for t in row) for row in tokens)
+        got = data.digit_ids(rows, n_fields)
+        if plain:
+            assert got.dtype == np.int64
+            assert got.tolist() == [[int(t) for t in row] for row in tokens]
+        else:
+            assert got is None
+
+    def test_ids_per_row_not_only_in_total(self):
+        assert data.digit_ids(["1,2,3", "4"], 2) is None
+        assert data.digit_ids(["1", "2,3,4"], 2) is None
+        assert data.digit_ids(["1,2", "3,4"], 2).tolist() == [[1, 2], [3, 4]]
+
+    def test_widest_ids_and_leading_zeros(self):
+        rows = ["9" * 18 + ",0", "0" * 18 + "," + "0" * 17 + "1", "7,1" + "0" * 17]
+        assert data.digit_ids(rows, 2).tolist() == [[10 ** 18 - 1, 0], [0, 1], [7, 10 ** 17]]
+        assert data.digit_ids(["0" * 19 + ",1"], 2) is None
+        assert data.digit_ids(["9223372036854775807,1"], 2) is None
+
+    def test_plain_ids_never_reach_int(self, tmp_path):
+        p = tmp_path / "d.tsv"
+        with mock.patch.object(data, "int_ids", wraps=data.int_ids) as int_ids:
+            p.write_text("cardinalities\t10,10\nctr\t1\t3,007\ttrain\ncvr\t0.5\t0,9\tval\n")
+            plain = data.load(p)
+            assert int_ids.call_count == 0
+            p.write_text("cardinalities\t10,10\nctr\t1\t+3,007\ttrain\ncvr\t0.5\t0,9\tval\n")
+            signed = data.load(p)
+            assert int_ids.call_count == 1
+        assert_same_arrays(signed, plain)
+        assert plain.tasks[Task.CTR].ids.tolist() == [[3, 7]]
 
 
 def tiny_dataset(n_ctr=10, n_cvr=5):

@@ -210,6 +210,13 @@ class TestRankScore:
         with pytest.raises(ValueError, match="2 pctr, 2 pcvr, 1 lengths"):
             rank_scores([0.5, 0.5], [0.5, 0.5], [10.0])
 
+    @pytest.mark.parametrize("args", [([0.5], [0.4], [-1.0]), ([1.0], [0.4], [10.0]),
+                                      ([0.5, 0.5], [0.5, 0.5], [10.0])])
+    def test_invalid_inputs_are_config_errors(self, args):
+        with pytest.raises(ConfigError) as info:
+            rank_scores(*args)
+        assert type(info.value) is ConfigError
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bits_equal_scalar_reference(self, seed):
         """Every exponent triple from EXPONENTS, including those where numpy's
@@ -299,6 +306,12 @@ class TestRankTopK:
             rank_top_k(scores_of(self._candidates(3)), 4)
         with pytest.raises(ValueError):
             rank_top_k([0.5, 0.4], -1)
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_bad_k_is_config_error(self, k):
+        with pytest.raises(ConfigError, match=rf"^rank_top_k: k={k} for 2 candidates$") as info:
+            rank_top_k([0.5, 0.4], k)
+        assert type(info.value) is ConfigError
 
     @pytest.mark.parametrize("seed", range(6))
     def test_tie_heavy_matches_sort_for_every_k(self, seed):
