@@ -240,6 +240,8 @@ def cmd_compare(run_dirs):
             raise DataError(f"{d}: no report.kv (not a finished run directory)")
         try:
             report = MetricsReport.from_kv_lines(kv_path.read_text(encoding="utf-8").splitlines())
+        except UnicodeDecodeError:
+            raise DataError(f"{kv_path}: not valid UTF-8") from None
         except DataError as exc:
             raise DataError(f"{kv_path}: {exc}") from None
         if report.mode not in {m.value for m in SharingMode}:
@@ -277,62 +279,59 @@ def cmd_prune_sweep(config_path, mode, dataset, seed, output_dir, extra, curve_f
     click.echo(f"curve written to {path}")
 
 
-_CANDIDATE_BLOCK = data_mod.BLOCK_LINES
-
-
-def _parse_candidate_lines(lines: list[str], linenos,
-                           n_fields: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parse ``id,...,id<TAB>length`` lines into ``(ids (n, F) int64,
-    lengths (n,) float64)``, converting with Python's ``int()`` and
-    ``float()``; ids of plain ASCII digits are read in bulk by
-    ``data.digit_ids``, with the same result. Surrounding whitespace is
-    ignored and lines starting with ``#`` are skipped. Raises ValueError on
-    the first failed check, in this order: tab count, ids, length, id count,
-    length positive and finite, id range. For a single line that order gives
-    its error message."""
-    lines = list(map(str.strip, lines))
-    text = "\t".join(lines)
-    if "#" in text:
-        lines = [line for line in lines if line[0] != "#"]
-        text = "\t".join(lines)
-    n = len(lines)
-    if not n:
-        return np.empty((0, n_fields), dtype=np.int64), np.empty(0)
-    if (np.fromiter(map(str.count, lines, repeat("\t")), np.intp, n) != 1).any():
+def _parse_candidate(line: str, lineno: int, n_fields: int) -> tuple[list[int], float] | None:
+    """A candidate, ``id,...,id<TAB>length``, as ``(ids, length)``; None for
+    a blank line or a comment (``#`` first). Surrounding whitespace is
+    ignored, and ids and length convert with Python's ``int()`` and
+    ``float()``. Raises ValueError naming the first rule the line breaks."""
+    line = line.strip()
+    if not line or line[0] == "#":
+        return None
+    parts = line.split("\t")
+    if len(parts) != 2:
         raise ValueError("expected 'ids<TAB>length'")
-    halves = text.split("\t")
-    id_text = halves[0::2]
-    ids = data_mod.digit_ids(id_text, n_fields)
-    if ids is None:
-        values = data_mod.int_ids(id_text)
-    lengths = np.fromiter(map(float, halves[1::2]), np.float64, n)
-    if ids is None:
-        counts = np.fromiter(map(str.count, id_text, repeat(",")), np.intp, n) + 1
-        if (counts != n_fields).any():
-            raise ValueError(f"{counts[counts != n_fields][0]} ids for {n_fields} fields")
-    if (lengths <= 0).any():
+    ids = [int(x) for x in parts[0].split(",")]
+    length = float(parts[1])
+    if len(ids) != n_fields:
+        raise ValueError(f"{len(ids)} ids for {n_fields} fields")
+    if length <= 0:
         raise ValueError("video length must be positive")
-    if not np.isfinite(lengths).all():
+    if not math.isfinite(length):
         raise ValueError("video length must be finite")
+    if not all(-2 ** 63 <= i < 2 ** 63 for i in ids):
+        raise ValueError("feature id out of the 64-bit integer range")
+    return ids, length
+
+
+def _candidate_block(lines: list[str], n_fields: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The columns :func:`_parse_candidate` gives ``lines``, as ``(ids (n, F)
+    int64, lengths (n,) float64)``, when every line is a candidate that it
+    accepts and whose ids ``data.digit_ids`` reads; None otherwise."""
+    n = len(lines)
+    if (np.fromiter(map(str.count, lines, repeat("\t")), np.intp, n) != 1).any():
+        return None
+    halves = "\t".join(lines).split("\t")
+    ids = data_mod.digit_ids(halves[0::2], n_fields)
     if ids is None:
-        try:
-            ids = np.array(values, dtype=np.int64).reshape(n, n_fields)
-        except OverflowError:
-            raise ValueError("feature id out of the 64-bit integer range") from None
+        return None
+    try:
+        lengths = np.fromiter(map(float, halves[1::2]), np.float64, n)
+    except ValueError:
+        return None
+    if not ((lengths > 0) & np.isfinite(lengths)).all():
+        return None
     return ids, lengths
 
 
 def _read_candidates(path, n_fields: int) -> tuple[np.ndarray, np.ndarray]:
-    """Candidates as ``(ids (n, F) int64, lengths (n,) float64)``.
-
-    One candidate per line, ``id,...,id<TAB>length``; surrounding whitespace,
-    blank lines and lines starting with ``#`` are skipped. Lines are read
-    by ``data.read_blocks``, so a DataError names the first bad line and its
-    problem.
+    """Candidates as ``(ids (n, F) int64, lengths (n,) float64)``, one a line
+    as :func:`_parse_candidate` reads a line; blocks of plain candidates are
+    read in bulk. Lines are read by ``data.read_blocks``, so a DataError
+    names the first bad line and its problem.
     """
     with data_mod.open_text(path) as fh:
-        blocks = list(data_mod.read_blocks(
-            path, fh, partial(_parse_candidate_lines, n_fields=n_fields), _CANDIDATE_BLOCK))
+        blocks = list(data_mod.read_blocks(path, fh, partial(_candidate_block, n_fields=n_fields),
+                                           partial(_parse_candidate, n_fields=n_fields)))
     if not blocks:
         return np.empty((0, n_fields), dtype=np.int64), np.empty(0)
     ids, lengths = zip(*blocks)
@@ -353,7 +352,7 @@ def _load_slot_mask(path, task: Task, params: model.ModelParams) -> masking.Task
     saved for that task and its layers match the MLP weights of ``params``."""
     mask = _load_task_mask(path, task, f"--{task.value}-mask")
     try:
-        masking._check_shapes(params.mlp_weights, mask)
+        model.check_mask_shapes(params.mlp_weights, mask.layers)
     except ShapeError as exc:
         raise DataError(f"{path}: {exc}") from None
     return mask

@@ -9,16 +9,14 @@ live only on the dataclasses, and a value parses by the type of its default.
 The key `seed` sets both `train.seed` and `data.seed`.
 
 Precedence is overrides (CLI flags, `--set`) > config file > defaults. Within
-one source `train.seed`/`data.seed` beat `seed`, and `LOTSHARE_SEED` in the
-environment beats every seed. `to_text()` writes the effective config, one
-line per key; a run directory keeps it as `config.cfg`, so loading that file
-re-creates the run.
+one source `train.seed`/`data.seed` beat `seed`. `to_text()` writes the
+effective config, one line per key; a run directory keeps it as
+`config.cfg`, so loading that file re-creates the run.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 
@@ -26,8 +24,6 @@ from .data import SyntheticSpec
 from .errors import ConfigError, DataError
 from .model import CrossKind, ModelConfig, SharingMode, cross_output_width
 from .training import TrainConfig
-
-SEED_ENV_VAR = "LOTSHARE_SEED"
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -174,14 +170,6 @@ def build_experiment(kv: dict[str, str],
     unknown = set(merged) - {key.name for key in _KEYS}
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            int(env_seed)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR} must be an integer: {env_seed!r}") from exc
-        merged.update(dict.fromkeys(_SEED_KEYS, env_seed))
 
     values: dict[str | None, dict] = {None: {}, "train": {}, "synth": {}}
     for key in _KEYS:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, count, islice, repeat
+from itertools import count, islice, repeat
 
 import numpy as np
 
@@ -194,66 +194,41 @@ def _is_utf8(text: str) -> bool:
     return True
 
 
-def read_blocks(path, fh, parse, block_lines: int, first_line: int = 1):
-    """Yield ``parse(lines, linenos)`` for each block of ``block_lines`` lines
-    read from ``fh`` (opened by :func:`open_text`), whose first line is line
-    ``first_line`` of ``path``.
+def read_blocks(path, fh, parse_block, parse_line, first_line: int = 1):
+    """Yield the rows of ``fh`` (opened by :func:`open_text`), whose first
+    line is line ``first_line`` of ``path``, as columns, one block of
+    BLOCK_LINES lines at a time; a block without rows yields nothing.
 
-    ``lines`` are the block's lines without their line ending, blank lines
-    (empty or all whitespace) left out, and ``linenos`` their line numbers.
-    ``parse`` raises ValueError when a line breaks a rule, and every rule
-    must be one a line breaks alone. A failing block is bisected for the
-    shortest failing run of its first lines, and the DataError
-    ``path:line: problem`` names the last line of that run: the first line
-    that is not UTF-8 or that ``parse`` rejects alone.
+    ``parse_line(line, lineno)`` defines the format: it returns the row of
+    one line (without its line ending) as a tuple, None for a line that
+    holds no row, and raises ValueError naming the rule a line breaks.
+    ``parse_block(lines)`` returns a block's columns as arrays equal to
+    those of ``parse_line``, or None to leave the block to ``parse_line``.
+    The DataError ``path:line: problem`` names the first line that is not
+    UTF-8 or that ``parse_line`` rejects.
     """
-    for first in count(first_line, block_lines):
-        text = "".join(islice(fh, block_lines))
+    for first in count(first_line, BLOCK_LINES):
+        text = "".join(islice(fh, BLOCK_LINES))
         if not text:
             return
         lines = text.split("\n")
         if text[-1] == "\n":
             lines.pop()
-        linenos = range(first, first + len(lines))
-        if "" in lines or any(map(str.isspace, lines)):
-            keep = list(map(str.strip, lines))
-            lines, linenos = list(compress(lines, keep)), list(compress(linenos, keep))
-            if not lines:
-                continue
-        try:
-            if not _is_utf8(text):
-                raise ValueError("not valid UTF-8")
-            result = parse(lines, linenos)
-        except ValueError as exc:
-            good, bad = 0, len(lines)  # lines[:good] pass together, lines[:bad] fail
-            while bad - good > 1:
-                mid = (good + bad) // 2
-                if _passes(parse, lines[good:mid], linenos[good:mid]):
-                    good = mid
-                else:
-                    bad = mid
-            line, lineno = lines[bad - 1], linenos[bad - 1]
-            if not _is_utf8(line):
-                raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
-            try:
-                parse([line], [lineno])
-            except ValueError as line_exc:
-                raise DataError(f"{path}:{lineno}: {line_exc}") from None
-            # not reached: every check is per line, so lines fail together
-            # only where one of them fails alone
-            raise DataError(f"{path}: {exc}") from exc
-        yield result
-
-
-def _passes(parse, lines, linenos) -> bool:
-    """True if ``lines`` are UTF-8 and ``parse`` accepts them together."""
-    if not _is_utf8("".join(lines)):
-        return False
-    try:
-        parse(lines, linenos)
-    except ValueError:
-        return False
-    return True
+        columns = parse_block(lines) if _is_utf8(text) else None
+        if columns is None:
+            rows = []
+            for lineno, line in enumerate(lines, first):
+                try:
+                    if not _is_utf8(line):
+                        raise ValueError("not valid UTF-8")
+                    row = parse_line(line, lineno)
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                if row is not None:
+                    rows.append(row)
+            columns = tuple(zip(*rows))
+        if columns:
+            yield columns
 
 
 def save(dataset: Dataset, path) -> None:
@@ -274,38 +249,17 @@ def save(dataset: Dataset, path) -> None:
 
 
 _TASK_CODE = {t.value: code for code, t in enumerate(TASKS)}
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _first_failing(convert, texts):
-    """The first of ``texts`` that ``convert`` rejects with ValueError."""
-    for text in texts:
-        try:
-            convert(text)
-        except ValueError:
-            return text
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
-
-
-def int_ids(id_col: list[str]) -> list[int]:
-    """``int()`` of every comma-separated id in ``id_col``, in order: the
-    full grammar of Python's ``int()``, and its ValueError on a bad id."""
-    return list(map(int, ",".join(id_col).split(",")))
 
 
 def digit_ids(id_col: list[str], n_fields: int) -> np.ndarray | None:
     """The ids of ``id_col``, strings of comma-separated ids, as an ``(n,
-    n_fields)`` int64 array equal to :func:`int_ids`; None unless every
-    string holds exactly ``n_fields`` ids of 1 to 18 ASCII digits each.
+    n_fields)`` int64 array of their ``int()``; None unless every string
+    holds exactly ``n_fields`` ids of 1 to 18 ASCII digits each.
 
     Works over the bytes of ``",".join(id_col)``: each id is read right
     aligned in a window of the block's widest id, shorter ids padded with
     zeros, and dotted with powers of ten. 18 digits cannot overflow int64,
-    and leading zeros read as ``int()`` reads them. Callers parse what this
-    returns None for with :func:`int_ids`, which also words every error."""
+    and leading zeros read as ``int()`` reads them."""
     text = ",".join(id_col)
     if not text.isascii():
         return None
@@ -334,78 +288,68 @@ def digit_ids(id_col: list[str], n_fields: int) -> np.ndarray | None:
     return (10 ** np.arange(width - 1, -1, -1) @ window).reshape(n, n_fields)
 
 
-def _checked_int_ids(id_col: list[str], n_fields: int) -> tuple[np.ndarray, list[int]]:
-    """:func:`_parse_rows`' ids by ``int()``: ``(ids (n, F) int64, the ints
-    in row-major order)``. An id outside int64 is outside every field, so
-    -1 stands in for it in ``ids``. Raises ValueError on a bad id first,
-    then on a row with another id count than ``n_fields``."""
-    try:
-        values = int_ids(id_col)
-    except ValueError:
-        raise ValueError(f"bad feature ids {_first_failing(_int_list, id_col)!r}") from None
-    counts = np.fromiter(map(str.count, id_col, repeat(",")), np.intp, len(id_col)) + 1
-    if (counts != n_fields).any():
-        raise ValueError(f"{counts[counts != n_fields][0]} ids for {n_fields} fields")
-    try:
-        ids = np.array(values, dtype=np.int64)
-    except OverflowError:
-        ids = np.array([v if -_INT64_MAX - 1 <= v <= _INT64_MAX else -1 for v in values],
-                       dtype=np.int64)
-    return ids.reshape(len(id_col), n_fields), values
-
-
-def _parse_rows(lines: list[str], linenos, cards: tuple[int, ...]):
-    """Parse ``task<TAB>label<TAB>id,...,id[<TAB>split]`` rows into ``(task
-    codes (n,) int8, labels (n,) float64, ids (n, F) int64, split (n,)
-    uint8)``, converting with Python's ``int()`` and ``float()``; ids of
-    plain ASCII digits are read in bulk by :func:`digit_ids`, with the same
-    result. A 3-field row takes its split from its line number. Raises
-    ValueError on the first failed check, in this order: tab count, task,
-    label, label domain per task, ids, id count, id range per field, split
-    name. For a single line that order gives its error message."""
-    n, n_fields = len(lines), len(cards)
-    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.intp, n)
-    short = tabs == 2
-    if ((tabs != 3) & ~short).any():
+def _parse_row(line: str, lineno: int, cards: tuple[int, ...]):
+    """A dataset row, ``task<TAB>label<TAB>id,...,id[<TAB>split]``, as
+    ``(task code, label, ids, split index)``; None for a blank line (empty
+    or all whitespace). Labels and ids convert with Python's ``float()`` and
+    ``int()``, and a 3-field row takes its split from its line number.
+    Raises ValueError naming the first rule the row breaks."""
+    if not line.strip():
+        return None
+    parts = line.split("\t")
+    if len(parts) not in (3, 4):
         raise ValueError("expected 3 or 4 tab-separated fields")
-    if short.any():  # give 3-field rows an empty split column, which is not read
-        lines = [line + "\t" if s else line for line, s in zip(lines, short.tolist())]
+    code = _TASK_CODE.get(parts[0])
+    if code is None:
+        raise ValueError(f"unknown task {parts[0]!r}")
+    try:
+        label = float(parts[1])
+    except ValueError:
+        raise ValueError(f"bad label {parts[1]!r}") from None
+    if TASKS[code] is Task.CTR and label not in (0.0, 1.0):
+        raise ValueError(f"CTR label must be 0 or 1, got {label}")
+    if TASKS[code] is Task.CVR and not 0.0 <= label <= 1.0:
+        raise ValueError(f"CVR label must be in [0,1], got {label}")
+    try:
+        ids = [int(x) for x in parts[2].split(",")]
+    except ValueError:
+        raise ValueError(f"bad feature ids {parts[2]!r}") from None
+    if len(ids) != len(cards):
+        raise ValueError(f"{len(ids)} ids for {len(cards)} fields")
+    for f, (fid, card) in enumerate(zip(ids, cards)):
+        if not 0 <= fid < min(card, 2 ** 63):  # an id past int64 is in no field
+            raise ValueError(f"id {fid} out of range for field {f} (cardinality {card})")
+    if len(parts) == 3:
+        return code, label, ids, _split_of(0, lineno)
+    split = _SPLIT_INDEX.get(parts[3])
+    if split is None:
+        raise ValueError(f"unknown split {parts[3]!r}")
+    return code, label, ids, split
+
+
+def _row_block(lines: list[str], cards: tuple[int, ...]):
+    """The columns :func:`_parse_row` gives ``lines``, as ``(task codes (n,)
+    int8, labels (n,) float64, ids (n, F) int64, split (n,) int8)``, when
+    every line is a 4-field row that it accepts and whose ids
+    :func:`digit_ids` reads; None otherwise."""
+    n = len(lines)
+    if (np.fromiter(map(str.count, lines, repeat("\t")), np.intp, n) != 3).any():
+        return None
     fields = "\t".join(lines).split("\t")
     task_col, label_col, id_col, split_col = (fields[k::4] for k in range(4))
     tasks = np.fromiter(map(_TASK_CODE.get, task_col, repeat(-1)), np.int8, n)
-    if (tasks < 0).any():
-        raise ValueError(f"unknown task {task_col[int(np.argmax(tasks < 0))]!r}")
+    split = np.fromiter(map(_SPLIT_INDEX.get, split_col, repeat(-1)), np.int8, n)
+    ids = digit_ids(id_col, len(cards))
+    if (tasks < 0).any() or (split < 0).any() or ids is None or (ids.max(0) >= cards).any():
+        return None
     try:
         labels = np.fromiter(map(float, label_col), np.float64, n)
     except ValueError:
-        raise ValueError(f"bad label {_first_failing(float, label_col)!r}") from None
+        return None
     ctr = tasks == _TASK_CODE[Task.CTR.value]
-    bad = np.where(ctr, (labels != 0.0) & (labels != 1.0),
-                   ~((labels >= 0.0) & (labels <= 1.0)))
-    if bad.any():
-        i = int(np.argmax(bad))
-        if ctr[i]:
-            raise ValueError(f"CTR label must be 0 or 1, got {float(labels[i])}")
-        raise ValueError(f"CVR label must be in [0,1], got {float(labels[i])}")
-    ids = digit_ids(id_col, n_fields)
-    if ids is None:
-        ids, values = _checked_int_ids(id_col, n_fields)
-    else:
-        values = ids.ravel()
-    top = np.array([max(-1, min(c - 1, _INT64_MAX)) for c in cards], dtype=np.int64)
-    bad = (ids < 0) | (ids > top)
-    if bad.any():
-        k = int(np.argmax(bad))  # row-major: row k // F, field k % F
-        f = k % n_fields
-        raise ValueError(f"id {int(values[k])} out of range for field {f} "
-                         f"(cardinality {cards[f]})")
-    split = np.fromiter(map(_SPLIT_INDEX.get, split_col, repeat(-1)), np.int8, n)
-    bad = (split < 0) & ~short
-    if bad.any():
-        raise ValueError(f"unknown split {split_col[int(np.argmax(bad))]!r}")
-    if short.any():
-        split[short] = [_split_of(0, lineno) for lineno, s in zip(linenos, short.tolist()) if s]
-    return tasks, labels, ids, split.astype(np.uint8)
+    if np.where(ctr, (labels != 0.0) & (labels != 1.0), ~((labels >= 0.0) & (labels <= 1.0))).any():
+        return None
+    return tasks, labels, ids, split
 
 
 def _parse_header(path, line: str) -> tuple[int, ...]:
@@ -421,23 +365,24 @@ def _parse_header(path, line: str) -> tuple[int, ...]:
 
 
 def load(path) -> Dataset:
-    """Read a dataset TSV written by :func:`save`. Rows are parsed in blocks
-    of BLOCK_LINES lines; a DataError names the first bad line. An empty
-    file gives an empty Dataset."""
+    """Read a dataset TSV written by :func:`save`, row by row as
+    :func:`_parse_row` reads a row; blocks of plain 4-field rows are read in
+    bulk. A DataError names the first bad line. An empty file gives an empty
+    Dataset."""
     with open_text(path) as fh:
         header = next(fh, None)
         if header is None:
             return Dataset((), {t: _empty_taskdata(0) for t in TASKS})
         cards = _parse_header(path, header.removesuffix("\n"))
-        blocks = list(read_blocks(path, fh, partial(_parse_rows, cards=cards),
-                                  BLOCK_LINES, first_line=2))
+        blocks = list(read_blocks(path, fh, partial(_row_block, cards=cards),
+                                  partial(_parse_row, cards=cards), first_line=2))
     if not blocks:
         return Dataset(cards, {t: _empty_taskdata(len(cards)) for t in TASKS})
     codes, labels, ids, split = (np.concatenate(col) for col in zip(*blocks))
     tasks = {}
     for code, t in enumerate(TASKS):
         sel = codes == code
-        tasks[t] = TaskData(ids=ids[sel], labels=labels[sel], split=split[sel])
+        tasks[t] = TaskData(ids=ids[sel], labels=labels[sel], split=split[sel].astype(np.uint8))
     return Dataset(cards, tasks)
 
 

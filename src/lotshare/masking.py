@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .errors import MaskFormatError, ShapeError
-from .model import ModelParams, Task
+from .model import ModelParams, Task, check_mask_shapes
 
 MASK_MAGIC = b"LTMK"
 MASK_VERSION = 1
@@ -84,18 +84,10 @@ def quantile_threshold(values: np.ndarray, q: float) -> float:
     return float(np.partition(values, k - 1)[k - 1])
 
 
-def _check_shapes(weights: list[np.ndarray], mask: TaskMask) -> None:
-    if len(weights) != len(mask.layers):
-        raise ShapeError(f"mask has {len(mask.layers)} layers, params have {len(weights)}")
-    for w, m in zip(weights, mask.layers):
-        if w.shape != m.shape:
-            raise ShapeError(f"mask layer {m.shape} vs weight {w.shape}")
-
-
 def prune_connections(mlp_weights: list[np.ndarray], mask: TaskMask, q: float) -> TaskMask:
     """Drop surviving connections whose |w| is strictly below the global
     nearest-rank q-quantile of surviving |w|; ties at the threshold survive."""
-    _check_shapes(mlp_weights, mask)
+    check_mask_shapes(mlp_weights, mask.layers)
     surviving = np.concatenate(
         [np.abs(w[m != 0]) for w, m in zip(mlp_weights, mask.layers)])
     x = quantile_threshold(surviving, q)
@@ -110,7 +102,7 @@ def prune_neurons(mlp_weights: list[np.ndarray], mask: TaskMask, q: float) -> Ta
     weights. Units below the global q-quantile of surviving units lose all
     incoming and outgoing connections. Output units are never pruned.
     """
-    _check_shapes(mlp_weights, mask)
+    check_mask_shapes(mlp_weights, mask.layers)
     # hidden units are the output side of every transition except the last
     per_layer = []
     pool = []
@@ -130,15 +122,6 @@ def prune_neurons(mlp_weights: list[np.ndarray], mask: TaskMask, q: float) -> Ta
         new_layers[li][:, doomed] = 0.0
         new_layers[li + 1][doomed, :] = 0.0
     return TaskMask(new_layers, mask.task, mask.pruning_round + 1)
-
-
-def apply_mask(params: ModelParams, mask: TaskMask) -> ModelParams:
-    """Hadamard-mask the MLP weights; embeddings and biases pass through."""
-    _check_shapes(params.mlp_weights, mask)
-    out = params.copy()
-    for w, m in zip(out.mlp_weights, mask.layers):
-        w *= m
-    return out
 
 
 @dataclass

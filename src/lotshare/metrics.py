@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,6 +151,13 @@ def rank_top_k(scores, k: int) -> list[int]:
     return head[np.lexsort((head, neg[head]))][:k].tolist()
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
 @dataclass
 class MetricsReport:
     """Per-run evaluation summary, serializable to text and key=value lines."""
@@ -158,7 +166,6 @@ class MetricsReport:
     metrics: dict[str, float]                 # e.g. {"ctr_auc": ..., "cvr_mse": ...}
     sparsity: dict[str, float] = field(default_factory=dict)   # per task
     overlap: dict[str, int] = field(default_factory=dict)
-    gains: dict[str, str] = field(default_factory=dict)
     config_fingerprint: str = ""
     notes: dict[str, str] = field(default_factory=dict)
 
@@ -172,8 +179,6 @@ class MetricsReport:
             lines.append(f"sparsity.{k}={self.sparsity[k]:.10g}")
         for k in sorted(self.overlap):
             lines.append(f"overlap.{k}={self.overlap[k]}")
-        for k in sorted(self.gains):
-            lines.append(f"gain.{k}={self.gains[k]}")
         for k in sorted(self.notes):
             lines.append(f"note.{k}={self.notes[k]}")
         return lines
@@ -188,8 +193,6 @@ class MetricsReport:
             lines.append(f"sparsity {k:<4}: {self.sparsity[k]:.5f}")
         for k in sorted(self.overlap):
             lines.append(f"overlap {k:<5}: {self.overlap[k]}")
-        for k in sorted(self.gains):
-            lines.append(f"gain {k:<8}: {self.gains[k]}")
         for k in sorted(self.notes):
             lines.append(f"{k}: {self.notes[k]}")
         return "\n".join(lines)
@@ -197,7 +200,7 @@ class MetricsReport:
     @classmethod
     def from_kv_lines(cls, lines) -> "MetricsReport":
         """Parse ``report.kv`` lines; a DataError names the first line whose
-        value does not parse."""
+        value does not parse, or whose metric or sparsity is not finite."""
         rep = cls(mode="", metrics={})
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
@@ -210,13 +213,11 @@ class MetricsReport:
                 elif key == "config_fingerprint":
                     rep.config_fingerprint = val
                 elif key.startswith("metric."):
-                    rep.metrics[key[7:]] = float(val)
+                    rep.metrics[key[7:]] = _finite_float(val)
                 elif key.startswith("sparsity."):
-                    rep.sparsity[key[9:]] = float(val)
+                    rep.sparsity[key[9:]] = _finite_float(val)
                 elif key.startswith("overlap."):
                     rep.overlap[key[8:]] = int(val)
-                elif key.startswith("gain."):
-                    rep.gains[key[5:]] = val
                 elif key.startswith("note."):
                     rep.notes[key[5:]] = val
             except ValueError:

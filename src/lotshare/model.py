@@ -446,6 +446,15 @@ def _mask_layers(cfg: ModelConfig, task: Task, mask) -> list[np.ndarray] | None:
     return mask.layers if hasattr(mask, "layers") else list(mask)
 
 
+def check_mask_shapes(weights: list[np.ndarray], layers) -> None:
+    """ShapeError unless the mask ``layers`` match the MLP ``weights`` one to one."""
+    if len(weights) != len(layers):
+        raise ShapeError(f"mask has {len(layers)} layers, params have {len(weights)}")
+    for w, m in zip(weights, layers):
+        if w.shape != m.shape:
+            raise ShapeError(f"mask layer {m.shape} vs weight {w.shape}")
+
+
 def task_weights(params: ModelParams, cfg: ModelConfig, task: Task,
                  mask=None) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The weights and biases of ``task``'s MLP. Its mask (see
@@ -457,11 +466,7 @@ def task_weights(params: ModelParams, cfg: ModelConfig, task: Task,
     weights, biases = params.mlp_weights, params.mlp_biases
     if layers is None:
         return weights, biases
-    if len(layers) != len(weights):
-        raise ShapeError(f"mask has {len(layers)} layers, model has {len(weights)}")
-    for m, w in zip(layers, weights):
-        if m.shape != w.shape:
-            raise ShapeError(f"mask layer {m.shape} vs weight {w.shape}")
+    check_mask_shapes(weights, layers)
     return [w * m for w, m in zip(weights, layers)], biases
 
 

@@ -72,26 +72,8 @@ def _loss_and_dlogit(logits: np.ndarray, preds: np.ndarray, labels: np.ndarray,
     return loss, dlogit
 
 
-def task_loss(batch: Batch, params: ModelParams, cfg: ModelConfig,
-              mask: TaskMask | None = None) -> float:
-    """Mean per-task loss of Eq-style per-task batching (BCE / squared error)."""
-    if batch.n == 0:
-        raise ConfigError("task_loss: empty batch")
-    preds, cache = model.forward(batch.ids, params, cfg, batch.task,
-                                 mask=mask, want_cache=True)
-    loss, _ = _loss_and_dlogit(cache.logits, preds, batch.labels, batch.task)
-    return loss
-
-
-def joint_loss(batch: Batch, params: ModelParams, cfg: ModelConfig,
-               tcfg: TrainConfig, mask: TaskMask | None = None) -> float:
-    """omega_task * task_loss for the batch's task; the other task's gate is 0."""
-    return tcfg.omega(batch.task) * task_loss(batch, params, cfg, mask)
-
-
-def _train_step(params: ModelParams, cfg: ModelConfig, tcfg: TrainConfig,
-                opt: nn.Adam, batch: Batch, mask: TaskMask | None,
-                weight: float) -> float:
+def _train_step(params: ModelParams, cfg: ModelConfig, opt: nn.Adam, batch: Batch,
+                mask: TaskMask | None, weight: float) -> float:
     preds, cache = model.forward(batch.ids, params, cfg, batch.task,
                                  mask=mask, want_cache=True)
     loss, dlogit = _loss_and_dlogit(cache.logits, preds, batch.labels, batch.task)
@@ -149,8 +131,7 @@ def warmup(params: ModelParams, dataset: Dataset, cfg: ModelConfig,
         total, count = 0.0, 0
         for batch in batches(dataset, TASKS, tcfg.batch_size, tcfg.seed,
                              _WARMUP_EPOCH_BASE + epoch):
-            total += _train_step(params, cfg, tcfg, opt, batch, None,
-                                 tcfg.omega(batch.task))
+            total += _train_step(params, cfg, opt, batch, None, tcfg.omega(batch.task))
             count += 1
         if history is not None:
             history.append({"stage": "warmup", "epoch": epoch,
@@ -195,7 +176,7 @@ def generate_masks(params: ModelParams, dataset: Dataset, cfg: ModelConfig,
                                 + rnd * tcfg.mask_epochs + epoch)
                 for batch in batches(dataset, [task], tcfg.batch_size,
                                      tcfg.seed, stream_epoch):
-                    _train_step(params, cfg, tcfg, opt, batch, mask, 1.0)
+                    _train_step(params, cfg, opt, batch, mask, 1.0)
             score = evaluate(params, cfg, task, ids_val, labels_val, mask=mask)
             scores.append(score)
             if history is not None:
@@ -250,8 +231,8 @@ def joint_train(params: ModelParams, best_masks: dict[Task, TaskMask],
         total, count = 0.0, 0
         for batch in batches(dataset, TASKS, tcfg.batch_size, tcfg.seed,
                              _JOINT_EPOCH_BASE + epoch):
-            loss = _train_step(params, cfg, tcfg, opt, batch,
-                               best_masks[batch.task], tcfg.omega(batch.task))
+            loss = _train_step(params, cfg, opt, batch, best_masks[batch.task],
+                               tcfg.omega(batch.task))
             total += loss
             count += 1
             if step_hook is not None:
@@ -279,7 +260,7 @@ def train_baseline(dataset: Dataset, cfg: ModelConfig,
             total, count = 0.0, 0
             for batch in batches(dataset, [task], tcfg.batch_size, tcfg.seed,
                                  _BASELINE_EPOCH_BASE + epoch):
-                total += _train_step(p, cfg, tcfg, opt, batch, None, 1.0)
+                total += _train_step(p, cfg, opt, batch, None, 1.0)
                 count += 1
             history.append({"stage": "single", "task": task.value,
                             "epoch": epoch, "mean_loss": total / max(count, 1)})

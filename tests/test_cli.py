@@ -76,20 +76,6 @@ class TestGenerateData:
         loaded = data_mod.load(out / "dataset.tsv")
         assert loaded == ds == per_line_load(out / "dataset.tsv")
 
-    def test_env_seed_overrides_flag(self, tmp_path, cfg_file, capsys, monkeypatch):
-        monkeypatch.setenv("LOTSHARE_SEED", "42")
-        a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        assert run(capsys, "generate-data", "--config", cfg_file, "--seed", "1",
-                   "--out", str(tmp_path), "--out-file", str(a))[0] == 0
-        assert run(capsys, "generate-data", "--config", cfg_file, "--seed", "2",
-                   "--out", str(tmp_path), "--out-file", str(b))[0] == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_bad_env_seed(self, cfg_file, capsys, monkeypatch):
-        monkeypatch.setenv("LOTSHARE_SEED", "abc")
-        rc, _, err = run(capsys, "generate-data", "--config", cfg_file)
-        assert rc == 2 and "LOTSHARE_SEED" in err
-
 
 class TestTrain:
     def test_connection_share_run_dir(self, tmp_path, cfg_file, capsys):
@@ -180,10 +166,9 @@ class TestTrain:
         assert fa == load_experiment(cfg_file, {"dataset": str(b)}).fingerprint()
         assert fa != load_experiment(cfg_file, {}).fingerprint()
 
-    def test_fingerprint_without_dataset_is_stable(self, monkeypatch):
+    def test_fingerprint_without_dataset_is_stable(self):
         # values of the releases that hashed "dataset = <path>": configs
         # without a dataset must keep them
-        monkeypatch.delenv("LOTSHARE_SEED", raising=False)
         assert load_experiment(None).fingerprint() == "4c5f39fe52515463"
         assert load_experiment(None, {"mode": "layer_share", "train.q": "0.3"}
                                ).fingerprint() == "71481c6f3031058c"
@@ -225,9 +210,7 @@ class TestTrain:
     @pytest.mark.parametrize("file_seeds", [
         "seed = 1\n", "train.seed = 1\ndata.seed = 1\n", "seed = 2\ntrain.seed = 1\n"])
     @pytest.mark.parametrize("flag", [("--seed", "5"), ("--set", "seed=5")])
-    def test_flag_seed_beats_file_seeds(self, tmp_path, file_seeds, flag, capsys,
-                                        monkeypatch):
-        monkeypatch.delenv("LOTSHARE_SEED", raising=False)
+    def test_flag_seed_beats_file_seeds(self, tmp_path, file_seeds, flag, capsys):
         path = tmp_path / "seeded.cfg"
         path.write_text(BASE_CFG + file_seeds)
         out = tmp_path / "run"
@@ -237,17 +220,13 @@ class TestTrain:
         kv = parse_kv_text((out / "config.cfg").read_text())
         assert kv["train.seed"] == kv["data.seed"] == "5"
 
-    def test_seed_key_precedence(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("LOTSHARE_SEED", raising=False)
+    def test_seed_key_precedence(self, tmp_path):
         path = tmp_path / "seeded.cfg"
         path.write_text("seed = 1\ntrain.seed = 2\n")
         exp = load_experiment(str(path))
         assert (exp.train.seed, exp.synth.seed) == (2, 1)  # specific key wins in a source
         exp = load_experiment(str(path), {"seed": "5", "data.seed": "6"})
         assert (exp.train.seed, exp.synth.seed) == (5, 6)
-        monkeypatch.setenv("LOTSHARE_SEED", "9")
-        exp = load_experiment(str(path), {"seed": "5", "data.seed": "6"})
-        assert (exp.train.seed, exp.synth.seed) == (9, 9)
 
 
 class TestCompare:
@@ -287,6 +266,26 @@ class TestCompare:
         rc, stdout, err = run(capsys, "compare", single)
         assert rc == 3 and stdout == ""
         assert err == f"data error: {kv}: line {at + 1}: bad value in 'metric.ctr_auc=abc'\n"
+
+    def test_report_not_utf8_exit_3(self, tmp_path, cfg_file, capsys):
+        single = self._train(capsys, cfg_file, tmp_path, "single_task")
+        kv = tmp_path / "single_task" / "report.kv"
+        kv.write_bytes(kv.read_bytes() + b"note.x=\xff\n")
+        rc, stdout, err = run(capsys, "compare", single)
+        assert rc == 3 and stdout == ""
+        assert err == f"data error: {kv}: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("key", ["metric.cvr_mse", "sparsity.ctr"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_report_value_exit_3(self, tmp_path, cfg_file, capsys, key, value):
+        single = self._train(capsys, cfg_file, tmp_path, "single_task")
+        conn = self._train(capsys, cfg_file, tmp_path, "connection_share")
+        kv = tmp_path / "single_task" / "report.kv"
+        lines = kv.read_text().splitlines() + [f"{key}={value}"]
+        kv.write_text("\n".join(lines) + "\n")
+        rc, stdout, err = run(capsys, "compare", conn, single)
+        assert rc == 3 and stdout == ""
+        assert err == f"data error: {kv}: line {len(lines)}: bad value in '{key}={value}'\n"
 
     @pytest.mark.parametrize("text", ["", "metric.ctr_auc=0.5\n", "mode=\n",
                                       "mode=two_tower\nmetric.ctr_auc=0.5\n", "a=b\nc\n"])
@@ -623,7 +622,7 @@ class TestReadCandidates:
             want = per_line_read_candidates(p, 4)
         except DataError as exc:
             want = str(exc)
-        with mock.patch.object(cli, "_CANDIDATE_BLOCK", block):
+        with mock.patch.object(data_mod, "BLOCK_LINES", block):
             try:
                 got = cli._read_candidates(p, 4)
             except DataError as exc:
@@ -647,19 +646,49 @@ class TestReadCandidates:
     def test_first_bad_line_across_blocks(self, tmp_path):
         p = tmp_path / "c.tsv"
         p.write_text("0,0,0,0\t1\n" * 5 + "0,0,0\t1\n" + "0,0,0,0\tx\n")
-        with mock.patch.object(cli, "_CANDIDATE_BLOCK", 2):
+        with mock.patch.object(data_mod, "BLOCK_LINES", 2):
             with pytest.raises(DataError, match=r"c.tsv:6: 3 ids for 4 fields$"):
                 cli._read_candidates(p, 4)
 
-    def test_plain_ids_never_reach_int(self, tmp_path):
+    @pytest.mark.parametrize("bad,problem", [
+        ("0,0,0,0\t-1", "video length must be positive"),
+        ("0,0,0,0\t0", "video length must be positive"),
+        ("0,0,0,0\tinf", "video length must be finite"),
+        ("0,0,0\t1", "3 ids for 4 fields"),
+        ("0,0,0,x\t1", "invalid literal for int() with base 10: 'x'"),
+        ("0,0,0,0\t1\t1", "expected 'ids<TAB>length'"),
+        ("0,0,0,99999999999999999999\t1", "feature id out of the 64-bit integer range"),
+    ])
+    def test_bad_line_deep_in_a_block(self, tmp_path, bad, problem):
+        # plain lines around it, so only the bad line keeps the block from the bulk path
+        lines = ["0,1,2,3\t10", "7,0,0,1\t2.5", "5,5,5,5\t600"] * 21 + [bad]
+        lines[40], lines[-1] = lines[-1], lines[40]  # line 41, in the first block of 64 lines
         p = tmp_path / "c.tsv"
-        with mock.patch.object(data_mod, "int_ids", wraps=data_mod.int_ids) as int_ids:
-            p.write_text("# c\n1,02,3,4\t10\n 0,0,0,999999999999999999\t2.5\n")
+        p.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(data_mod, "BLOCK_LINES", 64):
+            with pytest.raises(DataError) as exc:
+                cli._read_candidates(p, 4)
+        assert str(exc.value) == f"{p}:41: {problem}"
+
+    def test_tab_count_checked_per_line(self, tmp_path):
+        # a line without a tab and then one with two hold 4 halves, as two candidates do
+        p = tmp_path / "c.tsv"
+        p.write_text("1,2,3,4\n5\t1,2,3,4\t6\n")
+        with pytest.raises(DataError, match=r"c.tsv:1: expected 'ids<TAB>length'$"):
+            cli._read_candidates(p, 4)
+
+    def test_plain_ids_never_reach_int(self, tmp_path):
+        """A block of plain candidates is read in bulk, without the per-line
+        parser and its ``int()``; a signed id sends its block there, which
+        reads it to the same arrays."""
+        p = tmp_path / "c.tsv"
+        with mock.patch.object(cli, "_parse_candidate", wraps=cli._parse_candidate) as parse:
+            p.write_text("1,02,3,4\t10\n0,0,0,999999999999999999\t2.5\n")
             plain = cli._read_candidates(p, 4)
-            assert int_ids.call_count == 0
-            p.write_text("# c\n+1,02,3,4\t10\n 0,0,0,999999999999999999\t2.5\n")
+            assert parse.call_count == 0
+            p.write_text("+1,02,3,4\t10\n0,0,0,999999999999999999\t2.5\n")
             signed = cli._read_candidates(p, 4)
-            assert int_ids.call_count == 1
+            assert parse.call_count == 2
         assert plain[0].tolist() == [[1, 2, 3, 4], [0, 0, 0, 10 ** 18 - 1]]
         assert signed[0].tobytes() == plain[0].tobytes()
         assert signed[1].tobytes() == plain[1].tobytes()

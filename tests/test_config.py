@@ -4,8 +4,7 @@ from dataclasses import fields
 import pytest
 
 from lotshare import config
-from lotshare.config import (ExperimentConfig, SEED_ENV_VAR, build_experiment,
-                             parse_kv_text)
+from lotshare.config import ExperimentConfig, build_experiment, parse_kv_text
 from lotshare.data import SyntheticSpec
 from lotshare.errors import ConfigError
 from lotshare.model import SharingMode
@@ -40,11 +39,6 @@ NON_DEFAULT = {
     "data.n_impressions": "1234",
     "data.seed": "12",
 }
-
-
-@pytest.fixture(autouse=True)
-def no_env_seed(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
 
 
 def test_every_field_has_exactly_one_key():

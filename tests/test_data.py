@@ -377,6 +377,33 @@ class TestLoadMatchesPerLine:
                                                 r"range for field 1 \(cardinality 4\)$"):
                 data.load(p)
 
+    @pytest.mark.parametrize("bad,problem", [
+        ("cvr\t1.5\t0,0\ttrain", "CVR label must be in [0,1], got 1.5"),
+        ("cvr\tnan\t0,0\ttrain", "CVR label must be in [0,1], got nan"),
+        ("ctr\t0.5\t0,0\ttrain", "CTR label must be 0 or 1, got 0.5"),
+        ("ctr\t1\t0,4\tval", "id 4 out of range for field 1 (cardinality 4)"),
+        ("ctr\t1\t0,0,0\tval", "3 ids for 2 fields"),
+        ("cvr\t0\t0,0\tvalid", "unknown split 'valid'"),
+        ("cvr\t0\t0,0\ttrain\t", "expected 3 or 4 tab-separated fields"),
+    ])
+    def test_bad_line_deep_in_a_block(self, tmp_path, bad, problem):
+        # plain rows around it, so only the bad line keeps the block from the bulk path
+        rows = ["ctr\t1\t0,0\ttrain", "cvr\t0.25\t3,1\ttest", "ctr\t0\t2,3\tval"] * 21 + [bad]
+        rows[40], rows[-1] = rows[-1], rows[40]  # line 42, in the first block of 64 lines
+        p = tmp_path / "d.tsv"
+        p.write_text("cardinalities\t4,4\n" + "\n".join(rows) + "\n")
+        with mock.patch.object(data, "BLOCK_LINES", 64):
+            with pytest.raises(DataError) as exc:
+                data.load(p)
+        assert str(exc.value) == f"{p}:42: {problem}"
+
+    def test_tab_count_checked_per_line(self, tmp_path):
+        # a 3-field row and then a 5-field row hold 8 fields, as two 4-field rows do
+        p = tmp_path / "d.tsv"
+        p.write_text("cardinalities\t4,4\nctr\t1\t0,0\ntrain\tctr\t1\t0,0\ttrain\n")
+        with pytest.raises(DataError, match=r"d.tsv:3: expected 3 or 4 tab-separated fields$"):
+            data.load(p)
+
     def test_only_universal_newlines_end_a_line(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_bytes("cardinalities\t4,4\nctr\t1\t0,0\x0cctr\t0\t1,1\n".encode())
@@ -450,14 +477,17 @@ class TestDigitIds:
         assert data.digit_ids(["9223372036854775807,1"], 2) is None
 
     def test_plain_ids_never_reach_int(self, tmp_path):
+        """A block of plain rows is read in bulk, without the per-line
+        parser and its ``int()``; a signed id sends its block there, which
+        reads it to the same arrays."""
         p = tmp_path / "d.tsv"
-        with mock.patch.object(data, "int_ids", wraps=data.int_ids) as int_ids:
+        with mock.patch.object(data, "_parse_row", wraps=data._parse_row) as parse_row:
             p.write_text("cardinalities\t10,10\nctr\t1\t3,007\ttrain\ncvr\t0.5\t0,9\tval\n")
             plain = data.load(p)
-            assert int_ids.call_count == 0
+            assert parse_row.call_count == 0
             p.write_text("cardinalities\t10,10\nctr\t1\t+3,007\ttrain\ncvr\t0.5\t0,9\tval\n")
             signed = data.load(p)
-            assert int_ids.call_count == 1
+            assert parse_row.call_count == 2
         assert_same_arrays(signed, plain)
         assert plain.tasks[Task.CTR].ids.tolist() == [[3, 7]]
 

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from lotshare import masking, nn
 from lotshare.errors import MaskFormatError, ShapeError
-from lotshare.masking import (MaskOverlapStats, TaskMask, apply_mask,
-                              deserialize_mask, overlap_stats,
+from lotshare.masking import (MaskOverlapStats, TaskMask, deserialize_mask, overlap_stats,
                               prune_connections, prune_neurons,
                               quantile_threshold, serialize_mask)
-from lotshare.model import ModelConfig, SharingMode, Task, init_params
+from lotshare.model import Task
 
 
 def sort_oracle(values, q):
@@ -145,38 +144,6 @@ class TestPruneNeurons:
             for a, b in zip(nxt.layers, prev.layers):
                 assert (a <= b).all()
             prev = nxt
-
-
-class TestApplyMask:
-    def _params(self):
-        cfg = ModelConfig((4, 4), 3, (7, 5, 1), "pairwise_dot",
-                          SharingMode.CONNECTION_SHARE)
-        return init_params(cfg, 0)
-
-    def test_all_ones_identity(self):
-        p = self._params()
-        m = TaskMask.all_ones(p.mlp_weights, Task.CTR)
-        out = apply_mask(p, m)
-        for a, b in zip(out.mlp_weights, p.mlp_weights):
-            assert (a == b).all()
-
-    def test_all_zeros_keeps_biases(self):
-        p = self._params()
-        p.mlp_biases[0][:] = 3.0
-        m = TaskMask([np.zeros_like(w) for w in p.mlp_weights], Task.CTR)
-        out = apply_mask(p, m)
-        assert all((w == 0).all() for w in out.mlp_weights)
-        assert (out.mlp_biases[0] == 3.0).all()
-
-    def test_idempotent(self):
-        p = self._params()
-        rng = nn.make_rng(2)
-        m = TaskMask([(rng.random(w.shape) < 0.5).astype(float)
-                      for w in p.mlp_weights], Task.CVR)
-        once = apply_mask(p, m)
-        twice = apply_mask(once, m)
-        for a, b in zip(once.mlp_weights, twice.mlp_weights):
-            assert (a == b).all()
 
 
 class TestOverlapStats:

@@ -337,7 +337,6 @@ class TestMetricsReport:
                             metrics={"ctr_auc": 0.78874, "cvr_mse": 0.13226},
                             sparsity={"ctr": 0.512, "cvr": 0.4096},
                             overlap={"shared": 100, "dead": 3},
-                            gains={"cvr": "+0.00462 (+3.38%)"},
                             config_fingerprint="abc123",
                             notes={"hidden_activation": "relu"})
         back = MetricsReport.from_kv_lines(rep.to_kv_lines())
@@ -345,7 +344,6 @@ class TestMetricsReport:
         assert back.metrics == pytest.approx(rep.metrics)
         assert back.sparsity == pytest.approx(rep.sparsity)
         assert back.overlap == rep.overlap
-        assert back.gains == rep.gains
         assert back.notes == rep.notes
 
     def test_text_has_five_decimals(self):

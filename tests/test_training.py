@@ -8,8 +8,8 @@ from lotshare.masking import TaskMask
 from lotshare.model import (TASKS, CrossKind, ModelConfig, SharingMode, Task,
                             cross_output_width)
 from lotshare.training import (TrainConfig, evaluate_artifacts, generate_masks,
-                               joint_loss, joint_train, predict, predict_tasks,
-                               task_loss, train_baseline, train_model, warmup)
+                               joint_train, predict, predict_tasks, train_baseline,
+                               train_model, warmup)
 
 
 def make_config(mode=SharingMode.CONNECTION_SHARE, hidden=(8, 6)):
@@ -26,6 +26,9 @@ def make_dataset(n=600, seed=0, rho=0.8):
 
 
 class TestLosses:
+    """The closed-form losses of ``training._loss_and_dlogit``, the loss that
+    every training step takes."""
+
     def _zero_net(self, cfg):
         # all-zero final layer gives preds == 0.5 exactly
         p = model.init_params(cfg, 0)
@@ -33,12 +36,16 @@ class TestLosses:
         layers[-1][:] = 0.0
         return p, TaskMask(layers, Task.CTR)
 
+    def _loss(self, batch, p, cfg, mask):
+        preds, cache = model.forward(batch.ids, p, cfg, batch.task, mask=mask, want_cache=True)
+        return training._loss_and_dlogit(cache.logits, preds, batch.labels, batch.task)[0]
+
     def test_ctr_half_preds_is_ln2(self):
         cfg = make_config()
         p, mask = self._zero_net(cfg)
         batch = Batch(Task.CTR, np.zeros((4, 4), dtype=np.int64),
                       np.array([0.0, 1.0, 0.0, 1.0]))
-        assert task_loss(batch, p, cfg, mask) == pytest.approx(np.log(2), rel=1e-12)
+        assert self._loss(batch, p, cfg, mask) == pytest.approx(np.log(2), rel=1e-12)
 
     def test_cvr_half_preds_closed_form(self):
         cfg = make_config()
@@ -46,26 +53,24 @@ class TestLosses:
         batch = Batch(Task.CVR, np.zeros((2, 4), dtype=np.int64),
                       np.array([0.1, 0.9]))
         # mean((0.5-0.1)^2, (0.5-0.9)^2) = 0.16
-        assert task_loss(batch, p, cfg, mask) == pytest.approx(0.16, rel=1e-12)
+        assert self._loss(batch, p, cfg, mask) == pytest.approx(0.16, rel=1e-12)
 
     def test_joint_loss_scales_by_omega(self):
         cfg = make_config()
         p, mask = self._zero_net(cfg)
         tcfg = TrainConfig(sharing_mode=cfg.sharing_mode)
+
+        def step_loss(batch):  # a joint step's loss, taken before it updates a copy
+            q = p.copy()
+            return training._train_step(q, cfg, nn.Adam(q, 1e-3), batch, mask,
+                                        tcfg.omega(batch.task))
+
         batch = Batch(Task.CVR, np.zeros((2, 4), dtype=np.int64),
                       np.array([0.1, 0.9]))
         # 0.3 * 0.16 = 0.048
-        assert joint_loss(batch, p, cfg, tcfg, mask) == pytest.approx(0.048, rel=1e-12)
+        assert step_loss(batch) == pytest.approx(0.048, rel=1e-12)
         ctr = Batch(Task.CTR, np.zeros((2, 4), dtype=np.int64), np.array([0.0, 1.0]))
-        assert joint_loss(ctr, p, cfg, tcfg, mask) == pytest.approx(
-            0.7 * np.log(2), rel=1e-12)
-
-    def test_empty_batch_rejected(self):
-        cfg = make_config()
-        p = model.init_params(cfg, 0)
-        batch = Batch(Task.CTR, np.zeros((0, 4), dtype=np.int64), np.zeros(0))
-        with pytest.raises(ConfigError):
-            task_loss(batch, p, cfg)
+        assert step_loss(ctr) == pytest.approx(0.7 * np.log(2), rel=1e-12)
 
 
 class TestWarmup:
@@ -223,7 +228,7 @@ class TestBaselines:
         for epoch in range(tcfg.joint_epochs):
             for batch in batches(ds, [Task.CTR], tcfg.batch_size, tcfg.seed,
                                  training._BASELINE_EPOCH_BASE + epoch):
-                training._train_step(p2, cfg, tcfg, opt, batch, None, 1.0)
+                training._train_step(p2, cfg, opt, batch, None, 1.0)
         for a, b in zip(p_ctr.blocks(), p2.blocks()):
             assert (a == b).all()
 
