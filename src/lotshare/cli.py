@@ -26,9 +26,22 @@ EXIT_INTERNAL = 4
 
 
 def _load_dataset(exp: ExperimentConfig) -> data_mod.Dataset:
-    if exp.dataset_path:
-        return data_mod.load(exp.dataset_path)
-    return data_mod.generate(exp.synth)
+    """The TSV at ``exp.dataset_path``, or synthetic data without one.
+    DataError for a TSV whose header has a cardinality below 1 or tables
+    past 2**63 entries, or that has no rows."""
+    path = exp.dataset_path
+    if not path:
+        return data_mod.generate(exp.synth)
+    ds = data_mod.load(path)
+    cards = ds.field_cardinalities
+    if any(c < 1 for c in cards):
+        raise DataError(f"{path}:1: field cardinalities must all be >= 1: {cards}")
+    if sum(cards) * exp.embedding_dim >= 2 ** 63:
+        raise DataError(f"{path}:1: cardinalities {cards} with embedding_dim "
+                        f"{exp.embedding_dim} give tables past 2**63 entries")
+    if all(td.n == 0 for td in ds.tasks.values()):
+        raise DataError(f"{path}: no rows")
+    return ds
 
 
 def _history_kv(entry: dict) -> str:
@@ -49,7 +62,7 @@ def build_report(art: training.TrainedArtifacts, dataset: data_mod.Dataset,
             "optimizer_reset_on_rewind": "true",
         },
     )
-    if art.masks is not None:
+    if art.masks:
         for task in TASKS:
             m = art.best_mask(task)
             report.sparsity[task.value] = m.survivor_fraction()
@@ -65,8 +78,8 @@ _MODE_FILES = ("model.ckpt", "ctr.ckpt", "cvr.ckpt", "mask_ctr.mask", "mask_cvr.
 _ROUND_MASK = re.compile(r"(?:ctr|cvr)_round(?:0|[1-9][0-9]*)\.mask")
 
 
-def _remove_stale_artifacts(outdir: Path, writes: set[str]) -> None:
-    """Delete the lotshare files in ``outdir`` that are not in ``writes``
+def _remove_stale_artifacts(outdir: Path, keep: set[str]) -> None:
+    """Delete the lotshare files in ``outdir`` that are not in ``keep``
     (paths relative to ``outdir``): those a run in another mode, or with
     more pruning rounds, left there. Only exact artifact names are touched,
     and ``masks/`` only goes when nothing else is left in it."""
@@ -75,7 +88,7 @@ def _remove_stale_artifacts(outdir: Path, writes: set[str]) -> None:
               if mask_dir.is_dir() else [])
     for name in [*_MODE_FILES, *rounds]:
         path = outdir / name
-        if name not in writes and path.is_file():
+        if name not in keep and path.is_file():
             path.unlink()
     if mask_dir.is_dir() and not any(mask_dir.iterdir()):
         mask_dir.rmdir()
@@ -85,28 +98,25 @@ def write_run_dir(outdir: Path, exp: ExperimentConfig,
                   art: training.TrainedArtifacts, mcfg: model.ModelConfig,
                   report: MetricsReport) -> None:
     """Write a run's artifacts to ``outdir``, first removing the artifacts
-    of an earlier run there that this run does not overwrite."""
+    of an earlier run there that this run does not overwrite. A shared run
+    holds one params object under both tasks and saves it once, as
+    ``model.ckpt``; single_task saves ``ctr.ckpt`` and ``cvr.ckpt``."""
+    shared = art.params[Task.CTR] is art.params[Task.CVR]
+    artifacts = {("model.ckpt" if shared else f"{task.value}.ckpt"):
+                 partial(model.save_checkpoint, params=art.params[task], cfg=mcfg)
+                 for task in TASKS}
+    for task, rounds in art.masks.items():
+        artifacts[f"mask_{task.value}.mask"] = partial(masking.save_mask,
+                                                       mask=art.best_mask(task))
+        for rnd, mask in enumerate(rounds):
+            artifacts[f"masks/{task.value}_round{rnd}.mask"] = partial(masking.save_mask,
+                                                                       mask=mask)
     outdir.mkdir(parents=True, exist_ok=True)
-    writes = ({f"{task.value}.ckpt" for task in TASKS} if isinstance(art.params, dict)
-              else {"model.ckpt"})
-    if art.masks is not None:
-        writes |= {f"mask_{task.value}.mask" for task in TASKS}
-        writes |= {f"masks/{task.value}_round{rnd}.mask"
-                   for task in TASKS for rnd in range(len(art.masks[task]))}
-    _remove_stale_artifacts(outdir, writes)
+    _remove_stale_artifacts(outdir, set(artifacts))
     (outdir / "config.cfg").write_text(exp.to_text(), encoding="utf-8")
-    if isinstance(art.params, dict):
-        for task in TASKS:
-            model.save_checkpoint(outdir / f"{task.value}.ckpt", art.params[task], mcfg)
-    else:
-        model.save_checkpoint(outdir / "model.ckpt", art.params, mcfg)
-    if art.masks is not None:
-        mask_dir = outdir / "masks"
-        mask_dir.mkdir(exist_ok=True)
-        for task in TASKS:
-            for rnd, m in enumerate(art.masks[task]):
-                masking.save_mask(mask_dir / f"{task.value}_round{rnd}.mask", m)
-            masking.save_mask(outdir / f"mask_{task.value}.mask", art.best_mask(task))
+    for name, write in artifacts.items():
+        (outdir / name).parent.mkdir(exist_ok=True)
+        write(outdir / name)
     with open(outdir / "train.log", "w", encoding="utf-8") as fh:
         for entry in art.history:
             fh.write(_history_kv(entry) + "\n")

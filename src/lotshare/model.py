@@ -437,13 +437,14 @@ def tower_masks(cfg: ModelConfig) -> dict[Task, list[np.ndarray]]:
 
 
 def _mask_layers(cfg: ModelConfig, task: Task, mask) -> list[np.ndarray] | None:
-    """The mask layers ``task`` runs under: ``mask``'s, or when it is None
-    the fixed ``tower_masks`` in layer_share mode and no mask otherwise."""
+    """The mask layers ``task`` runs under: those of ``mask``, a
+    ``masking.TaskMask``, or when it is None the fixed ``tower_masks`` in
+    layer_share mode and no mask otherwise."""
     if mask is None:
         if cfg.sharing_mode is SharingMode.LAYER_SHARE:
             return tower_masks(cfg)[Task(task)]
         return None
-    return mask.layers if hasattr(mask, "layers") else list(mask)
+    return mask.layers
 
 
 def check_mask_shapes(weights: list[np.ndarray], layers) -> None:

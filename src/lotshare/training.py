@@ -120,22 +120,37 @@ def evaluate(params: ModelParams, cfg: ModelConfig, task: Task,
     return metrics.mse(labels, preds)
 
 
+def _epochs(params: ModelParams, cfg: ModelConfig, dataset: Dataset, tcfg: TrainConfig,
+            tasks, masks: dict[Task, TaskMask], weights: dict[Task, float], epochs: int,
+            stream: int, step_hook=None):
+    """The epoch loop of every training stage: ``epochs`` epochs over the
+    batches of ``tasks`` with one fresh Adam, epoch ``e`` on shuffle stream
+    ``stream + e``. Each step runs under ``masks.get(task)`` and scales its
+    loss by ``weights[task]``; ``step_hook(batch, params)`` follows each step.
+    Yields each epoch's mean step loss."""
+    opt = nn.Adam(params, tcfg.learning_rate)
+    for epoch in range(epochs):
+        total, count = 0.0, 0
+        for batch in batches(dataset, tasks, tcfg.batch_size, tcfg.seed, stream + epoch):
+            total += _train_step(params, cfg, opt, batch, masks.get(batch.task),
+                                 weights[batch.task])
+            count += 1
+            if step_hook is not None:
+                step_hook(batch, params)
+        yield total / max(count, 1)
+
+
 def warmup(params: ModelParams, dataset: Dataset, cfg: ModelConfig,
            tcfg: TrainConfig, history: list | None = None) -> None:
     """Algorithm step 1: train unmasked on the mixed stream, then freeze the
     trained weights as the rewind snapshot."""
     if all(dataset.task(t).n == 0 for t in TASKS):
         raise ConfigError("warmup: empty dataset")
-    opt = nn.Adam(params, tcfg.learning_rate)
-    for epoch in range(tcfg.warmup_epochs):
-        total, count = 0.0, 0
-        for batch in batches(dataset, TASKS, tcfg.batch_size, tcfg.seed,
-                             _WARMUP_EPOCH_BASE + epoch):
-            total += _train_step(params, cfg, opt, batch, None, tcfg.omega(batch.task))
-            count += 1
+    omegas = {t: tcfg.omega(t) for t in TASKS}
+    for epoch, loss in enumerate(_epochs(params, cfg, dataset, tcfg, TASKS, {}, omegas,
+                                         tcfg.warmup_epochs, _WARMUP_EPOCH_BASE)):
         if history is not None:
-            history.append({"stage": "warmup", "epoch": epoch,
-                            "mean_loss": total / max(count, 1)})
+            history.append({"stage": "warmup", "epoch": epoch, "mean_loss": loss})
     params.take_snapshot()
 
 
@@ -170,13 +185,10 @@ def generate_masks(params: ModelParams, dataset: Dataset, cfg: ModelConfig,
         scores = []
         for rnd in range(tcfg.n_pruning + 1):
             params.rewind()
-            opt = nn.Adam(params, tcfg.learning_rate)
-            for epoch in range(tcfg.mask_epochs):
-                stream_epoch = (_MASKGEN_EPOCH_BASE + ti * 10_000
-                                + rnd * tcfg.mask_epochs + epoch)
-                for batch in batches(dataset, [task], tcfg.batch_size,
-                                     tcfg.seed, stream_epoch):
-                    _train_step(params, cfg, opt, batch, mask, 1.0)
+            for _ in _epochs(params, cfg, dataset, tcfg, [task], {task: mask}, {task: 1.0},
+                             tcfg.mask_epochs,
+                             _MASKGEN_EPOCH_BASE + ti * 10_000 + rnd * tcfg.mask_epochs):
+                pass
             score = evaluate(params, cfg, task, ids_val, labels_val, mask=mask)
             scores.append(score)
             if history is not None:
@@ -199,21 +211,19 @@ def generate_masks(params: ModelParams, dataset: Dataset, cfg: ModelConfig,
 
 @dataclass
 class TrainedArtifacts:
+    """A trained run. ``params`` holds the net each task predicts with: one
+    object under both tasks in the shared modes, one per task in
+    single_task. ``masks`` holds each task's searched masks by round and
+    ``best_i`` the round selected; both are empty when nothing was searched."""
     mode: SharingMode
-    params: ModelParams | dict[Task, ModelParams]
-    masks: dict[Task, list[TaskMask]] | None = None
-    best_i: dict[Task, int] | None = None
+    params: dict[Task, ModelParams]
+    masks: dict[Task, list[TaskMask]] = field(default_factory=dict)
+    best_i: dict[Task, int] = field(default_factory=dict)
     history: list[dict] = field(default_factory=list)
 
     def best_mask(self, task: Task) -> TaskMask | None:
-        if self.masks is None:
-            return None
-        return self.masks[Task(task)][self.best_i[Task(task)]]
-
-    def params_for(self, task: Task) -> ModelParams:
-        if isinstance(self.params, dict):
-            return self.params[Task(task)]
-        return self.params
+        task = Task(task)
+        return self.masks[task][self.best_i[task]] if task in self.masks else None
 
 
 def joint_train(params: ModelParams, best_masks: dict[Task, TaskMask],
@@ -226,20 +236,11 @@ def joint_train(params: ModelParams, best_masks: dict[Task, TaskMask],
     for task in TASKS:
         if task not in best_masks:
             raise StateError(f"joint_train: missing best mask for task {task.value}")
-    opt = nn.Adam(params, tcfg.learning_rate)
-    for epoch in range(tcfg.joint_epochs):
-        total, count = 0.0, 0
-        for batch in batches(dataset, TASKS, tcfg.batch_size, tcfg.seed,
-                             _JOINT_EPOCH_BASE + epoch):
-            loss = _train_step(params, cfg, opt, batch, best_masks[batch.task],
-                               tcfg.omega(batch.task))
-            total += loss
-            count += 1
-            if step_hook is not None:
-                step_hook(batch, params)
+    omegas = {t: tcfg.omega(t) for t in TASKS}
+    for epoch, loss in enumerate(_epochs(params, cfg, dataset, tcfg, TASKS, best_masks, omegas,
+                                         tcfg.joint_epochs, _JOINT_EPOCH_BASE, step_hook)):
         if history is not None:
-            history.append({"stage": "joint", "epoch": epoch,
-                            "mean_loss": total / max(count, 1)})
+            history.append({"stage": "joint", "epoch": epoch, "mean_loss": loss})
 
 
 def train_baseline(dataset: Dataset, cfg: ModelConfig,
@@ -254,17 +255,12 @@ def train_baseline(dataset: Dataset, cfg: ModelConfig,
     for ti, task in enumerate(TASKS):
         if dataset.task(task).n == 0:
             raise ConfigError(f"train_baseline: no samples for task {task.value}")
-        p = model.init_params(cfg, tcfg.seed + ti)
-        opt = nn.Adam(p, tcfg.learning_rate)
-        for epoch in range(tcfg.joint_epochs):
-            total, count = 0.0, 0
-            for batch in batches(dataset, [task], tcfg.batch_size, tcfg.seed,
-                                 _BASELINE_EPOCH_BASE + epoch):
-                total += _train_step(p, cfg, opt, batch, None, 1.0)
-                count += 1
-            history.append({"stage": "single", "task": task.value,
-                            "epoch": epoch, "mean_loss": total / max(count, 1)})
-        per_task[task] = p
+        per_task[task] = model.init_params(cfg, tcfg.seed + ti)
+        for epoch, loss in enumerate(_epochs(per_task[task], cfg, dataset, tcfg, [task], {},
+                                             {task: 1.0}, tcfg.joint_epochs,
+                                             _BASELINE_EPOCH_BASE)):
+            history.append({"stage": "single", "task": task.value, "epoch": epoch,
+                            "mean_loss": loss})
     return TrainedArtifacts(mode, per_task, history=history)
 
 
@@ -281,7 +277,7 @@ def train_model(dataset: Dataset, cfg: ModelConfig, tcfg: TrainConfig) -> Traine
         return train_baseline(dataset, cfg, tcfg)
     history: list[dict] = []
     params = model.init_params(cfg, tcfg.seed)
-    masks = best_i = None
+    masks, best_i = {}, {}
     if mode is SharingMode.LAYER_SHARE:
         best = {t: TaskMask(layers, t) for t, layers in model.tower_masks(cfg).items()}
     else:
@@ -289,8 +285,7 @@ def train_model(dataset: Dataset, cfg: ModelConfig, tcfg: TrainConfig) -> Traine
         masks, best_i = generate_masks(params, dataset, cfg, tcfg, history)
         best = {t: masks[t][best_i[t]] for t in TASKS}
     joint_train(params, best, dataset, cfg, tcfg, history)
-    return TrainedArtifacts(mode, params, masks=masks, best_i=best_i,
-                            history=history)
+    return TrainedArtifacts(mode, dict.fromkeys(TASKS, params), masks, best_i, history)
 
 
 def evaluate_artifacts(art: TrainedArtifacts, dataset: Dataset, cfg: ModelConfig,
@@ -300,7 +295,7 @@ def evaluate_artifacts(art: TrainedArtifacts, dataset: Dataset, cfg: ModelConfig
         ids, labels = dataset.subset(task, split)
         if len(labels) == 0:
             continue
-        score = evaluate(art.params_for(task), cfg, task, ids, labels,
+        score = evaluate(art.params[task], cfg, task, ids, labels,
                          mask=art.best_mask(task))
         key = "ctr_auc" if task is Task.CTR else "cvr_mse"
         out[key] = score

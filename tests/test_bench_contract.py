@@ -1,10 +1,13 @@
-"""The contract between lotshare and the benchmark's tracer.
+"""The contract between lotshare and the benchmark's code.
 
 ``bench/tracing.py`` patches lotshare functions by module attribute name
-and reads the arguments of ``nn.Adam.step`` and ``model.backward``. A
+and reads the arguments of ``nn.Adam.step`` and ``model.backward``, and
+``bench/workloads.py`` calls ``train_model``, ``build_report``,
+``write_run_dir`` and ``lotshare score`` and checks what they write. A
 refactor that renames a traced function, or changes what those calls
-receive, breaks ``bench/run.py --trace 1``; these tests make it fail here
-instead. They read ``bench/tracing.py`` and never change it.
+receive or return, breaks ``bench/run.py``; these tests make it fail here
+instead. They read ``bench/tracing.py`` and ``bench/workloads.py`` and
+never change them.
 """
 
 import importlib
@@ -19,15 +22,24 @@ from lotshare.data import SyntheticSpec, generate
 from lotshare.masking import TaskMask
 from lotshare.model import CrossKind, ModelConfig, SharingMode, Task, cross_output_width
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return _bench_module("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _bench_module("workloads")
 
 
 def small_run(mode):
@@ -81,6 +93,36 @@ def test_traced_training_run(tracing, mode):
     layers = tracing.layer_metrics(tracer.spans, lo, len(tracer.spans))
     assert set(layers) <= set(tracing.PER_LAYER)
     assert layers["training.steps"] == layers["nn.adam_n"] == layers["model.backward_n"] > 0
-    assert layers["nn.adam_elems_per_step"] == art.params.layout.size
+    assert layers["nn.adam_elems_per_step"] == art.params[Task.CTR].layout.size
     assert 0.0 < layers["model.emb_rows_touched_frac"] <= 1.0
-    assert art.params.flat.tobytes() == plain.params.flat.tobytes()
+    assert art.params[Task.CTR].flat.tobytes() == plain.params[Task.CTR].flat.tobytes()
+
+
+def _two_operations(workload, tmp_path):
+    """The benchmark's steps on ``workload``: both operations' output
+    hashes must be equal and the first one's check must pass."""
+    workload.prepare()
+    state = workload.setup()
+    outs = [tmp_path / f"op{i}" for i in range(2)]
+    for out in outs:
+        workload.run(state, out)
+    hashes = [workload.outputs(out) for out in outs]
+    assert hashes[0] and hashes[0] == hashes[1]
+    return workload.check(state, outs[0])
+
+
+@pytest.mark.parametrize("mode,from_tsv", [("single_task", False), ("layer_share", True),
+                                           ("connection_share", False),
+                                           ("neuron_share", False)])
+def test_train_workload(workloads, tmp_path, mode, from_tsv):
+    kv = {"mode": mode, "data.n_impressions": "2000"}
+    workload = workloads.TrainWorkload(3, tmp_path, kv, from_tsv=from_tsv)
+    quality = _two_operations(workload, tmp_path)
+    assert set(quality) >= {"ctr_auc", "cvr_mse", "ctr_ne"}
+
+
+def test_score_workload(workloads, tmp_path, monkeypatch):
+    monkeypatch.setattr(workloads, "SCORE_CANDIDATES", 400)
+    monkeypatch.setattr(workloads, "SCORE_PREP_IMPRESSIONS", 2000)
+    quality = _two_operations(workloads.ScoreWorkload(3, tmp_path), tmp_path)
+    assert 0.0 < quality["survivor_frac.ctr"] <= 1.0

@@ -194,6 +194,43 @@ class TestTrain:
         assert rc == 3 and stdout == ""
         assert err == f"data error: {p}:3: not valid UTF-8\n"
 
+    @pytest.mark.parametrize("mode", ["connection_share", "single_task"])
+    @pytest.mark.parametrize("text", ["", "cardinalities\t8,8,8,8\n"])
+    def test_dataset_without_rows_exit_3(self, tmp_path, cfg_file, capsys, text, mode):
+        p = tmp_path / "d.tsv"
+        p.write_text(text)
+        rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--dataset", str(p),
+                              "--mode", mode, "--out", str(tmp_path / "run"))
+        assert (rc, stdout, err) == (3, "", f"data error: {p}: no rows\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_cardinality_exit_3(self, tmp_path, cfg_file, capsys):
+        p = tmp_path / "d.tsv"
+        p.write_text("cardinalities\t0,8,8,8\n")
+        rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--dataset", str(p),
+                              "--out", str(tmp_path / "run"))
+        assert (rc, stdout) == (3, "")
+        assert err == (f"data error: {p}:1: field cardinalities must all be >= 1: "
+                       "(0, 8, 8, 8)\n")
+
+    def test_tables_past_int64_exit_3(self, tmp_path, cfg_file, capsys):
+        """The check runs before any table is allocated."""
+        p = tmp_path / "d.tsv"
+        p.write_text("cardinalities\t99999999999999999999,8,8,8\n"
+                     "ctr\t1\t5,1,2,3\ttrain\ncvr\t0.5\t5,1,2,3\ttrain\n")
+        rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--dataset", str(p),
+                              "--out", str(tmp_path / "run"))
+        assert (rc, stdout) == (3, "")
+        assert err == (f"data error: {p}:1: cardinalities (99999999999999999999, 8, 8, 8) "
+                       "with embedding_dim 3 give tables past 2**63 entries\n")
+
+    def test_prune_sweep_dataset_without_rows_exit_3(self, tmp_path, cfg_file, capsys):
+        p = tmp_path / "d.tsv"
+        p.write_text("cardinalities\t8,8,8,8\n")
+        rc, stdout, err = run(capsys, "prune-sweep", "--config", cfg_file, "--dataset", str(p),
+                              "--out", str(tmp_path / "run"))
+        assert (rc, stdout, err) == (3, "", f"data error: {p}: no rows\n")
+
     def test_unknown_key_exit_2(self, cfg_file, capsys):
         rc, _, err = run(capsys, "train", "--config", cfg_file, "--set", "bogus=1")
         assert rc == 2 and "bogus" in err

@@ -267,8 +267,9 @@ class TestRowSparseAdam:
         tcfg = training.TrainConfig(seed=3, batch_size=32, sharing_mode=mode, n_pruning=1)
         art = training.train_model(ds, cfg, tcfg)
         init = model.init_params(cfg, tcfg.seed)
-        assert art.params.embeddings[0][4:].tobytes() == init.embeddings[0][4:].tobytes()
-        assert (art.params.embeddings[0][:4] != init.embeddings[0][:4]).all()
+        trained = art.params[Task.CTR]
+        assert trained.embeddings[0][4:].tobytes() == init.embeddings[0][4:].tobytes()
+        assert (trained.embeddings[0][:4] != init.embeddings[0][:4]).all()
 
 
 @pytest.mark.parametrize("beta1,beta2", [(0.5, 0.999), (1.0, 0.999), (0.9, 0.5),

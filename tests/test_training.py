@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lotshare import model, nn, training
-from lotshare.data import Batch, Dataset, SyntheticSpec, TaskData, generate
+from lotshare.data import Batch, Dataset, SyntheticSpec, TaskData, batches, generate
 from lotshare.errors import ConfigError, StateError
 from lotshare.masking import TaskMask
 from lotshare.model import (TASKS, CrossKind, ModelConfig, SharingMode, Task,
@@ -211,6 +211,95 @@ class TestJointTrain:
             joint_train(p, {Task.CTR: best[Task.CTR]}, ds, cfg, tcfg)
 
 
+def replay_epochs(params, cfg, ds, tcfg, tasks, masks, weights, epochs, stream, calls=None):
+    """Reference: the epoch loop written out, one Adam over all ``epochs``;
+    returns each epoch's mean loss. ``calls`` collects each batch."""
+    opt = nn.Adam(params, tcfg.learning_rate)
+    means = []
+    for epoch in range(epochs):
+        total, count = 0.0, 0
+        for batch in batches(ds, tasks, tcfg.batch_size, tcfg.seed, stream + epoch):
+            total += training._train_step(params, cfg, opt, batch, masks.get(batch.task),
+                                          weights[batch.task])
+            count += 1
+            if calls is not None:
+                calls.append(batch)
+        means.append(total / count)
+    return means
+
+
+class TestStageReplay:
+    """Each stage's params and history rows equal those of its loop written
+    out by hand over ``_train_step``, byte for byte."""
+
+    def _setup(self, seed=12, **kw):
+        cfg = make_config()
+        tcfg = TrainConfig(seed=seed, batch_size=64, **kw)
+        return cfg, tcfg, make_dataset(500, seed=seed)
+
+    def test_warmup(self):
+        cfg, tcfg, ds = self._setup(warmup_epochs=2)
+        p, history = model.init_params(cfg, tcfg.seed), []
+        warmup(p, ds, cfg, tcfg, history)
+        ref = model.init_params(cfg, tcfg.seed)
+        omegas = {t: tcfg.omega(t) for t in TASKS}
+        means = replay_epochs(ref, cfg, ds, tcfg, TASKS, {}, omegas, 2,
+                              training._WARMUP_EPOCH_BASE)
+        assert p.flat.tobytes() == ref.flat.tobytes()
+        assert p.init_snapshot.flat.tobytes() == ref.flat.tobytes()
+        assert history == [{"stage": "warmup", "epoch": e, "mean_loss": m}
+                           for e, m in enumerate(means)]
+
+    def test_mask_search_round(self, monkeypatch):
+        """Round ``rnd`` of task ``ti`` trains its mask from the snapshot
+        with one Adam over ``mask_epochs`` epochs, epoch ``e`` on stream
+        ``_MASKGEN_EPOCH_BASE + ti*10_000 + rnd*mask_epochs + e``."""
+        cfg, tcfg, ds = self._setup(mask_epochs=2, n_pruning=1)
+        p = model.init_params(cfg, tcfg.seed)
+        warmup(p, ds, cfg, tcfg)
+        trained = []   # the live weights each round is scored with
+        evaluate = training.evaluate
+        monkeypatch.setattr(training, "evaluate",
+                            lambda params, *a, **k: trained.append(params.flat.copy())
+                            or evaluate(params, *a, **k))
+        history = []
+        masks, _ = generate_masks(p, ds, cfg, tcfg, history)
+        monkeypatch.undo()
+        assert len(trained) == len(history) == 2 * (tcfg.n_pruning + 1)
+        rows = iter(zip(trained, history))
+        for ti, task in enumerate(TASKS):
+            ids_val, labels_val = ds.subset(task, "val")
+            for rnd, mask in enumerate(masks[task]):
+                ref = p.init_snapshot.copy()
+                replay_epochs(ref, cfg, ds, tcfg, [task], {task: mask}, {task: 1.0}, 2,
+                              training._MASKGEN_EPOCH_BASE + ti * 10_000 + rnd * 2)
+                got, row = next(rows)
+                assert got.tobytes() == ref.flat.tobytes(), (task, rnd)
+                assert row == {"stage": "mask_gen", "task": task.value, "round": rnd,
+                               "proportion_left": mask.survivor_fraction(),
+                               "val": evaluate(ref, cfg, task, ids_val, labels_val, mask=mask)}
+
+    def test_joint_train(self):
+        cfg, tcfg, ds = self._setup(joint_epochs=2)
+        rng = nn.make_rng(13)
+        start = model.init_params(cfg, tcfg.seed)
+        best = {t: TaskMask([(rng.random(w.shape) < 0.7).astype(np.float64)
+                             for w in start.mlp_weights], t) for t in TASKS}
+        p, history, hooked = start.copy(), [], []
+        joint_train(p, best, ds, cfg, tcfg, history,
+                    step_hook=lambda b, pp: hooked.append((b, pp)))
+        ref, calls = start.copy(), []
+        omegas = {t: tcfg.omega(t) for t in TASKS}
+        means = replay_epochs(ref, cfg, ds, tcfg, TASKS, best, omegas, 2,
+                              training._JOINT_EPOCH_BASE, calls)
+        assert p.flat.tobytes() == ref.flat.tobytes()
+        assert history == [{"stage": "joint", "epoch": e, "mean_loss": m}
+                           for e, m in enumerate(means)]
+        assert len(hooked) == len(calls) > 0 and all(pp is p for _, pp in hooked)
+        assert [(b.task, b.ids.tobytes()) for b, _ in hooked] == \
+            [(b.task, b.ids.tobytes()) for b in calls]
+
+
 class TestBaselines:
     def test_single_task_networks_independent(self):
         cfg = make_config(mode=SharingMode.SINGLE_TASK)
@@ -224,7 +313,6 @@ class TestBaselines:
         # CTR net trained only on CTR data: retraining it alone reproduces it
         p2 = model.init_params(cfg, tcfg.seed)
         opt = nn.Adam(p2, tcfg.learning_rate)
-        from lotshare.data import batches
         for epoch in range(tcfg.joint_epochs):
             for batch in batches(ds, [Task.CTR], tcfg.batch_size, tcfg.seed,
                                  training._BASELINE_EPOCH_BASE + epoch):
@@ -240,11 +328,11 @@ class TestBaselines:
         tcfg = TrainConfig(seed=8, batch_size=64, sharing_mode=SharingMode.LAYER_SHARE)
         ds = make_dataset(400, seed=8)
         art = train_model(ds, cfg, tcfg)
-        assert isinstance(art.params, model.ModelParams)
-        assert art.masks is None and art.best_mask(Task.CTR) is None
+        assert art.params[Task.CTR] is art.params[Task.CVR]
+        assert art.masks == art.best_i == {} and art.best_mask(Task.CTR) is None
         assert [h["stage"] for h in art.history] == ["joint"]
         init = model.init_params(cfg, tcfg.seed)
-        assert (art.params.mlp_weights[0] != init.mlp_weights[0]).any()
+        assert (art.params[Task.CTR].mlp_weights[0] != init.mlp_weights[0]).any()
         with pytest.raises(ConfigError, match="layer_share is not single_task"):
             train_baseline(ds, cfg, tcfg)
 
@@ -255,7 +343,7 @@ class TestBaselines:
             Task.CVR: TaskData(cvr.ids[:0], cvr.labels[:0], cvr.split[:0])})
         art = train_model(ctr_only, cfg, tcfg)
         half = cfg.mlp_dims[-2] // 2
-        w_in, w_out = art.params.mlp_weights[-2:]
+        w_in, w_out = art.params[Task.CTR].mlp_weights[-2:]
         assert (w_in[:, half:] == init.mlp_weights[-2][:, half:]).all()
         assert (w_out[half:] == init.mlp_weights[-1][half:]).all()
         assert (w_in[:, :half] != init.mlp_weights[-2][:, :half]).any()
@@ -284,13 +372,29 @@ class TestTrainModel:
         assert 0.0 <= out["ctr_auc"] <= 1.0
         assert out["cvr_mse"] >= 0.0
 
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_artifact_shape(self, mode):
+        """One params object under both tasks in a shared mode, one per task
+        in single_task; masks and best rounds only where they were searched."""
+        cfg = make_config(mode=mode)
+        tcfg = TrainConfig(seed=9, batch_size=64, n_pruning=1, sharing_mode=mode)
+        art = train_model(make_dataset(300, seed=9), cfg, tcfg)
+        assert list(art.params) == list(TASKS)
+        shared = mode is not SharingMode.SINGLE_TASK
+        assert (art.params[Task.CTR] is art.params[Task.CVR]) == shared
+        searched = mode in (SharingMode.CONNECTION_SHARE, SharingMode.NEURON_SHARE)
+        assert list(art.masks) == list(art.best_i) == (list(TASKS) if searched else [])
+        for t in TASKS:
+            best = art.best_mask(t)
+            assert best is (art.masks[t][art.best_i[t]] if searched else None)
+
     def test_deterministic_end_to_end(self):
         cfg = make_config()
         tcfg = TrainConfig(seed=10, batch_size=64, n_pruning=1)
         ds = make_dataset(400, seed=10)
         a = train_model(ds, cfg, tcfg)
         b = train_model(ds, cfg, tcfg)
-        for x, y in zip(a.params.blocks(), b.params.blocks()):
+        for x, y in zip(a.params[Task.CTR].blocks(), b.params[Task.CTR].blocks()):
             assert (x == y).all()
         assert a.best_i == b.best_i
         for t in (Task.CTR, Task.CVR):
