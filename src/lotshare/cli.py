@@ -28,7 +28,10 @@ EXIT_INTERNAL = 4
 def _load_dataset(exp: ExperimentConfig) -> data_mod.Dataset:
     """The TSV at ``exp.dataset_path``, or synthetic data without one.
     DataError for a TSV whose header has a cardinality below 1 or tables
-    past 2**63 entries, or that has no rows."""
+    past 2**63 entries, that has no rows, or whose splits cannot train and
+    score the mode: every task needs train rows, and a pruning mode, which
+    scores its masks on val, val rows too; CTR's val and test rows, where
+    read, need both classes for AUC."""
     path = exp.dataset_path
     if not path:
         return data_mod.generate(exp.synth)
@@ -41,6 +44,21 @@ def _load_dataset(exp: ExperimentConfig) -> data_mod.Dataset:
                         f"{exp.embedding_dim} give tables past 2**63 entries")
     if all(td.n == 0 for td in ds.tasks.values()):
         raise DataError(f"{path}: no rows")
+
+    def labels(task, split):   # without the copy of the ids that subset makes
+        td = ds.task(task)
+        return td.labels[td.split == data_mod.SPLITS.index(split)]
+
+    search = exp.mode in (SharingMode.CONNECTION_SHARE, SharingMode.NEURON_SHARE)
+    for task in TASKS:
+        for split in ("train", "val") if search else ("train",):
+            if len(labels(task, split)) == 0:
+                raise DataError(f"{path}: no {split} rows for task {task.value}")
+    for split in ("val", "test") if search else ("test",):
+        ctr = labels(Task.CTR, split)
+        if len(ctr) and (ctr == ctr[0]).all():
+            raise DataError(f"{path}: ctr {split} labels are all {ctr[0]:g}; "
+                            "AUC needs both classes")
     return ds
 
 
@@ -133,23 +151,17 @@ def comparison_table(reports: list[MetricsReport]) -> str:
     ordered = [single] + [r for r in reports if r is not single]
     rows = [("Model", "CVR MSE", "CTR AUC", "MTL Gain CVR", "MTL Gain CTR")]
     for rep in ordered:
-        cvr = rep.metrics.get("cvr_mse")
-        ctr = rep.metrics.get("ctr_auc")
-        if rep is single:
-            gain_cvr = gain_ctr = "-"
-        else:
-            if cvr is not None and single.metrics.get("cvr_mse") is not None:
-                gain_cvr = format_gain(*mtl_gain(single.metrics["cvr_mse"], cvr, Task.CVR))
+        values, gains = [], []
+        for key, task in (("cvr_mse", Task.CVR), ("ctr_auc", Task.CTR)):
+            value, base = rep.metrics.get(key), single.metrics.get(key)
+            values.append("n/a" if value is None else f"{value:.5f}")
+            if rep is single:
+                gains.append("-")
+            elif value is None or base is None or base == 0:   # no relative gain
+                gains.append("n/a")
             else:
-                gain_cvr = "n/a"
-            if ctr is not None and single.metrics.get("ctr_auc") is not None:
-                gain_ctr = format_gain(*mtl_gain(single.metrics["ctr_auc"], ctr, Task.CTR))
-            else:
-                gain_ctr = "n/a"
-        rows.append((rep.mode,
-                     f"{cvr:.5f}" if cvr is not None else "n/a",
-                     f"{ctr:.5f}" if ctr is not None else "n/a",
-                     gain_cvr, gain_ctr))
+                gains.append(format_gain(*mtl_gain(base, value, task)))
+        rows.append((rep.mode, *values, *gains))
     widths = [max(len(r[c]) for r in rows) for c in range(5)]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                      for row in rows)

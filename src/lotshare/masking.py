@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
 from .errors import MaskFormatError, ShapeError
 from .model import ModelParams, Task, check_mask_shapes
 
@@ -26,29 +25,22 @@ class TaskMask:
     layers: list[np.ndarray]  # read-only float64 {0,1}, shape-matching mlp_weights
     task: Task
     pruning_round: int = 0
-    _gates: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.task = Task(self.task)
-        # copied and frozen, so the gates cached by update_gate cannot go stale
+        # copied and frozen: a mask cannot change under its owner
         self.layers = [np.array(m, dtype=np.float64) for m in self.layers]
         for m in self.layers:
             if not ((m == 0.0) | (m == 1.0)).all():
                 raise ValueError("mask entries must be 0 or 1")
             m.flags.writeable = False
 
-    def update_gate(self, params: ModelParams) -> nn.UpdateGate:
-        """The optimizer gate of this mask over ``params``' blocks: the MLP
-        weights, which follow the embeddings, are gated by the mask, and
-        every other block is ungated. Built on first use per layout."""
-        gate = self._gates.get(params.layout)
-        if gate is None:
-            blocks = params.blocks()
-            per_block = [None] * len(params.embeddings) + list(self.layers)
-            per_block += [None] * (len(blocks) - len(per_block))
-            gate = nn.UpdateGate(per_block, [b.size for b in blocks])
-            self._gates[params.layout] = gate
-        return gate
+    def update_gate(self, params: ModelParams) -> tuple:
+        """The per-block gate ``nn.Adam.step`` takes for this mask over
+        ``params``' blocks: None (ungated) for each embedding table, this
+        mask's layers for the MLP weights, and None for each bias."""
+        return ((None,) * len(params.embeddings) + tuple(self.layers)
+                + (None,) * len(params.mlp_biases))
 
     @classmethod
     def all_ones(cls, mlp_weights: list[np.ndarray], task: Task) -> "TaskMask":

@@ -372,31 +372,19 @@ class ForwardCache:
 
 
 class Grads:
-    """Gradients laid out like ModelParams, in one of two forms.
-
-    ``Grads.on(layout, flat)`` is dense: ``flat`` holds every entry.
-    ``backward`` returns the compact form: ``rows``, the sorted unique rows
-    of the stacked tables (``ModelParams.tables``) that the batch touched,
-    and ``values`` (len(rows), dim), their gradients; every other table
-    entry's gradient is 0.0. In both forms ``mlp`` holds the entries past
-    the tables. ``nn.Adam`` reads ``rows``, ``values`` and ``mlp`` and
-    steps only the rows named; the dense form names every row. ``dense``
-    holds every block as views of one flat vector, built on first use for a
-    compact gradient; ``flat``, ``embeddings``, ``mlp_weights`` and
-    ``blocks()`` read it. Iterating yields the blocks in order.
+    """Gradients laid out like ModelParams, in the compact form ``backward``
+    returns and ``nn.Adam`` reads: ``rows``, the sorted unique rows of the
+    stacked tables (``ModelParams.tables``) that the batch touched,
+    ``values`` (len(rows), dim), their gradients, and ``mlp``, every entry
+    past the tables. Every other table entry's gradient is 0.0. ``dense``
+    holds every block as views of one flat vector, built on first use;
+    ``flat``, ``embeddings``, ``mlp_weights`` and ``blocks()`` read it.
+    Iterating yields the blocks in order.
     """
 
-    def __init__(self, layout: ParamLayout, mlp: np.ndarray,
-                 rows: np.ndarray | None = None, values: np.ndarray | None = None):
+    def __init__(self, layout: ParamLayout, mlp: np.ndarray, rows: np.ndarray,
+                 values: np.ndarray):
         self.layout, self.mlp, self.rows, self.values = layout, mlp, rows, values
-
-    @classmethod
-    def on(cls, layout: ParamLayout, flat: np.ndarray | None = None) -> "Grads":
-        """The dense form, viewing ``flat`` (zeros when None)."""
-        dense = _FlatBlocks.on(layout, flat)
-        grads = cls(layout, dense.flat[layout.table_size:])
-        grads.dense = dense
-        return grads
 
     @cached_property
     def dense(self) -> _FlatBlocks:

@@ -90,53 +90,15 @@ def _bias_table(beta: float, n: int) -> np.ndarray:
     return table
 
 
-class UpdateGate:
-    """Which entries of a flat parameter vector an Adam step may change.
-
-    Built once from one entry per block, in order: ``None`` for an ungated
-    block, which is all open, or a 0/1 array for a gated one. Iterating
-    yields those entries. ``is_open`` holds one bool per entry of the
-    vector.
-    """
-
-    def __init__(self, per_block, sizes):
-        self.per_block = tuple(per_block)
-        self.sizes = tuple(sizes)
-        if len(self.per_block) != len(self.sizes):
-            raise ShapeError(f"gate has {len(self.per_block)} blocks, "
-                             f"parameters have {len(self.sizes)}")
-        parts = []
-        for i, (gate, n) in enumerate(zip(self.per_block, self.sizes)):
-            if gate is None:
-                parts.append(np.ones(n, dtype=bool))
-            elif np.size(gate) != n:
-                raise ShapeError(f"gate {i} has {np.size(gate)} entries, block has {n}")
-            else:
-                parts.append(np.asarray(gate).ravel() != 0)
-        self.is_open = np.concatenate(parts)
-        self._split = None
-
-    def split(self, n: int) -> tuple:
-        """The gate over the first ``n`` entries and over the rest: each is
-        True when all its entries are open, else its bool array. Kept from
-        the last call, as a gate steps many times at one table size."""
-        if self._split is None or self._split[0] != n:
-            self._split = (n, tuple(True if part.all() else part
-                                    for part in (self.is_open[:n], self.is_open[n:])))
-        return self._split[1]
-
-    def __iter__(self):
-        return iter(self.per_block)
-
-
 class Adam:
-    """Adam over one flat float64 parameter vector, updated in place.
+    """Adam over the flat float64 vector of a ``model.ModelParams``, updated
+    in place.
 
-    ``params`` holds that vector as ``flat`` and returns views of it, back
-    to back, from ``blocks()`` (a ``model.ModelParams``); its embedding
-    tables, if it has any, come first and are stacked as ``params.tables``.
-    The moments ``m`` and ``v`` and the per-entry clocks ``t_entry`` share
-    the vector's layout. ``beta1`` and ``beta2`` must lie in (0.5, 1).
+    ``params.flat`` holds every entry and ``params.blocks()`` returns views
+    of it, back to back; the embedding tables come first, stacked as
+    ``params.tables``. The moments ``m`` and ``v`` and the per-entry clocks
+    ``t_entry`` share the vector's layout. ``beta1`` and ``beta2`` must lie
+    in (0.5, 1).
 
     One rule: an entry that gets no gradient term this step, or whose gate
     is shut, does not move. Its parameter, both moments and its clock stay
@@ -148,9 +110,8 @@ class Adam:
     ``1 - b**te`` is read from one table made by numpy's array pow
     (``_bias_table``).
 
-    Table rows are lazy: only the rows the gradient names step (a compact
-    ``model.Grads`` names the batch's rows, a dense one names every row).
-    An ungated block is all open, so its clocks count every step.
+    Table rows are lazy: only the rows the gradient names step. An ungated
+    block is all open, so its clocks count every step.
     """
 
     def __init__(self, params, lr: float,
@@ -162,9 +123,8 @@ class Adam:
         check_views(params.flat, blocks)
         self.flat = params.flat
         self.sizes = tuple(b.size for b in blocks)
-        tables = getattr(params, "tables", None)
-        self.dim = 1 if tables is None else tables.shape[1]
-        self.tables = 0 if tables is None else tables.size
+        self.n_tables = len(params.embeddings)
+        self.tables, self.dim = params.tables.size, params.tables.shape[1]
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
@@ -179,34 +139,20 @@ class Adam:
             for a in (self.flat, self.m, self.v, self.t_entry)]
 
     def step(self, grads, update_masks=None) -> None:
-        """One update from ``grads``: a ``model.Grads`` of this layout, or
-        any object whose ``flat`` holds every entry. ``update_masks`` is
-        None (all blocks ungated), an ``UpdateGate``, or a per-block
-        sequence to build one from. A compact ``Grads`` (``rows`` set) is
-        read through ``rows``, ``values`` and ``mlp`` only, so a step costs
-        the batch's rows, not the tables."""
+        """One update from ``grads``, a ``model.Grads`` of this layout: the
+        table rows it names (``rows``) with their gradients (``values``),
+        and every entry past the tables (``mlp``). Only those are read, so a
+        step costs the batch's rows, not the tables. ``update_masks`` is
+        None, all blocks ungated, or one entry per block: None for an
+        ungated block, or a 0/1 array the size of that block."""
         tables, d = self.tables, self.dim
-        if update_masks is None:
-            table_open = rest_open = True
-        else:
-            gate = update_masks
-            if not isinstance(gate, UpdateGate):
-                gate = UpdateGate(gate, self.sizes)
-            if gate.sizes != self.sizes:
-                raise ShapeError(f"Adam.step: gate block sizes {gate.sizes} vs {self.sizes}")
-            table_open, rest_open = gate.split(tables)
-        rows = getattr(grads, "rows", None)
-        if rows is None:
-            g = grads.flat
-            if g.shape != self.flat.shape:
-                raise ShapeError(f"Adam.step: grads {g.shape} for params {self.flat.shape}")
-            rows, values, g = np.arange(tables // d), g[:tables].reshape(-1, d), g[tables:]
-        else:
-            g, values = grads.mlp, grads.values
-            if values.shape != (len(rows), d) or g.size != self.flat.size - tables:
-                raise ShapeError(f"Adam.step: table gradient {values.shape} at {len(rows)} "
-                                 f"rows and {g.size} other entries, for tables of dim {d} "
-                                 f"and {self.flat.size - tables} other entries")
+        rows, values, g = grads.rows, grads.values, grads.mlp
+        if values.shape != (len(rows), d) or g.size != self.flat.size - tables:
+            raise ShapeError(f"Adam.step: table gradient {values.shape} at {len(rows)} "
+                             f"rows and {g.size} other entries, for tables of dim {d} "
+                             f"and {self.flat.size - tables} other entries")
+        table_open, rest_open = ((True, True) if update_masks is None
+                                 else self._gate(update_masks))
         self.t += 1
         if len(self._bc1) <= self.t:   # no clock exceeds t; double past it
             n = max(1024, 2 * self.t)
@@ -220,6 +166,30 @@ class Adam:
         rest = slice(tables, None)
         self._update(self.flat[rest], self.m[rest], self.v[rest], self.t_entry[rest], g,
                      rest_open)
+
+    def _gate(self, per_block) -> tuple:
+        """The per-block gate ``per_block`` over the tables and over the
+        rest: each True when all its entries are open, else one bool per
+        entry. A part whose blocks are all ungated is not scanned, which
+        spares the tables; an open part skips ``_update``'s masked writes."""
+        if len(per_block) != len(self.sizes):
+            raise ShapeError(f"Adam.step: gate has {len(per_block)} blocks, "
+                             f"parameters have {len(self.sizes)}")
+        for i, (gate, n) in enumerate(zip(per_block, self.sizes)):
+            if gate is not None and np.size(gate) != n:
+                raise ShapeError(f"Adam.step: gate {i} has {np.size(gate)} entries, "
+                                 f"block has {n}")
+
+        def is_open(gates, sizes):
+            if all(gate is None for gate in gates):
+                return True
+            part = np.concatenate([np.ones(n, dtype=bool) if gate is None
+                                   else np.asarray(gate).ravel() != 0
+                                   for gate, n in zip(gates, sizes)])
+            return True if part.all() else part
+
+        k = self.n_tables
+        return is_open(per_block[:k], self.sizes[:k]), is_open(per_block[k:], self.sizes[k:])
 
     def _update(self, p, m, v, te, g, active) -> None:
         """Adam in place on parameters ``p``, moments ``m``, ``v`` and clocks

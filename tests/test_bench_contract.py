@@ -94,6 +94,10 @@ def test_traced_training_run(tracing, mode):
     assert set(layers) <= set(tracing.PER_LAYER)
     assert layers["training.steps"] == layers["nn.adam_n"] == layers["model.backward_n"] > 0
     assert layers["nn.adam_elems_per_step"] == art.params[Task.CTR].layout.size
+    if mode is SharingMode.LAYER_SHARE:   # every step is gated by a tower mask
+        params = art.params[Task.CTR]
+        gated = sum(w.size for w in params.mlp_weights) / params.layout.size
+        assert abs(layers["nn.adam_gated_frac"] - gated) <= 1e-12
     assert 0.0 < layers["model.emb_rows_touched_frac"] <= 1.0
     assert art.params[Task.CTR].flat.tobytes() == plain.params[Task.CTR].flat.tobytes()
 

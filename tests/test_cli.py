@@ -231,6 +231,55 @@ class TestTrain:
                               "--out", str(tmp_path / "run"))
         assert (rc, stdout, err) == (3, "", f"data error: {p}: no rows\n")
 
+    @staticmethod
+    def _split_edit(tmp_path, cfg_file, capsys, edit):
+        """A generated dataset TSV with ``edit`` applied to each row's fields
+        (task, label, ids, split); a row it returns None for is dropped."""
+        path = tmp_path / "d.tsv"
+        run(capsys, "generate-data", "--config", cfg_file, "--out", str(tmp_path),
+            "--out-file", str(path))
+        head, *rows = path.read_text().splitlines()
+        kept = [edit(row.split("\t")) for row in rows]
+        path.write_text("\n".join([head] + ["\t".join(r) for r in kept if r]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("command,mode,edit,problem", [
+        *[("train", mode, "no_cvr", "no train rows for task cvr")
+          for mode in ("single_task", "layer_share", "connection_share", "neuron_share")],
+        ("prune-sweep", "connection_share", "no_cvr", "no train rows for task cvr"),
+        *[("train", mode, "ctr_test_1", "ctr test labels are all 1; AUC needs both classes")
+          for mode in ("single_task", "layer_share", "connection_share", "neuron_share")],
+        *[(command, mode, "no_cvr_val", "no val rows for task cvr")
+          for command, mode in (("train", "connection_share"), ("train", "neuron_share"),
+                                ("prune-sweep", "neuron_share"))],
+        *[(command, mode, "ctr_val_0", "ctr val labels are all 0; AUC needs both classes")
+          for command, mode in (("train", "connection_share"), ("train", "neuron_share"),
+                                ("prune-sweep", "connection_share"))],
+    ])
+    def test_degenerate_split_exit_3(self, tmp_path, cfg_file, capsys, command, mode, edit,
+                                     problem):
+        edits = {
+            "no_cvr": lambda r: None if r[0] == "cvr" else r,
+            "ctr_test_1": lambda r: [r[0], "1", *r[2:]] if r[0] == "ctr" and r[3] == "test"
+            else r,
+            "no_cvr_val": lambda r: None if r[0] == "cvr" and r[3] == "val" else r,
+            "ctr_val_0": lambda r: [r[0], "0", *r[2:]] if r[0] == "ctr" and r[3] == "val"
+            else r,
+        }
+        path = self._split_edit(tmp_path, cfg_file, capsys, edits[edit])
+        rc, stdout, err = run(capsys, command, "--config", cfg_file, "--dataset", str(path),
+                              "--mode", mode, "--out", str(tmp_path / "run"))
+        assert (rc, stdout, err) == (3, "", f"data error: {path}: {problem}\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("mode", ["single_task", "layer_share"])
+    def test_modes_without_search_need_no_val_rows(self, tmp_path, cfg_file, capsys, mode):
+        path = self._split_edit(tmp_path, cfg_file, capsys,
+                                lambda r: None if r[3] == "val" else r)
+        rc, _, err = run(capsys, "train", "--config", cfg_file, "--dataset", str(path),
+                         "--mode", mode, "--out", str(tmp_path / "run"))
+        assert (rc, err) == (0, "")
+
     def test_unknown_key_exit_2(self, cfg_file, capsys):
         rc, _, err = run(capsys, "train", "--config", cfg_file, "--set", "bogus=1")
         assert rc == 2 and "bogus" in err
@@ -345,6 +394,23 @@ class TestCompare:
         row = next(l for l in table.splitlines() if l.startswith("connection_share"))
         assert "0.13226" in row and "0.78874" in row
         assert "+0.00462 (+3.38%)" in row and "+0.00302 (+0.38%)" in row
+
+    def test_zero_single_task_metric_shows_na(self, tmp_path, cfg_file, capsys):
+        """A relative gain over a single-task metric of 0 is undefined: its
+        cell reads n/a, as for a missing metric, and the other gain prints."""
+        single = self._train(capsys, cfg_file, tmp_path, "single_task")
+        conn = self._train(capsys, cfg_file, tmp_path, "connection_share")
+        kv = tmp_path / "single_task" / "report.kv"
+        lines = [("metric.cvr_mse=0" if line.startswith("metric.cvr_mse=") else line)
+                 for line in kv.read_text().splitlines()]
+        kv.write_text("\n".join(lines) + "\n")
+        rc, stdout, err = run(capsys, "compare", conn, single)
+        assert (rc, err) == (0, "")
+        head, base, row = stdout.splitlines()
+        assert base.split()[:2] == ["single_task", "0.00000"]
+        cells = row.split()
+        assert cells[0] == "connection_share" and cells[3] == "n/a"
+        assert cells[4].startswith(("+", "-")) and cells[5].endswith("%)")
 
     def test_missing_metric_shows_na(self):
         single = MetricsReport(mode="single_task",

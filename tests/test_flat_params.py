@@ -5,7 +5,6 @@ checkpoint writer. Every comparison is on bytes."""
 import json
 import struct
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,6 +81,13 @@ class PerBlockAdam:
             adam_step(p, g, s, self.lr, gate)
 
 
+def dense_grads(layout, flat):
+    """The compact ``model.Grads`` of the dense gradient ``flat``: it names
+    every table row, so every row steps."""
+    tables = flat[:layout.table_size].reshape(-1, layout.embeddings[0][1])
+    return model.Grads(layout, flat[layout.table_size:], np.arange(len(tables)), tables)
+
+
 def named_rows(grads):
     """Per table block, the rows a compact ``model.Grads`` names."""
     layout = grads.layout
@@ -126,7 +132,7 @@ def random_grads(params, rng):
     g = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, n)
     g[rng.random(n) < 0.05] = 0.0
     g[rng.random(n) < 0.05] = -0.0
-    return model.Grads.on(params.layout, g)
+    return dense_grads(params.layout, g)
 
 
 def random_mask(params, task, rng, density):
@@ -191,9 +197,9 @@ class TestAdamBitIdentity:
     @pytest.mark.parametrize("rows", [None, 7])
     @pytest.mark.parametrize("case", CASES)
     def test_matches_per_block_reference(self, case, rows):
-        """``rows`` None steps dense gradients, which name every table row;
-        7 steps compact ones naming 7 random rows of the 15, so the other
-        rows sit the step out."""
+        """``rows`` None steps gradients that name every table row; 7 steps
+        ones naming 7 random rows of the 15, so the other rows sit the step
+        out."""
         rng = nn.make_rng(100 + CASES.index(case))
         cfg = make_cfg()
         params = model.init_params(cfg, 3)
@@ -217,19 +223,21 @@ class TestAdamBitIdentity:
         """Past 1024 steps the bias-correction tables regrow; clocks that
         fell behind and clocks that kept up both still match."""
         rng = nn.make_rng(11)
-        flat = rng.standard_normal(6)
+        layout = model.ParamLayout(embeddings=((1, 1),), mlp_weights=((6,),), mlp_biases=())
+        params = model.ModelParams.on(layout, np.concatenate([[0.0], rng.standard_normal(6)]))
+        flat = params.mlp_weights[0]
         ref_flat = flat.copy()
-        vector = SimpleNamespace(flat=flat, blocks=lambda: [flat])
-        opt, state = nn.Adam(vector, 0.01), AdamState.for_param(ref_flat)
+        opt, state = nn.Adam(params, 0.01), AdamState.for_param(ref_flat)
         for _ in range(1100):
             g = rng.standard_normal(6)
             gate = (rng.random(6) < 0.8).astype(float)
             gate[0] = 1.0
-            opt.step(SimpleNamespace(flat=g), [gate])
+            opt.step(dense_grads(layout, np.concatenate([[0.0], g])), [None, gate])
             adam_step(ref_flat, g, state, 0.01, gate)
-        assert opt.t_entry[0] == 1100 and opt.t_entry.min() < 1024
+        assert opt.t_entry[1] == 1100 and opt.t_entry.min() < 1024
         assert flat.tobytes() == ref_flat.tobytes()
-        assert opt.m.tobytes() == state.m.tobytes() and opt.v.tobytes() == state.v.tobytes()
+        assert opt.m[1:].tobytes() == state.m.tobytes()
+        assert opt.v[1:].tobytes() == state.v.tobytes()
 
     @pytest.mark.parametrize("gated", [False, True])
     def test_layer_share_heads(self, gated):
@@ -346,7 +354,7 @@ class TestFlatLayout:
         assert params.flat.size == sum(b.size for b in params.blocks())
         assert [b.shape for b in params.blocks()] == [s for _, _, s in params.layout.spans]
 
-    def test_copy_rewind_and_gate_cache(self):
+    def test_copy_and_rewind(self):
         params = model.init_params(make_cfg(), 2)
         params.take_snapshot()
         snap = params.flat.copy()
@@ -355,8 +363,6 @@ class TestFlatLayout:
         assert params.flat.tobytes() == snap.tobytes()
         nn.check_views(params.init_snapshot.flat, params.init_snapshot.blocks())
         assert not np.shares_memory(params.flat, params.init_snapshot.flat)
-        mask = TaskMask.all_ones(params.mlp_weights, Task.CTR)
-        assert mask.update_gate(params) is mask.update_gate(params.copy())
 
     def test_detached_block_rejected(self, tmp_path):
         cfg = make_cfg()

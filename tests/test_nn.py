@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from lotshare import nn
+from lotshare import model, nn
 from lotshare.errors import ShapeError
+
+from test_flat_params import dense_grads
 
 
 def naive_matmul(a, w, b):
@@ -100,126 +102,147 @@ def scalar_adam(p, g_seq, lr, b1=0.9, b2=0.999, eps=1e-8):
     return p
 
 
-class Flat:
-    """Blocks stored back to back in one vector ``flat``, the layout nn.Adam
-    updates; iterating yields the block views."""
+def params_of(table, *rest):
+    """A ``model.ModelParams`` holding these values: the embedding table
+    ``table`` and then the blocks ``rest`` as MLP weights."""
+    blocks = [np.asarray(b, dtype=float) for b in (table, *rest)]
+    layout = model.ParamLayout(embeddings=(blocks[0].shape,),
+                               mlp_weights=tuple(b.shape for b in blocks[1:]), mlp_biases=())
+    return model.ModelParams.on(layout, np.concatenate([b.ravel() for b in blocks]))
 
-    def __init__(self, *blocks):
-        blocks = [np.asarray(b, dtype=float) for b in blocks]
-        self.flat = np.concatenate([b.ravel() for b in blocks])
-        ends = np.cumsum([b.size for b in blocks])
-        self._views = [self.flat[e - b.size:e].reshape(b.shape)
-                       for b, e in zip(blocks, ends)]
 
-    def blocks(self):
-        return self._views
-
-    def __iter__(self):
-        return iter(self._views)
+def grads_of(params, *blocks):
+    """The gradient ``blocks``, one per block of ``params``, in the compact
+    form, naming every table row."""
+    return dense_grads(params.layout, np.concatenate([np.ravel(b) for b in blocks]))
 
 
 class TestAdam:
     def test_first_step_hand_value(self):
-        p = Flat([[1.0]])
-        nn.Adam(p, lr=0.001).step(Flat([[0.5]]))
+        p = params_of([[1.0]])
+        nn.Adam(p, lr=0.001).step(grads_of(p, [[0.5]]))
         # bias-corrected first step: m_hat=g, v_hat=g^2
         assert p.flat[0] == pytest.approx(1.0 - 0.001 * (0.5 / (0.5 + 1e-8)), abs=1e-15)
         assert p.flat[0] == pytest.approx(1.0 - 0.000999998, abs=1e-8)
 
     def test_zero_grad_fresh_state_is_identity(self):
-        p = Flat(nn.make_rng(1).standard_normal((3, 4)))
+        p = params_of(nn.make_rng(1).standard_normal((3, 4)))
         before = p.flat.copy()
-        nn.Adam(p, lr=0.1).step(Flat(np.zeros((3, 4))))
+        nn.Adam(p, lr=0.1).step(grads_of(p, np.zeros((3, 4))))
         assert (p.flat == before).all()
 
     def test_two_steps_match_scalar_oracle(self):
-        p = Flat([[2.0]])
+        p = params_of([[2.0]])
         opt = nn.Adam(p, lr=0.01)
-        opt.step(Flat([[0.3]]))
-        opt.step(Flat([[0.3]]))
+        opt.step(grads_of(p, [[0.3]]))
+        opt.step(grads_of(p, [[0.3]]))
         assert p.flat[0] == pytest.approx(scalar_adam(2.0, [0.3, 0.3], 0.01), abs=1e-15)
 
     def test_random_sequence_matches_oracle(self):
         rng = nn.make_rng(9)
-        p = Flat([[0.7]])
+        p = params_of([[0.7]])
         opt = nn.Adam(p, lr=0.05)
         gs = rng.standard_normal(10)
         for g in gs:
-            opt.step(Flat([[g]]))
+            opt.step(grads_of(p, [[g]]))
         assert p.flat[0] == pytest.approx(scalar_adam(0.7, gs, 0.05), rel=1e-12)
 
     def test_update_mask_freezes_entries(self):
+        """A shut entry keeps its parameter, moments and clock, in a table
+        and past it."""
         rng = nn.make_rng(4)
-        p = Flat(rng.standard_normal((4, 4)), rng.standard_normal(3))
-        w, b = p.blocks()
+        p = params_of(*(rng.standard_normal(shape) for shape in ((4, 4), (4, 4), 3)))
         gate = (rng.random((4, 4)) < 0.5).astype(float)
-        frozen_before = w[gate == 0].copy()
+        frozen_before = [b[gate == 0].copy() for b in p.blocks()[:2]]
         opt = nn.Adam(p, lr=0.01)
         for _ in range(5):
-            opt.step(Flat(rng.standard_normal((4, 4)), rng.standard_normal(3)), [gate, None])
-        assert (w[gate == 0] == frozen_before).all()
-        m, v = opt.m[:16].reshape(4, 4), opt.v[:16].reshape(4, 4)
-        assert (m[gate == 0] == 0).all() and (v[gate == 0] == 0).all()
-        assert (m[gate == 1] != 0).all() and (opt.m[16:] != 0).all()
-        assert (opt.t_entry[:16].reshape(4, 4) == 5 * gate).all()
+            opt.step(grads_of(p, *(rng.standard_normal(b.shape) for b in p.blocks())),
+                     [gate, gate, None])
+        for i, (b, before) in enumerate(zip(p.blocks(), frozen_before)):
+            span = slice(16 * i, 16 * i + 16)
+            m, v = opt.m[span].reshape(4, 4), opt.v[span].reshape(4, 4)
+            assert (b[gate == 0] == before).all()
+            assert (m[gate == 0] == 0).all() and (v[gate == 0] == 0).all()
+            assert (m[gate == 1] != 0).all()
+            assert (opt.t_entry[span].reshape(4, 4) == 5 * gate).all()
+        assert (opt.m[32:] != 0).all() and (opt.t_entry[32:] == 5).all()
 
     def test_all_ones_gate_equals_ungated(self):
-        """One bias-correction flavour: an all-ones gated block and an
-        ungated block given the same gradients stay byte-identical."""
+        """One bias-correction flavour: all-ones gated blocks, in a table and
+        past it, and an ungated block given the same gradients stay
+        byte-identical."""
         rng = nn.make_rng(0)
         w = rng.standard_normal(2048)
-        p = Flat(w, w)
+        p = params_of(w.reshape(-1, 1), w, w)
         opt = nn.Adam(p, lr=1e-3)
         for _ in range(50):
             g = rng.standard_normal(2048)
-            opt.step(Flat(g, g), [np.ones(2048), None])
+            opt.step(grads_of(p, g, g, g), [np.ones((2048, 1)), np.ones(2048), None])
         for arr in (p.flat, opt.m, opt.v):
-            assert arr[:2048].tobytes() == arr[2048:].tobytes()
-        assert (opt.t_entry[:2048] == 50).all()
+            assert arr[:2048].tobytes() == arr[2048:4096].tobytes() == arr[4096:].tobytes()
+        assert (opt.t_entry == 50).all()
 
     def test_shape_mismatch(self):
-        opt = nn.Adam(Flat(np.zeros((2, 2))), 0.1)
+        p = params_of(np.zeros((2, 2)), np.zeros(3))
+        opt = nn.Adam(p, 0.1)
         with pytest.raises(ShapeError):
-            opt.step(Flat(np.zeros((2, 3))))
+            opt.step(model.Grads(p.layout, np.zeros(4), np.arange(2), np.zeros((2, 2))))
         with pytest.raises(ShapeError):
-            opt.step(Flat(np.zeros((2, 2))), [np.ones((2, 3))])
+            opt.step(model.Grads(p.layout, np.zeros(3), np.arange(2), np.zeros((2, 3))))
         with pytest.raises(ShapeError):
-            opt.step(Flat(np.zeros((2, 2))), [None, None])
+            opt.step(model.Grads(p.layout, np.zeros(3), np.arange(2), np.zeros((3, 2))))
 
     def test_step_count_increments(self):
-        opt = nn.Adam(Flat(np.zeros((1, 1))), 0.1)
+        p = params_of(np.zeros((1, 1)))
+        opt = nn.Adam(p, 0.1)
         for expected in (1, 2, 3):
-            opt.step(Flat(np.ones((1, 1))))
+            opt.step(grads_of(p, np.ones((1, 1))))
             assert opt.t == expected
 
     def test_blocks_must_be_views_of_flat(self):
-        p = Flat(np.zeros((2, 2)), np.zeros(3))
-        p._views[1] = np.zeros(3)
+        p = params_of(np.zeros((2, 2)), np.zeros(3))
+        p.mlp_weights[0] = np.zeros(3)
         with pytest.raises(ShapeError):
             nn.Adam(p, 0.1)
-        p = Flat(np.zeros((2, 2)), np.zeros(3))
-        p._views.reverse()
+        p = params_of(np.zeros((2, 2)), np.zeros(3))
+        p.embeddings, p.mlp_weights = p.mlp_weights, p.embeddings
         with pytest.raises(ShapeError):
             nn.Adam(p, 0.1)
 
 
-class TestUpdateGate:
-    def test_split_at_table_boundary(self):
-        part = np.array([1.0, 0.0, 1.0])
-        gate = nn.UpdateGate([None, np.ones(2), np.zeros(3), part, None], [2, 2, 3, 3, 1])
-        assert list(gate)[2] is not None and list(gate)[4] is None
-        assert gate.is_open.tolist() == [True] * 4 + [False] * 3 + [True, False, True, True]
-        assert gate.split(4)[0] is True     # ungated and open blocks: all open
-        assert gate.split(4)[1].tolist() == [False] * 3 + [True, False, True, True]
-        head, rest = gate.split(8)          # the boundary cuts the partly open block
-        assert head.tolist() == [True] * 4 + [False] * 3 + [True] and rest.tolist() == [False, True, True]
-        assert gate.split(9)[1] is True and gate.split(0)[0] is True
-        assert nn.UpdateGate([None, None], [2, 3]).split(2) == (True, True)
-        shut = nn.UpdateGate([np.zeros(2), np.zeros((1, 3))], [2, 3])
-        assert [part.tolist() for part in shut.split(2)] == [[False] * 2, [False] * 3]
+class TestAdamGate:
+    """``Adam.step``'s gate: None, or one entry per block, each None or a
+    0/1 array the size of its block."""
 
-    def test_per_block_size_checked(self):
-        with pytest.raises(ShapeError):
-            nn.UpdateGate([np.ones(3)], [4])
-        with pytest.raises(ShapeError):
-            nn.UpdateGate([None], [4, 1])
+    def _opt(self):
+        p = params_of(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros(1))
+        return p, nn.Adam(p, 0.1)
+
+    @pytest.mark.parametrize("blocks", [0, 1, 2, 4])
+    def test_block_count_checked(self, blocks):
+        p, opt = self._opt()
+        with pytest.raises(ShapeError, match=f"gate has {blocks} blocks, parameters have 3"):
+            opt.step(grads_of(p, np.ones(4), np.ones(6), np.ones(1)), [None] * blocks)
+        assert opt.t == 0
+
+    def test_block_size_checked(self):
+        p, opt = self._opt()
+        grads = grads_of(p, np.ones(4), np.ones(6), np.ones(1))
+        for block, gate in [(0, np.ones(3)), (1, np.ones((3, 2, 2))), (2, np.ones(2)),
+                            (1, np.ones(0))]:
+            gates = [None] * 3
+            gates[block] = gate
+            with pytest.raises(ShapeError, match=f"gate {block} has {gate.size} entries"):
+                opt.step(grads, gates)
+        assert opt.t == 0
+
+    def test_table_gate_applies_per_entry(self):
+        """A table gate shuts single entries of a named row, and a shut
+        table block stays put while the rest steps."""
+        p, opt = self._opt()
+        grads = grads_of(p, np.ones(4), np.ones(6), np.ones(1))
+        opt.step(grads, [np.array([[1.0, 0.0], [0.0, 1.0]]), None, None])
+        assert (opt.t_entry == [1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1]).all()
+        assert (p.tables != 0).tolist() == [[True, False], [False, True]]
+        opt.step(grads, [np.zeros((2, 2)), np.ones((2, 3)), None])
+        assert (opt.t_entry == [1, 0, 0, 1, 2, 2, 2, 2, 2, 2, 2]).all()

@@ -90,14 +90,6 @@ class TestCompactTableGrads:
         assert grads.flat[tables:].tobytes() == grads.mlp.tobytes()
         assert grads.rows.tolist() == np.unique(cache.rows).tolist()
 
-    def test_grads_on_is_dense(self):
-        cfg = make_cfg()
-        layout = model.ParamLayout.of(cfg)
-        flat = nn.make_rng(1).standard_normal(layout.size)
-        grads = model.Grads.on(layout, flat)
-        assert grads.rows is None and grads.flat is flat
-        assert np.shares_memory(grads.mlp, flat) and len(grads.mlp) == layout.size - layout.table_size
-
 
 class TestEmbedGather:
     @pytest.mark.parametrize("cards", [(1,), (5, 3, 7), (40, 1, 2, 9, 3)])
