@@ -26,15 +26,17 @@ EXIT_INTERNAL = 4
 
 
 def _load_dataset(exp: ExperimentConfig) -> data_mod.Dataset:
-    """The TSV at ``exp.dataset_path``, or synthetic data without one.
-    DataError for a TSV whose header has a cardinality below 1 or tables
-    past 2**63 entries, that has no rows, or whose splits cannot train and
-    score the mode: every task needs train rows, and a pruning mode, which
-    scores its masks on val, val rows too; CTR's val and test rows, where
-    read, need both classes for AUC."""
+    """The TSV at ``exp.dataset_path``, or synthetic data from the ``data.*``
+    config without one. DataError for a TSV whose header has a cardinality
+    below 1 or tables past 2**63 entries, or that has no rows. Either
+    source must then have splits that can train and score the mode
+    (``_check_splits``): a TSV that has not is a DataError, a ``data.*``
+    config that generates such splits a ConfigError."""
     path = exp.dataset_path
     if not path:
-        return data_mod.generate(exp.synth)
+        ds = data_mod.generate(exp.synth)
+        _check_splits(ds, exp.mode, ConfigError, "synthetic data from the data.* config")
+        return ds
     ds = data_mod.load(path)
     cards = ds.field_cardinalities
     if any(c < 1 for c in cards):
@@ -44,22 +46,29 @@ def _load_dataset(exp: ExperimentConfig) -> data_mod.Dataset:
                         f"{exp.embedding_dim} give tables past 2**63 entries")
     if all(td.n == 0 for td in ds.tasks.values()):
         raise DataError(f"{path}: no rows")
+    _check_splits(ds, exp.mode, DataError, str(path))
+    return ds
 
+
+def _check_splits(ds: data_mod.Dataset, mode: SharingMode, error: type, source: str) -> None:
+    """Raise ``error``, its message led by ``source``, unless every task has
+    train rows, and val rows too in a pruning mode, which scores its masks
+    on val; and unless CTR's val and test rows, where read, hold both
+    classes for AUC."""
     def labels(task, split):   # without the copy of the ids that subset makes
         td = ds.task(task)
         return td.labels[td.split == data_mod.SPLITS.index(split)]
 
-    search = exp.mode in (SharingMode.CONNECTION_SHARE, SharingMode.NEURON_SHARE)
+    search = mode in (SharingMode.CONNECTION_SHARE, SharingMode.NEURON_SHARE)
     for task in TASKS:
         for split in ("train", "val") if search else ("train",):
             if len(labels(task, split)) == 0:
-                raise DataError(f"{path}: no {split} rows for task {task.value}")
+                raise error(f"{source}: no {split} rows for task {task.value}")
     for split in ("val", "test") if search else ("test",):
         ctr = labels(Task.CTR, split)
         if len(ctr) and (ctr == ctr[0]).all():
-            raise DataError(f"{path}: ctr {split} labels are all {ctr[0]:g}; "
-                            "AUC needs both classes")
-    return ds
+            raise error(f"{source}: ctr {split} labels are all {ctr[0]:g}; "
+                        "AUC needs both classes")
 
 
 def _history_kv(entry: dict) -> str:

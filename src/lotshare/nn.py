@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 DTYPE = np.float64
 
@@ -21,7 +21,7 @@ def make_rng(seed: int) -> np.random.Generator:
 def xavier_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform Xavier/Glorot init on [-b, b] with b = sqrt(6 / (rows + cols))."""
     if rows < 1 or cols < 1:
-        raise ValueError(f"xavier_init needs positive dims, got {rows}x{cols}")
+        raise ShapeError(f"xavier_init needs positive dims, got {rows}x{cols}")
     bound = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-bound, bound, size=(rows, cols)).astype(DTYPE)
 
@@ -82,12 +82,9 @@ def check_views(flat: np.ndarray, blocks) -> None:
 
 def _bias_table(beta: float, n: int) -> np.ndarray:
     """``1 - beta ** t`` for t < n by numpy's array pow: every bias
-    correction Adam takes, whichever clock it reads. Entry 0 is set to 1.0:
-    only entries that have never stepped read it, and those are frozen, so
-    it just keeps their scratch arithmetic finite."""
-    table = 1.0 - beta ** np.arange(n)
-    table[0] = 1.0
-    return table
+    correction Adam takes, whichever clock it reads. Clocks advance before
+    they are read, so entry 0 is never read."""
+    return 1.0 - beta ** np.arange(n)
 
 
 class Adam:
@@ -110,7 +107,8 @@ class Adam:
     ``1 - b**te`` is read from one table made by numpy's array pow
     (``_bias_table``).
 
-    Table rows are lazy: only the rows the gradient names step. An ungated
+    Table rows are lazy: only the rows the gradient names step. A gate-shut
+    entry steps too, then gets its old bits back (``step``). An ungated
     block is all open, so its clocks count every step.
     """
 
@@ -118,12 +116,11 @@ class Adam:
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         for name, beta in (("beta1", beta1), ("beta2", beta2)):
             if not 0.5 < beta < 1.0:
-                raise ValueError(f"Adam {name} must lie in (0.5, 1), got {beta!r}")
+                raise ConfigError(f"Adam {name} must lie in (0.5, 1), got {beta!r}")
         blocks = params.blocks()
         check_views(params.flat, blocks)
         self.flat = params.flat
         self.sizes = tuple(b.size for b in blocks)
-        self.n_tables = len(params.embeddings)
         self.tables, self.dim = params.tables.size, params.tables.shape[1]
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = np.zeros_like(self.flat)
@@ -144,74 +141,72 @@ class Adam:
         and every entry past the tables (``mlp``). Only those are read, so a
         step costs the batch's rows, not the tables. ``update_masks`` is
         None, all blocks ungated, or one entry per block: None for an
-        ungated block, or a 0/1 array the size of that block."""
+        ungated block, or a 0/1 array the size of that block.
+
+        Every given entry steps in place. The gate-shut ones are read out of
+        ``flat``, ``m``, ``v`` and ``t_entry`` by flat index before and put
+        back after, which is exact: ``_update``'s ops are elementwise and
+        correctly rounded, so no entry's result depends on another's."""
         tables, d = self.tables, self.dim
         rows, values, g = grads.rows, grads.values, grads.mlp
         if values.shape != (len(rows), d) or g.size != self.flat.size - tables:
             raise ShapeError(f"Adam.step: table gradient {values.shape} at {len(rows)} "
                              f"rows and {g.size} other entries, for tables of dim {d} "
                              f"and {self.flat.size - tables} other entries")
-        table_open, rest_open = ((True, True) if update_masks is None
-                                 else self._gate(update_masks))
+        shut = self._shut(update_masks)
         self.t += 1
         if len(self._bc1) <= self.t:   # no clock exceeds t; double past it
             n = max(1024, 2 * self.t)
             self._bc1, self._bc2 = _bias_table(self.beta1, n), _bias_table(self.beta2, n)
+        state = (self.flat, self.m, self.v, self.t_entry)
+        kept = [a.take(shut) for a in state]
         # the named table rows, gathered with their moments and clocks
         part = [records.take(rows).view(dtype) for records, dtype in self._table_rows]
-        active = True if table_open is True else table_open.reshape(-1, d)[rows].ravel()
-        self._update(*part, values.ravel(), active)
+        self._update(*part, values.ravel())
         for (records, _), buf in zip(self._table_rows, part):
             records.put(rows, buf.view(records.dtype))
-        rest = slice(tables, None)
-        self._update(self.flat[rest], self.m[rest], self.v[rest], self.t_entry[rest], g,
-                     rest_open)
+        self._update(*(a[tables:] for a in state), g)
+        for a, old in zip(state, kept):
+            a.put(shut, old)
 
-    def _gate(self, per_block) -> tuple:
-        """The per-block gate ``per_block`` over the tables and over the
-        rest: each True when all its entries are open, else one bool per
-        entry. A part whose blocks are all ungated is not scanned, which
-        spares the tables; an open part skips ``_update``'s masked writes."""
+    def _shut(self, per_block) -> np.ndarray:
+        """Flat indices of the entries the per-block gate ``per_block``
+        shuts, ascending. Only gated blocks are scanned, so ungated tables
+        cost nothing."""
+        shut = [np.empty(0, dtype=np.intp)]
+        if per_block is None:
+            return shut[0]
         if len(per_block) != len(self.sizes):
             raise ShapeError(f"Adam.step: gate has {len(per_block)} blocks, "
                              f"parameters have {len(self.sizes)}")
+        start = 0
         for i, (gate, n) in enumerate(zip(per_block, self.sizes)):
-            if gate is not None and np.size(gate) != n:
-                raise ShapeError(f"Adam.step: gate {i} has {np.size(gate)} entries, "
-                                 f"block has {n}")
+            if gate is not None:
+                if np.size(gate) != n:
+                    raise ShapeError(f"Adam.step: gate {i} has {np.size(gate)} entries, "
+                                     f"block has {n}")
+                shut.append(np.flatnonzero(np.asarray(gate) == 0) + start)
+            start += n
+        return np.concatenate(shut)
 
-        def is_open(gates, sizes):
-            if all(gate is None for gate in gates):
-                return True
-            part = np.concatenate([np.ones(n, dtype=bool) if gate is None
-                                   else np.asarray(gate).ravel() != 0
-                                   for gate, n in zip(gates, sizes)])
-            return True if part.all() else part
-
-        k = self.n_tables
-        return is_open(per_block[:k], self.sizes[:k]), is_open(per_block[k:], self.sizes[k:])
-
-    def _update(self, p, m, v, te, g, active) -> None:
-        """Adam in place on parameters ``p``, moments ``m``, ``v`` and clocks
-        ``te``, ``g`` being their gradient. The open entries (``active``:
-        True for all, else a bool array) advance their clocks and read their
-        bias corrections from the tables. The ops and their operand order
-        match ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*square(g)`` and
-        ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, each rounded as numpy
-        rounds it on whole arrays. Every entry is computed; only the open
-        ones are written back."""
-        te += active
+    def _update(self, p, m, v, te, g) -> None:
+        """Adam in place on every entry of parameters ``p``, moments ``m``,
+        ``v`` and clocks ``te``, ``g`` being their gradient: each clock
+        advances, then indexes the bias-correction tables. The ops and their
+        operand order match the class docstring's formulas. Each op (``*``,
+        ``+``, ``/``, ``square``, ``sqrt``, ``take``) is elementwise and
+        correctly rounded, so an entry's result depends on that entry alone,
+        which is what lets ``step`` undo any entry's step exactly."""
+        te += 1
         b1, b2 = self.beta1, self.beta2
-        m_new = m * b1
-        m_new += g * (1.0 - b1)
-        v_new = v * b2
-        v_new += np.square(g) * (1.0 - b2)
-        upd = m_new / self._bc1.take(te)
+        m *= b1
+        m += g * (1.0 - b1)
+        v *= b2
+        v += np.square(g) * (1.0 - b2)
+        upd = m / self._bc1.take(te)
         upd *= self.lr
-        den = v_new / self._bc2.take(te)
+        den = v / self._bc2.take(te)
         np.sqrt(den, out=den)
         den += self.eps
         upd /= den
-        np.copyto(m, m_new, where=active)
-        np.copyto(v, v_new, where=active)
-        np.copyto(p, p - upd, where=active)
+        p -= upd

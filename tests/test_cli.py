@@ -272,6 +272,33 @@ class TestTrain:
         assert (rc, stdout, err) == (3, "", f"data error: {path}: {problem}\n")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command,mode,n,problem", [
+        ("train", "single_task", 1, "no train rows for task cvr"),
+        ("train", "layer_share", 20, "ctr test labels are all 0; AUC needs both classes"),
+        ("train", "connection_share", 5, "no val rows for task cvr"),
+        ("prune-sweep", "neuron_share", 3, "no val rows for task ctr"),
+        ("prune-sweep", "connection_share", 20,
+         "ctr test labels are all 0; AUC needs both classes"),
+    ])
+    def test_degenerate_synthetic_split_exit_2(self, tmp_path, cfg_file, capsys, command,
+                                               mode, n, problem):
+        """Generated data gets the split checks a TSV gets; the data.*
+        config is at fault, so the exit is a config error."""
+        rc, stdout, err = run(capsys, command, "--config", cfg_file, "--mode", mode,
+                              "--set", f"data.n_impressions={n}",
+                              "--out", str(tmp_path / "run"))
+        assert (rc, stdout, err) == (
+            2, "", f"config error: synthetic data from the data.* config: {problem}\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_degenerate_synthetic_default_exits_before_warmup(self, tmp_path, capsys):
+        with mock.patch.object(training, "warmup") as warmup:
+            rc, stdout, err = run(capsys, "train", "--set", "data.n_impressions=20",
+                                  "--out", str(tmp_path / "run"))
+        assert (rc, stdout) == (2, "") and not warmup.called
+        assert err == ("config error: synthetic data from the data.* config: "
+                       "ctr test labels are all 0; AUC needs both classes\n")
+
     @pytest.mark.parametrize("mode", ["single_task", "layer_share"])
     def test_modes_without_search_need_no_val_rows(self, tmp_path, cfg_file, capsys, mode):
         path = self._split_edit(tmp_path, cfg_file, capsys,

@@ -191,8 +191,8 @@ CASES = ["ungated", "pruned", "all_ones", "zero_emb_bias", "alternating", "mixed
 
 class TestAdamBitIdentity:
     """nn.Adam over the flat vector reproduces the per-block Adam with lazy
-    tables bit for bit on params, m and v: every entry that steps does so on
-    its own clock."""
+    tables bit for bit on params, m and v, and on every entry's clock: every
+    entry that steps does so on its own clock."""
 
     @pytest.mark.parametrize("rows", [None, 7])
     @pytest.mark.parametrize("case", CASES)
@@ -217,6 +217,8 @@ class TestAdamBitIdentity:
         assert params.flat.tobytes() == flat_bytes(ref_blocks)
         assert opt.m.tobytes() == flat_bytes([s.m for s in ref.states])
         assert opt.v.tobytes() == flat_bytes([s.v for s in ref.states])
+        assert np.array_equal(opt.t_entry, np.concatenate([s.t_entry.ravel()
+                                                           for s in ref.states]))
         assert opt.t == 60 and all(s.t == 60 for s in ref.states)
 
     def test_bias_tables_regrow(self):

@@ -33,7 +33,7 @@ class TestXavier:
         assert (a == b).all()
 
     def test_zero_dim_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match="xavier_init needs positive dims, got 0x3"):
             nn.xavier_init(0, 3, nn.make_rng(0))
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from lotshare import model, nn, training
 from lotshare.data import Dataset, SyntheticSpec, TaskData, batches, generate
-from lotshare.errors import FeatureIdError
+from lotshare.errors import ConfigError, FeatureIdError
 from lotshare.masking import TaskMask
 from lotshare.model import CrossKind, ModelConfig, SharingMode, Task, cross_output_width
 
@@ -269,5 +269,5 @@ class TestRowSparseAdam:
 def test_adam_rejects_betas_outside_open_interval(beta1, beta2):
     params = model.init_params(make_cfg(), 0)
     name = "beta1" if not 0.5 < beta1 < 1.0 else "beta2"
-    with pytest.raises(ValueError, match=f"Adam {name} must lie in"):
+    with pytest.raises(ConfigError, match=f"Adam {name} must lie in"):
         nn.Adam(params, 0.01, beta1=beta1, beta2=beta2)
