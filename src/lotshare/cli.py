@@ -16,7 +16,7 @@ import numpy as np
 from . import data as data_mod
 from . import masking, metrics, model, training
 from .config import ExperimentConfig, load_experiment
-from .errors import ConfigError, DataError, LotshareError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .metrics import MetricsReport, format_gain, mtl_gain
 from .model import SharingMode, Task, TASKS
 
@@ -25,50 +25,38 @@ EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
 
-def _load_dataset(exp: ExperimentConfig) -> data_mod.Dataset:
+def _load_dataset(exp: ExperimentConfig, splits: tuple[str, ...]) -> data_mod.Dataset:
     """The TSV at ``exp.dataset_path``, or synthetic data from the ``data.*``
-    config without one. DataError for a TSV whose header has a cardinality
-    below 1 or tables past 2**63 entries, or that has no rows. Either
-    source must then have splits that can train and score the mode
-    (``_check_splits``): a TSV that has not is a DataError, a ``data.*``
-    config that generates such splits a ConfigError."""
-    path = exp.dataset_path
-    if not path:
-        ds = data_mod.generate(exp.synth)
-        _check_splits(ds, exp.mode, ConfigError, "synthetic data from the data.* config")
-        return ds
-    ds = data_mod.load(path)
+    config without one, checked for a command that reads ``splits``, train
+    first. Its tables (the cardinalities' sum times ``embedding_dim``) must
+    fit one array (``model.MAX_ENTRIES``), every task needs rows in each
+    split, and CTR labels hold both classes, for AUC, in each split but
+    train. A failed check is a DataError naming the TSV, or a ConfigError
+    naming the ``data.*`` config."""
+    if exp.dataset_path:
+        ds, error, source = data_mod.load(exp.dataset_path), DataError, exp.dataset_path
+    else:
+        ds, error, source = (data_mod.generate(exp.synth), ConfigError,
+                             "synthetic data from the data.* config")
     cards = ds.field_cardinalities
-    if any(c < 1 for c in cards):
-        raise DataError(f"{path}:1: field cardinalities must all be >= 1: {cards}")
-    if sum(cards) * exp.embedding_dim >= 2 ** 63:
-        raise DataError(f"{path}:1: cardinalities {cards} with embedding_dim "
-                        f"{exp.embedding_dim} give tables past 2**63 entries")
-    if all(td.n == 0 for td in ds.tasks.values()):
-        raise DataError(f"{path}: no rows")
-    _check_splits(ds, exp.mode, DataError, str(path))
-    return ds
+    if sum(cards) * exp.embedding_dim >= model.MAX_ENTRIES:
+        raise error(f"{source}: cardinalities {cards} with embedding_dim "
+                    f"{exp.embedding_dim} give tables past 2**60 entries")
 
-
-def _check_splits(ds: data_mod.Dataset, mode: SharingMode, error: type, source: str) -> None:
-    """Raise ``error``, its message led by ``source``, unless every task has
-    train rows, and val rows too in a pruning mode, which scores its masks
-    on val; and unless CTR's val and test rows, where read, hold both
-    classes for AUC."""
     def labels(task, split):   # without the copy of the ids that subset makes
         td = ds.task(task)
         return td.labels[td.split == data_mod.SPLITS.index(split)]
 
-    search = mode in (SharingMode.CONNECTION_SHARE, SharingMode.NEURON_SHARE)
-    for task in TASKS:
-        for split in ("train", "val") if search else ("train",):
+    for split in splits:
+        for task in TASKS:
             if len(labels(task, split)) == 0:
                 raise error(f"{source}: no {split} rows for task {task.value}")
-    for split in ("val", "test") if search else ("test",):
+    for split in splits[1:]:
         ctr = labels(Task.CTR, split)
-        if len(ctr) and (ctr == ctr[0]).all():
+        if (ctr == ctr[0]).all():
             raise error(f"{source}: ctr {split} labels are all {ctr[0]:g}; "
                         "AUC needs both classes")
+    return ds
 
 
 def _history_kv(entry: dict) -> str:
@@ -247,7 +235,7 @@ def cmd_generate_data(config_path, mode, dataset, seed, output_dir, extra, out_f
 def cmd_train(config_path, mode, dataset, seed, output_dir, extra):
     """Train the configured sharing mode end to end and write the run dir."""
     exp = _build_exp(config_path, mode, dataset, seed, output_dir, extra)
-    ds = _load_dataset(exp)
+    ds = _load_dataset(exp, ("train", "val", "test") if exp.mode.prunes else ("train", "test"))
     mcfg = exp.model_config(ds.field_cardinalities)
     art = training.train_model(ds, mcfg, exp.train)
     report = build_report(art, ds, mcfg, exp)
@@ -288,9 +276,9 @@ def cmd_compare(run_dirs):
 def cmd_prune_sweep(config_path, mode, dataset, seed, output_dir, extra, curve_file):
     """Warmup + mask generation only; emit the per-round sparsity/score curve."""
     exp = _build_exp(config_path, mode, dataset, seed, output_dir, extra)
-    if exp.mode not in (SharingMode.CONNECTION_SHARE, SharingMode.NEURON_SHARE):
+    if not exp.mode.prunes:
         raise ConfigError(f"prune-sweep needs a pruning mode, got {exp.mode.value}")
-    ds = _load_dataset(exp)
+    ds = _load_dataset(exp, ("train", "val"))
     mcfg = exp.model_config(ds.field_cardinalities)
     history: list[dict] = []
     params = model.init_params(mcfg, exp.train.seed)
@@ -420,7 +408,7 @@ def cmd_score(ctr_checkpoint, cvr_checkpoint, ctr_mask, cvr_mask, top_k,
         raise ConfigError("CTR and CVR checkpoints disagree on the feature schema")
     for task, path, cfg, mask in ((Task.CTR, ctr_checkpoint, ctr_cfg, ctr_mask),
                                   (Task.CVR, cvr_checkpoint, cvr_cfg, cvr_mask)):
-        searched = cfg.sharing_mode in (SharingMode.CONNECTION_SHARE, SharingMode.NEURON_SHARE)
+        searched = cfg.sharing_mode.prunes
         if (mask is None) == searched:
             raise ConfigError(f"--{task.value}-mask is {'required' if searched else 'not taken'}: "
                               f"{path} is a {cfg.sharing_mode.value} checkpoint")
@@ -465,12 +453,15 @@ def cmd_mask_stats(ctr_mask_file, cvr_mask_file):
 
 
 def main(argv=None) -> int:
+    """Run one command; the exception's type alone picks the exit code:
+    click's own errors and ConfigError 2, DataError and OSError 3, and
+    anything else 4, named by its type."""
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
     except click.exceptions.Exit as exc:  # --help etc.
         return exc.exit_code
-    except (click.ClickException,) as exc:
+    except click.ClickException as exc:
         exc.show()
         return EXIT_CONFIG
     except click.Abort:
@@ -478,18 +469,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:   # OSError: a named file the OS refused
         click.echo(f"data error: {exc}", err=True)
         return EXIT_DATA
-    except LotshareError as exc:
-        click.echo(f"internal error: {exc}", err=True)
+    except Exception as exc:
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
         return EXIT_INTERNAL
-    except (IndexError, OSError) as exc:
-        click.echo(f"data error: {exc}", err=True)
-        return EXIT_DATA
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

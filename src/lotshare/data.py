@@ -359,9 +359,12 @@ def _parse_header(path, line: str) -> tuple[int, ...]:
     if len(header) != 2 or header[0] != "cardinalities":
         raise DataError(f"{path}:1: expected 'cardinalities<TAB>...' header")
     try:
-        return tuple(int(c) for c in header[1].split(","))
+        cards = tuple(int(c) for c in header[1].split(","))
     except ValueError as exc:
         raise DataError(f"{path}:1: bad cardinality list: {exc}") from exc
+    if any(c < 1 for c in cards):
+        raise DataError(f"{path}:1: field cardinalities must all be >= 1: {cards}")
+    return cards
 
 
 def load(path) -> Dataset:

@@ -28,6 +28,9 @@ from .errors import (CheckpointFormatError, ConfigError, FeatureIdError, ShapeEr
 CKPT_MAGIC = b"LTCK"
 CKPT_VERSION = 1
 
+# float64 entries one numpy array can hold: its size is under 2**63 bytes
+MAX_ENTRIES = 2 ** 60
+
 # layer_share: the last two FC transitions, into and out of the last hidden
 # layer, form the per-task towers; everything below is the shared trunk.
 TOWER_TRANSITIONS = 2
@@ -46,6 +49,11 @@ class SharingMode(str, Enum):
     LAYER_SHARE = "layer_share"
     CONNECTION_SHARE = "connection_share"
     NEURON_SHARE = "neuron_share"
+
+    @property
+    def prunes(self) -> bool:
+        """Whether the mode searches its task masks by pruning."""
+        return self in (SharingMode.CONNECTION_SHARE, SharingMode.NEURON_SHARE)
 
 
 class CrossKind(str, Enum):
@@ -76,6 +84,7 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "field_cardinalities", tuple(int(c) for c in self.field_cardinalities))
+        object.__setattr__(self, "embedding_dim", int(self.embedding_dim))
         object.__setattr__(self, "mlp_dims", tuple(int(d) for d in self.mlp_dims))
         object.__setattr__(self, "cross_kind", CrossKind(self.cross_kind))
         object.__setattr__(self, "sharing_mode", SharingMode(self.sharing_mode))
@@ -103,6 +112,9 @@ class ModelConfig:
             if self.mlp_dims[-2] % 2:
                 raise ConfigError(f"layer_share splits the last hidden width between the two "
                                   f"task towers, so it must be even: got {self.mlp_dims[-2]}")
+        if (size := ParamLayout.of(self).size) >= MAX_ENTRIES:
+            raise ConfigError(f"a model of {size} parameters is past the 2**60 entries of "
+                              "one float64 array")
 
     @property
     def n_fields(self) -> int:
@@ -571,11 +583,15 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
     return Grads(layout, mlp.flat, rows, values)
 
 
+def _ckpt_header(cfg: ModelConfig) -> bytes:
+    return json.dumps(cfg.to_json_dict(), sort_keys=True).encode("utf-8")
+
+
 def save_checkpoint(path, params: ModelParams, cfg: ModelConfig) -> None:
     """Binary checkpoint: magic, version, config JSON, then the flat vector
     as 64-bit LE floats, i.e. every block in ``blocks()`` order."""
     nn.check_views(params.flat, params.blocks())
-    header = json.dumps(cfg.to_json_dict(), sort_keys=True).encode("utf-8")
+    header = _ckpt_header(cfg)
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<II", CKPT_VERSION, len(header)))
@@ -584,6 +600,9 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
+    """The config and params that ``save_checkpoint`` wrote to ``path``.
+    CheckpointFormatError for anything else, such as a header that is not
+    the JSON ``save_checkpoint`` writes for the ModelConfig it builds."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != CKPT_MAGIC:
@@ -591,9 +610,12 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
     version, hlen = struct.unpack_from("<II", raw, 4)
     if version != CKPT_VERSION:
         raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
+    header = raw[12:12 + hlen]
     try:
-        cfg = ModelConfig.from_json_dict(json.loads(raw[12:12 + hlen].decode("utf-8")))
-    except (ValueError, KeyError) as exc:
+        cfg = ModelConfig.from_json_dict(json.loads(header.decode("utf-8")))
+        if _ckpt_header(cfg) != header:   # such as "4" or 4.0 for an int
+            raise ValueError(f"not the header of {cfg}")
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CheckpointFormatError(f"{path}: bad checkpoint header: {exc}") from exc
     layout = ParamLayout.of(cfg)
     payload = len(raw) - 12 - hlen

@@ -144,20 +144,12 @@ def warmup(params: ModelParams, dataset: Dataset, cfg: ModelConfig,
            tcfg: TrainConfig, history: list | None = None) -> None:
     """Algorithm step 1: train unmasked on the mixed stream, then freeze the
     trained weights as the rewind snapshot."""
-    if all(dataset.task(t).n == 0 for t in TASKS):
-        raise ConfigError("warmup: empty dataset")
     omegas = {t: tcfg.omega(t) for t in TASKS}
     for epoch, loss in enumerate(_epochs(params, cfg, dataset, tcfg, TASKS, {}, omegas,
                                          tcfg.warmup_epochs, _WARMUP_EPOCH_BASE)):
         if history is not None:
             history.append({"stage": "warmup", "epoch": epoch, "mean_loss": loss})
     params.take_snapshot()
-
-
-def _prune_fn(mode: SharingMode):
-    if mode is SharingMode.NEURON_SHARE:
-        return masking.prune_neurons
-    return masking.prune_connections
 
 
 def generate_masks(params: ModelParams, dataset: Dataset, cfg: ModelConfig,
@@ -172,13 +164,11 @@ def generate_masks(params: ModelParams, dataset: Dataset, cfg: ModelConfig,
     """
     if params.init_snapshot is None:
         raise StateError("generate_masks called before warmup snapshot")
-    prune = _prune_fn(tcfg.sharing_mode)
+    prune = (masking.prune_neurons if tcfg.sharing_mode is SharingMode.NEURON_SHARE
+             else masking.prune_connections)
     all_masks: dict[Task, list[TaskMask]] = {}
     best_i: dict[Task, int] = {}
     for ti, task in enumerate(TASKS):
-        ids_tr, labels_tr = dataset.subset(task, "train")
-        if len(labels_tr) == 0:
-            raise ConfigError(f"generate_masks: no training samples for task {task.value}")
         ids_val, labels_val = dataset.subset(task, "val")
         mask = TaskMask.all_ones(params.mlp_weights, task)
         candidates = [mask]
@@ -253,8 +243,6 @@ def train_baseline(dataset: Dataset, cfg: ModelConfig,
     history: list[dict] = []
     per_task: dict[Task, ModelParams] = {}
     for ti, task in enumerate(TASKS):
-        if dataset.task(task).n == 0:
-            raise ConfigError(f"train_baseline: no samples for task {task.value}")
         per_task[task] = model.init_params(cfg, tcfg.seed + ti)
         for epoch, loss in enumerate(_epochs(per_task[task], cfg, dataset, tcfg, [task], {},
                                              {task: 1.0}, tcfg.joint_epochs,
@@ -278,23 +266,24 @@ def train_model(dataset: Dataset, cfg: ModelConfig, tcfg: TrainConfig) -> Traine
     history: list[dict] = []
     params = model.init_params(cfg, tcfg.seed)
     masks, best_i = {}, {}
-    if mode is SharingMode.LAYER_SHARE:
-        best = {t: TaskMask(layers, t) for t, layers in model.tower_masks(cfg).items()}
-    else:
+    if mode.prunes:
         warmup(params, dataset, cfg, tcfg, history)
         masks, best_i = generate_masks(params, dataset, cfg, tcfg, history)
         best = {t: masks[t][best_i[t]] for t in TASKS}
+    else:
+        best = {t: TaskMask(layers, t) for t, layers in model.tower_masks(cfg).items()}
     joint_train(params, best, dataset, cfg, tcfg, history)
     return TrainedArtifacts(mode, dict.fromkeys(TASKS, params), masks, best_i, history)
 
 
 def evaluate_artifacts(art: TrainedArtifacts, dataset: Dataset, cfg: ModelConfig,
                        split: str = "test") -> dict[str, float]:
+    """Each task's metric on ``split``, as ``ctr_auc`` and ``cvr_mse``. A task
+    without rows there, or CTR labels of one class, raise; the CLI checks
+    the splits a command reads before it trains."""
     out = {}
     for task in TASKS:
         ids, labels = dataset.subset(task, split)
-        if len(labels) == 0:
-            continue
         score = evaluate(art.params[task], cfg, task, ids, labels,
                          mask=art.best_mask(task))
         key = "ctr_auc" if task is Task.CTR else "cvr_mse"

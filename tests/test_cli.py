@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -10,7 +11,7 @@ from lotshare import cli, training
 from lotshare import data as data_mod
 from lotshare import masking, model
 from lotshare.cli import comparison_table, main
-from lotshare.errors import DataError
+from lotshare.errors import ConfigError, DataError, ShapeError
 from lotshare.config import load_experiment, parse_kv_text
 from lotshare.metrics import MetricsReport
 from lotshare.model import Task
@@ -201,7 +202,7 @@ class TestTrain:
         p.write_text(text)
         rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--dataset", str(p),
                               "--mode", mode, "--out", str(tmp_path / "run"))
-        assert (rc, stdout, err) == (3, "", f"data error: {p}: no rows\n")
+        assert (rc, stdout, err) == (3, "", f"data error: {p}: no train rows for task ctr\n")
         assert not (tmp_path / "run").exists()
 
     def test_zero_cardinality_exit_3(self, tmp_path, cfg_file, capsys):
@@ -221,15 +222,15 @@ class TestTrain:
         rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--dataset", str(p),
                               "--out", str(tmp_path / "run"))
         assert (rc, stdout) == (3, "")
-        assert err == (f"data error: {p}:1: cardinalities (99999999999999999999, 8, 8, 8) "
-                       "with embedding_dim 3 give tables past 2**63 entries\n")
+        assert err == (f"data error: {p}: cardinalities (99999999999999999999, 8, 8, 8) "
+                       "with embedding_dim 3 give tables past 2**60 entries\n")
 
     def test_prune_sweep_dataset_without_rows_exit_3(self, tmp_path, cfg_file, capsys):
         p = tmp_path / "d.tsv"
         p.write_text("cardinalities\t8,8,8,8\n")
         rc, stdout, err = run(capsys, "prune-sweep", "--config", cfg_file, "--dataset", str(p),
                               "--out", str(tmp_path / "run"))
-        assert (rc, stdout, err) == (3, "", f"data error: {p}: no rows\n")
+        assert (rc, stdout, err) == (3, "", f"data error: {p}: no train rows for task ctr\n")
 
     @staticmethod
     def _split_edit(tmp_path, cfg_file, capsys, edit):
@@ -249,6 +250,8 @@ class TestTrain:
         ("prune-sweep", "connection_share", "no_cvr", "no train rows for task cvr"),
         *[("train", mode, "ctr_test_1", "ctr test labels are all 1; AUC needs both classes")
           for mode in ("single_task", "layer_share", "connection_share", "neuron_share")],
+        *[("train", mode, "no_cvr_test", "no test rows for task cvr")
+          for mode in ("single_task", "layer_share", "connection_share", "neuron_share")],
         *[(command, mode, "no_cvr_val", "no val rows for task cvr")
           for command, mode in (("train", "connection_share"), ("train", "neuron_share"),
                                 ("prune-sweep", "neuron_share"))],
@@ -263,6 +266,7 @@ class TestTrain:
             "ctr_test_1": lambda r: [r[0], "1", *r[2:]] if r[0] == "ctr" and r[3] == "test"
             else r,
             "no_cvr_val": lambda r: None if r[0] == "cvr" and r[3] == "val" else r,
+            "no_cvr_test": lambda r: None if r[0] == "cvr" and r[3] == "test" else r,
             "ctr_val_0": lambda r: [r[0], "0", *r[2:]] if r[0] == "ctr" and r[3] == "val"
             else r,
         }
@@ -274,11 +278,12 @@ class TestTrain:
 
     @pytest.mark.parametrize("command,mode,n,problem", [
         ("train", "single_task", 1, "no train rows for task cvr"),
-        ("train", "layer_share", 20, "ctr test labels are all 0; AUC needs both classes"),
+        ("train", "layer_share", 20, "no test rows for task cvr"),
+        ("train", "layer_share", 8, "no test rows for task ctr"),
         ("train", "connection_share", 5, "no val rows for task cvr"),
-        ("prune-sweep", "neuron_share", 3, "no val rows for task ctr"),
-        ("prune-sweep", "connection_share", 20,
-         "ctr test labels are all 0; AUC needs both classes"),
+        ("prune-sweep", "neuron_share", 3, "no train rows for task cvr"),
+        ("prune-sweep", "connection_share", 11,
+         "ctr val labels are all 1; AUC needs both classes"),
     ])
     def test_degenerate_synthetic_split_exit_2(self, tmp_path, cfg_file, capsys, command,
                                                mode, n, problem):
@@ -297,7 +302,20 @@ class TestTrain:
                                   "--out", str(tmp_path / "run"))
         assert (rc, stdout) == (2, "") and not warmup.called
         assert err == ("config error: synthetic data from the data.* config: "
-                       "ctr test labels are all 0; AUC needs both classes\n")
+                       "no test rows for task cvr\n")
+
+    def test_prune_sweep_reads_no_test_rows(self, tmp_path, cfg_file, capsys):
+        """prune-sweep reads train and val only: a TSV without test rows,
+        or generated data whose CTR test labels are one class, sweeps."""
+        path = self._split_edit(tmp_path, cfg_file, capsys,
+                                lambda r: None if r[3] == "test" else r)
+        for source in (("--dataset", str(path)), ("--set", "data.n_impressions=20")):
+            curve = tmp_path / "sweep.tsv"
+            rc, _, err = run(capsys, "prune-sweep", "--config", cfg_file, *source,
+                             "--out", str(tmp_path / "run"), "--curve-file", str(curve))
+            assert (rc, err) == (0, "")
+            assert len(curve.read_text().splitlines()) == 1 + 2 * 3
+            curve.unlink()
 
     @pytest.mark.parametrize("mode", ["single_task", "layer_share"])
     def test_modes_without_search_need_no_val_rows(self, tmp_path, cfg_file, capsys, mode):
@@ -306,6 +324,23 @@ class TestTrain:
         rc, _, err = run(capsys, "train", "--config", cfg_file, "--dataset", str(path),
                          "--mode", mode, "--out", str(tmp_path / "run"))
         assert (rc, err) == (0, "")
+
+    def test_huge_synthetic_cardinality_exit_2(self, tmp_path, cfg_file, capsys):
+        rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--set",
+                              "data.field_cardinalities=4611686018427387904,8",
+                              "--out", str(tmp_path / "run"))
+        assert (rc, stdout) == (2, "")
+        assert err == ("config error: synthetic data from the data.* config: cardinalities "
+                       "(4611686018427387904, 8) with embedding_dim 3 give tables past "
+                       "2**60 entries\n")
+
+    def test_huge_hidden_width_exit_2(self, tmp_path, cfg_file, capsys):
+        rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--set",
+                              "model.hidden_dims=4611686018427387904",
+                              "--out", str(tmp_path / "run"))
+        assert (rc, stdout) == (2, "")
+        assert err.startswith("config error: a model of ")
+        assert err.endswith(" parameters is past the 2**60 entries of one float64 array\n")
 
     def test_unknown_key_exit_2(self, cfg_file, capsys):
         rc, _, err = run(capsys, "train", "--config", cfg_file, "--set", "bogus=1")
@@ -340,6 +375,25 @@ class TestTrain:
         assert (exp.train.seed, exp.synth.seed) == (2, 1)  # specific key wins in a source
         exp = load_experiment(str(path), {"seed": "5", "data.seed": "6"})
         assert (exp.train.seed, exp.synth.seed) == (5, 6)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc,code,err", [
+        pytest.param(ConfigError("bad key"), 2, "config error: bad key", id="ConfigError"),
+        pytest.param(DataError("bad row"), 3, "data error: bad row", id="DataError"),
+        pytest.param(OSError("refused"), 3, "data error: refused", id="OSError"),
+        pytest.param(ValueError("bare"), 4, "internal error: ValueError: bare", id="ValueError"),
+        pytest.param(KeyError("k"), 4, "internal error: KeyError: 'k'", id="KeyError"),
+        pytest.param(ShapeError("(2,) vs (3,)"), 4, "internal error: ShapeError: (2,) vs (3,)",
+                     id="ShapeError"),
+    ])
+    def test_error_type_picks_exit_code(self, tmp_path, capsys, monkeypatch, exc, code, err):
+        def fail(spec):
+            raise exc
+
+        monkeypatch.setattr(data_mod, "generate", fail)
+        rc, stdout, got = run(capsys, "generate-data", "--out", str(tmp_path))
+        assert (rc, stdout, got) == (code, "", err + "\n")
 
 
 class TestCompare:
@@ -630,6 +684,19 @@ class TestScore:
             f"pcvr={pred[Task.CVR][i]:.6f} length={lengths[i]:g}"
             for r, i in enumerate(order.tolist(), start=1)]
         assert any(order[j] + 150 == order[j + 1] for j in range(39))  # ties shown
+
+    def test_mistyped_checkpoint_header_exit_3(self, tmp_path, ckpts, capsys):
+        raw = open(ckpts[0], "rb").read()
+        hlen = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12:12 + hlen])
+        header["embedding_dim"] = str(header["embedding_dim"])
+        header = json.dumps(header, sort_keys=True).encode("utf-8")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:8] + len(header).to_bytes(4, "little") + header + raw[12 + hlen:])
+        rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", str(bad),
+                              "--cvr-checkpoint", ckpts[1], self._cands(tmp_path, [10, 20]))
+        assert (rc, stdout) == (3, "")
+        assert err.startswith(f"data error: {bad}: bad checkpoint header: ")
 
     def test_swapped_masks_exit_3(self, tmp_path, cfg_file, capsys):
         out = tmp_path / "cs"

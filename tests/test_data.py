@@ -117,6 +117,14 @@ class TestSaveLoad:
         with pytest.raises(DataError, match=":1:"):
             data.load(p)
 
+    @pytest.mark.parametrize("cards", ["0,4", "4,-1"])
+    def test_cardinality_below_1_names_header(self, tmp_path, cards):
+        """A header rule: it fires at line 1, before any row is read."""
+        p = tmp_path / "bad.tsv"
+        p.write_text(f"cardinalities\t{cards}\nctr\t1\t0,0\ttrain\n")
+        with pytest.raises(DataError, match=rf"^{p}:1: field cardinalities must all be >= 1: "):
+            data.load(p)
+
     def test_bad_task_names_line(self, tmp_path):
         p = self._write(tmp_path, "xxx\t1\t0,0\ttrain\n")
         with pytest.raises(DataError, match=":2:.*xxx"):
@@ -169,6 +177,8 @@ def per_line_load(path) -> Dataset:
         cards = tuple(int(c) for c in header[1].split(","))
     except ValueError as exc:
         raise DataError(f"{path}:1: bad cardinality list: {exc}") from exc
+    if any(c < 1 for c in cards):
+        raise DataError(f"{path}:1: field cardinalities must all be >= 1: {cards}")
     rows = {t: [] for t in TASKS}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

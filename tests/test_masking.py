@@ -218,6 +218,24 @@ class TestSerialization:
         with pytest.raises(MaskFormatError):
             deserialize_mask(blob + b"\x00")
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_mask_raises_only_format_error(self, data):
+        """Truncated or byte-flipped masks deserialize or raise
+        MaskFormatError, and nothing else."""
+        blob = serialize_mask(TaskMask([np.eye(5, 3), np.ones((3, 1))], Task.CVR, 2))
+        if data.draw(st.booleans()):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            raw = bytearray(blob)
+            for i in data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4)):
+                raw[i] ^= data.draw(st.integers(1, 255))
+            blob = bytes(raw)
+        try:
+            deserialize_mask(blob)
+        except MaskFormatError:
+            pass
+
     def test_file_round_trip(self, tmp_path):
         m = TaskMask([np.eye(6)], Task.CVR, 2)
         path = tmp_path / "m.mask"

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,14 @@ def small_config(n_fields=3, dim=4, hidden=(6, 4), mode=SharingMode.CONNECTION_S
     cards = cards or (5,) * n_fields
     dims = (cross_output_width(len(cards), dim, cross), *hidden, 1)
     return ModelConfig(cards, dim, dims, cross, mode)
+
+
+# any JSON value, NaN and infinities included, as json.loads reads them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=8), kids,
+                                                            max_size=4),
+    max_leaves=8)
 
 
 def random_ids(cfg, n, seed=0):
@@ -488,3 +499,57 @@ class TestCheckpoint:
         f.write_bytes(b"nope" + b"\x00" * 100)
         with pytest.raises(CheckpointFormatError):
             model.load_checkpoint(f)
+
+    @staticmethod
+    def _blob(header, payload: bytes) -> bytes:
+        """Checkpoint bytes whose header is the JSON of ``header``."""
+        header = json.dumps(header).encode("utf-8")
+        return model.CKPT_MAGIC + struct.pack("<II", model.CKPT_VERSION, len(header)) \
+            + header + payload
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: [h], lambda h: None, lambda h: "connection_share",
+        lambda h: {**h, "field_cardinalities": 5},
+        lambda h: {**h, "field_cardinalities": [[5], [5], [5]]},
+        lambda h: {**h, "embedding_dim": "4"},
+        lambda h: {**h, "mlp_dims": None},
+        lambda h: {**h, "embedding_dim": 4.0},
+        lambda h: {**h, "field_cardinalities": [5, 5, 1e400]},
+        lambda h: {**h, "mlp_dims": [h["mlp_dims"][0], 2 ** 62, 1]},
+    ], ids=["list", "null", "string", "int_cards", "nested_cards", "string_dim", "null_dims",
+            "float_dim", "inf_card", "huge_width"])
+    def test_mistyped_header_rejected(self, tmp_path, edit):
+        cfg = small_config()
+        f = tmp_path / "a.ckpt"
+        size = model.ParamLayout.of(cfg).size
+        f.write_bytes(self._blob(edit(cfg.to_json_dict()), b"\0" * 8 * size))
+        with pytest.raises(CheckpointFormatError, match="bad checkpoint header"):
+            model.load_checkpoint(f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_checkpoint_raises_only_format_error(self, tmp_path_factory, data):
+        """Truncated, byte-flipped or mistyped checkpoints load or raise
+        CheckpointFormatError, and nothing else."""
+        cfg = small_config(n_fields=2, dim=2, hidden=(3,))
+        f = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+        model.save_checkpoint(f, model.init_params(cfg, 0), cfg)
+        blob = f.read_bytes()
+        how = data.draw(st.sampled_from(["truncate", "flip", "header"]))
+        if how == "truncate":
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        elif how == "flip":
+            raw = bytearray(blob)
+            for i in data.draw(st.lists(st.integers(0, len(raw) - 1), min_size=1, max_size=4)):
+                raw[i] ^= data.draw(st.integers(1, 255))
+            blob = bytes(raw)
+        else:
+            value = data.draw(JSON_VALUES)
+            key = data.draw(st.sampled_from([None, *cfg.to_json_dict()]))
+            header = value if key is None else {**cfg.to_json_dict(), key: value}
+            blob = self._blob(header, blob[12 + struct.unpack_from("<I", blob, 8)[0]:])
+        f.write_bytes(blob)
+        try:
+            model.load_checkpoint(f)
+        except CheckpointFormatError:
+            pass
