@@ -7,7 +7,6 @@ import math
 import re
 import sys
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 
 import click
@@ -326,15 +325,14 @@ def _candidate_block(lines: list[str], n_fields: int) -> tuple[np.ndarray, np.nd
     """The columns :func:`_parse_candidate` gives ``lines``, as ``(ids (n, F)
     int64, lengths (n,) float64)``, when every line is a candidate that it
     accepts and whose ids ``data.digit_ids`` reads; None otherwise."""
-    n = len(lines)
-    if (np.fromiter(map(str.count, lines, repeat("\t")), np.intp, n) != 1).any():
+    if not data_mod.tabs_per_line(lines, 1):
         return None
     halves = "\t".join(lines).split("\t")
     ids = data_mod.digit_ids(halves[0::2], n_fields)
     if ids is None:
         return None
     try:
-        lengths = np.fromiter(map(float, halves[1::2]), np.float64, n)
+        lengths = np.fromiter(map(float, halves[1::2]), np.float64, len(lines))
     except ValueError:
         return None
     if not ((lengths > 0) & np.isfinite(lengths)).all():

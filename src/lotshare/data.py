@@ -249,6 +249,17 @@ def save(dataset: Dataset, path) -> None:
 
 
 _TASK_CODE = {t.value: code for code, t in enumerate(TASKS)}
+_NOT_TAB_OR_NEWLINE = bytes(b for b in range(256) if b not in b"\t\n")
+
+
+def tabs_per_line(lines: list[str], tabs: int) -> bool:
+    """Whether each of ``lines``, which hold no newline, holds exactly
+    ``tabs`` tabs: in one pass over the bytes of the lines joined by
+    newlines, the tabs and newlines must read ``tabs`` tabs, a newline,
+    ``tabs`` tabs, and so on. A line of too few tabs next to one of too many
+    breaks that order, though the block's tab count is right."""
+    seps = "\n".join(lines).encode("utf-8", "surrogatepass").translate(None, _NOT_TAB_OR_NEWLINE)
+    return seps + b"\n" == (b"\t" * tabs + b"\n") * len(lines)
 
 
 def digit_ids(id_col: list[str], n_fields: int) -> np.ndarray | None:
@@ -333,7 +344,7 @@ def _row_block(lines: list[str], cards: tuple[int, ...]):
     every line is a 4-field row that it accepts and whose ids
     :func:`digit_ids` reads; None otherwise."""
     n = len(lines)
-    if (np.fromiter(map(str.count, lines, repeat("\t")), np.intp, n) != 3).any():
+    if not tabs_per_line(lines, 3):
         return None
     fields = "\t".join(lines).split("\t")
     task_col, label_col, id_col, split_col = (fields[k::4] for k in range(4))

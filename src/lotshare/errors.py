@@ -13,6 +13,11 @@ class ConfigError(LotshareError, ValueError):
     """Invalid configuration or arguments (CLI exit code 2)."""
 
 
+class TrainingDivergedError(ConfigError):
+    """A training step's loss is not finite or past ``training.MAX_STEP_LOSS``;
+    the learning rate or another setting drives training apart (exit code 2)."""
+
+
 class DataError(LotshareError, ValueError):
     """Malformed dataset or artifact file (CLI exit code 3)."""
 

@@ -378,7 +378,6 @@ class ForwardCache:
     cross: np.ndarray
     weights: list[np.ndarray]           # the task's MLP weights, under its mask
     layer_inputs: list[np.ndarray]      # input to each FC transition (post-ReLU)
-    pre_activations: list[np.ndarray]   # z of each FC transition
     logits: np.ndarray
     task: Task
 
@@ -480,20 +479,20 @@ def front(ids: np.ndarray, params: ModelParams, cfg: ModelConfig
 
 
 def mlp_forward(x: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray]):
-    """One task's MLP on the cross output ``x``, ReLU between transitions:
-    ``(preds, logits, layer_inputs, pre_activations)``."""
-    layer_inputs, pre_acts = [], []
+    """One task's MLP on the cross output ``x``, each hidden layer's bias and
+    ReLU written into its matmul's output: ``(preds, logits, layer_inputs)``."""
+    layer_inputs = []
     h = x
     for li, (w, b) in enumerate(zip(weights, biases)):
         layer_inputs.append(h)
-        z = nn.affine_forward(h, w, b)
-        pre_acts.append(z)
-        h = nn.relu(z) if li < len(weights) - 1 else z
+        h = nn.affine_forward(h, w, b)
+        if li < len(weights) - 1:
+            nn.relu(h)
     logits = h[:, 0]
     # keep predictions in the open interval even at saturated logits
     preds = np.clip(nn.sigmoid(logits), np.finfo(np.float64).tiny,
                     np.nextafter(1.0, 0.0))
-    return preds, logits, layer_inputs, pre_acts
+    return preds, logits, layer_inputs
 
 
 def forward(ids: np.ndarray, params: ModelParams, cfg: ModelConfig, task: Task,
@@ -503,12 +502,11 @@ def forward(ids: np.ndarray, params: ModelParams, cfg: ModelConfig, task: Task,
     task = Task(task)
     weights, biases = task_weights(params, cfg, task, mask)
     emb, rows, x = front(ids, params, cfg)
-    preds, logits, layer_inputs, pre_acts = mlp_forward(x, weights, biases)
+    preds, logits, layer_inputs = mlp_forward(x, weights, biases)
     if not want_cache:
         return preds
-    cache = ForwardCache(ids=np.asarray(ids), rows=rows, emb=emb, cross=x,
-                         weights=weights, layer_inputs=layer_inputs,
-                         pre_activations=pre_acts, logits=logits, task=task)
+    cache = ForwardCache(ids=np.asarray(ids), rows=rows, emb=emb, cross=x, weights=weights,
+                         layer_inputs=layer_inputs, logits=logits, task=task)
     return preds, cache
 
 
@@ -546,16 +544,18 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
     """Gradients of a scalar loss given d loss / d logit per sample.
 
     The MLP runs on the masked weights that ``forward`` cached; ``mask``,
-    the one ``forward`` got, gates their gradients. The table gradient
-    comes back compact (see ``Grads``). From the cross backward to the
-    table gradient the embedding gradient stays field-major, (F, d, n), so
-    the inner loops run over samples. It is bit-identical to a formulation
-    with scatter-adds (``ufunc.at``): ``_field_major_cross_backward`` adds
-    each field's partner terms in the order the scatter-add would, and
-    ``_field_major_table_grads`` sums each table row in sample order from
-    0.0, as a scatter-add into a zeroed table would, because each row
-    belongs to one field. Any change here must keep both orders, or
-    checkpoints and reports stop being byte-identical across versions.
+    the one ``forward`` got, gates their gradients. Each ReLU gate reads
+    the layer output, ``relu(z) > 0``, true exactly when ``z > 0`` (for NaN
+    and -0.0 too). The table gradient comes back compact (see ``Grads``).
+    From the cross backward to the table gradient the embedding gradient
+    stays field-major, (F, d, n), so the inner loops run over samples. It
+    is bit-identical to a formulation with scatter-adds (``ufunc.at``):
+    ``_field_major_cross_backward`` adds each field's partner terms in the
+    order the scatter-add would, and ``_field_major_table_grads`` sums each
+    table row in sample order from 0.0, as a scatter-add into a zeroed
+    table would, because each row belongs to one field. Any change here
+    must keep both orders, or checkpoints and reports stop being
+    byte-identical across versions.
     """
     if cache is None or not cache.layer_inputs:
         raise StateError("backward called without a cached forward pass")
@@ -566,7 +566,7 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
     d_mlp = []
     for li in range(len(weights) - 1, -1, -1):
         if li < len(weights) - 1:
-            d_out = d_out * (cache.pre_activations[li] > 0)
+            d_out = d_out * (cache.layer_inputs[li + 1] > 0)
         d_w, d_b, d_in = nn.affine_backward(cache.layer_inputs[li], weights[li], d_out)
         if layers is not None:
             d_w *= layers[li]  # masked connections get exactly zero gradient

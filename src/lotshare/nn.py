@@ -38,11 +38,12 @@ def sigmoid(x):
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+    """max(x, 0), written into ``x`` itself; returns ``x``."""
+    return np.maximum(x, 0.0, out=x)
 
 
 def affine_forward(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """out = inp @ weights + bias (bias broadcast over rows)."""
+    """inp @ weights + bias, the bias added (over rows) into the matmul's output."""
     if inp.shape[1] != weights.shape[0]:
         raise ShapeError(
             f"affine_forward: input {inp.shape} incompatible with weights {weights.shape}"
@@ -51,7 +52,9 @@ def affine_forward(inp: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np
         raise ShapeError(
             f"affine_forward: bias {bias.shape} incompatible with weights {weights.shape}"
         )
-    return inp @ weights + bias
+    out = inp @ weights
+    out += bias
+    return out
 
 
 def affine_backward(inp: np.ndarray, weights: np.ndarray, d_out: np.ndarray):

@@ -10,13 +10,14 @@ gated by the task mask so moments built by the other task cannot leak in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import masking, metrics, model, nn
 from .data import Batch, Dataset, batches
-from .errors import ConfigError, StateError
+from .errors import ConfigError, StateError, TrainingDivergedError
 from .masking import TaskMask
 from .model import ModelConfig, ModelParams, SharingMode, Task, TASKS
 
@@ -25,6 +26,13 @@ _WARMUP_EPOCH_BASE = 0
 _MASKGEN_EPOCH_BASE = 100_000
 _JOINT_EPOCH_BASE = 200_000
 _BASELINE_EPOCH_BASE = 300_000
+
+# The largest loss of one task on one step, before its omega weight, that
+# training accepts. A BCE loss this large needs logits of mean magnitude near
+# 1e6, far past where the sigmoid saturates, and a squared error of
+# probabilities is at most 1, so a run that learns never comes near it;
+# diverging runs pass it while their losses are still finite.
+MAX_STEP_LOSS = 1e6
 
 
 @dataclass(frozen=True)
@@ -122,18 +130,27 @@ def evaluate(params: ModelParams, cfg: ModelConfig, task: Task,
 
 def _epochs(params: ModelParams, cfg: ModelConfig, dataset: Dataset, tcfg: TrainConfig,
             tasks, masks: dict[Task, TaskMask], weights: dict[Task, float], epochs: int,
-            stream: int, step_hook=None):
+            stream: int, stage: str, step_hook=None):
     """The epoch loop of every training stage: ``epochs`` epochs over the
     batches of ``tasks`` with one fresh Adam, epoch ``e`` on shuffle stream
     ``stream + e``. Each step runs under ``masks.get(task)`` and scales its
     loss by ``weights[task]``; ``step_hook(batch, params)`` follows each step.
-    Yields each epoch's mean step loss."""
+    Yields each epoch's mean step loss. A step whose loss is not finite or,
+    before its weight, above ``MAX_STEP_LOSS`` raises TrainingDivergedError
+    naming ``stage``, the task, the epoch and the step."""
     opt = nn.Adam(params, tcfg.learning_rate)
     for epoch in range(epochs):
         total, count = 0.0, 0
         for batch in batches(dataset, tasks, tcfg.batch_size, tcfg.seed, stream + epoch):
-            total += _train_step(params, cfg, opt, batch, masks.get(batch.task),
-                                 weights[batch.task])
+            weight = weights[batch.task]
+            loss = _train_step(params, cfg, opt, batch, masks.get(batch.task), weight)
+            if not math.isfinite(loss) or loss > MAX_STEP_LOSS * weight:
+                raise TrainingDivergedError(
+                    f"training diverged in {stage}, task {batch.task.value}, epoch {epoch}, "
+                    f"step {count}: loss {loss:.6g} at weight {weight:g} is not finite or "
+                    f"above {MAX_STEP_LOSS:g} times the weight; try a lower "
+                    "train.learning_rate")
+            total += loss
             count += 1
             if step_hook is not None:
                 step_hook(batch, params)
@@ -146,7 +163,7 @@ def warmup(params: ModelParams, dataset: Dataset, cfg: ModelConfig,
     trained weights as the rewind snapshot."""
     omegas = {t: tcfg.omega(t) for t in TASKS}
     for epoch, loss in enumerate(_epochs(params, cfg, dataset, tcfg, TASKS, {}, omegas,
-                                         tcfg.warmup_epochs, _WARMUP_EPOCH_BASE)):
+                                         tcfg.warmup_epochs, _WARMUP_EPOCH_BASE, "warmup")):
         if history is not None:
             history.append({"stage": "warmup", "epoch": epoch, "mean_loss": loss})
     params.take_snapshot()
@@ -177,7 +194,8 @@ def generate_masks(params: ModelParams, dataset: Dataset, cfg: ModelConfig,
             params.rewind()
             for _ in _epochs(params, cfg, dataset, tcfg, [task], {task: mask}, {task: 1.0},
                              tcfg.mask_epochs,
-                             _MASKGEN_EPOCH_BASE + ti * 10_000 + rnd * tcfg.mask_epochs):
+                             _MASKGEN_EPOCH_BASE + ti * 10_000 + rnd * tcfg.mask_epochs,
+                             f"mask search round {rnd}"):
                 pass
             score = evaluate(params, cfg, task, ids_val, labels_val, mask=mask)
             scores.append(score)
@@ -228,7 +246,8 @@ def joint_train(params: ModelParams, best_masks: dict[Task, TaskMask],
             raise StateError(f"joint_train: missing best mask for task {task.value}")
     omegas = {t: tcfg.omega(t) for t in TASKS}
     for epoch, loss in enumerate(_epochs(params, cfg, dataset, tcfg, TASKS, best_masks, omegas,
-                                         tcfg.joint_epochs, _JOINT_EPOCH_BASE, step_hook)):
+                                         tcfg.joint_epochs, _JOINT_EPOCH_BASE, "joint training",
+                                         step_hook)):
         if history is not None:
             history.append({"stage": "joint", "epoch": epoch, "mean_loss": loss})
 
@@ -246,7 +265,7 @@ def train_baseline(dataset: Dataset, cfg: ModelConfig,
         per_task[task] = model.init_params(cfg, tcfg.seed + ti)
         for epoch, loss in enumerate(_epochs(per_task[task], cfg, dataset, tcfg, [task], {},
                                              {task: 1.0}, tcfg.joint_epochs,
-                                             _BASELINE_EPOCH_BASE)):
+                                             _BASELINE_EPOCH_BASE, "single-task training")):
             history.append({"stage": "single", "task": task.value, "epoch": epoch,
                             "mean_loss": loss})
     return TrainedArtifacts(mode, per_task, history=history)

@@ -29,7 +29,7 @@ def analytic_grads(params, cfg, task, ids, labels, mask=None):
 
 def _relu_signs(params, cfg, task, ids, mask=None):
     _, cache = model.forward(ids, params, cfg, task, mask=mask, want_cache=True)
-    return [z > 0 for z in cache.pre_activations[:-1]]
+    return [h > 0 for h in cache.layer_inputs[1:]]
 
 
 def max_relative_error(cfg, task, params, ids, labels, mask=None, h=1e-4):

@@ -195,6 +195,17 @@ class TestTrain:
         assert rc == 3 and stdout == ""
         assert err == f"data error: {p}:3: not valid UTF-8\n"
 
+    def test_dataset_tab_count_checked_per_line_exit_3(self, tmp_path, cfg_file, capsys):
+        # a 0-tab row and then a 6-tab row hold 8 fields, as two 4-field rows do
+        rows = ["ctr", "1\t0,1,2,3\ttrain\tcvr\t0.5\t0,1,2,3\ttrain"]
+        assert data_mod._row_block(rows, (8,) * 4) is None
+        p = tmp_path / "d.tsv"
+        p.write_text("cardinalities\t8,8,8,8\nctr\t1\t0,1,2,3\ttrain\n" + "\n".join(rows) + "\n")
+        rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--dataset", str(p),
+                              "--out", str(tmp_path / "run"))
+        assert (rc, stdout) == (3, "")
+        assert err == f"data error: {p}:3: expected 3 or 4 tab-separated fields\n"
+
     @pytest.mark.parametrize("mode", ["connection_share", "single_task"])
     @pytest.mark.parametrize("text", ["", "cardinalities\t8,8,8,8\n"])
     def test_dataset_without_rows_exit_3(self, tmp_path, cfg_file, capsys, text, mode):
@@ -396,6 +407,40 @@ class TestExitCodes:
         assert (rc, stdout, got) == (code, "", err + "\n")
 
 
+class TestDivergence:
+    """A learning rate that drives training apart exits 2 on the first step
+    whose loss is not finite or past ``training.MAX_STEP_LOSS``, naming the
+    stage, task, epoch and step, and writes no run dir."""
+
+    @pytest.mark.parametrize("mode,lr,where,loss", [
+        ("connection_share", "1e300", "warmup, task ctr, epoch 0, step 1", "nan at weight 0.7"),
+        ("connection_share", "1e6", "warmup, task ctr, epoch 0, step 1",
+         "3.41252e+30 at weight 0.7"),
+        ("layer_share", "1e6", "joint training, task ctr, epoch 0, step 1",
+         "4.13406e+30 at weight 0.7"),
+        ("single_task", "1e6", "single-task training, task ctr, epoch 0, step 1",
+         "1.71871e+31 at weight 1"),
+    ])
+    def test_train_exits_2(self, tmp_path, cfg_file, capsys, mode, lr, where, loss):
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--mode", mode,
+                                  "--set", f"train.learning_rate={lr}", "--out", str(out))
+        assert (rc, stdout) == (2, "")
+        assert err == (f"config error: training diverged in {where}: loss {loss} is not "
+                       "finite or above 1e+06 times the weight; try a lower "
+                       "train.learning_rate\n")
+        assert not out.exists()
+
+    def test_prune_sweep_exits_2(self, tmp_path, cfg_file, capsys):
+        rc, _, err = run(capsys, "prune-sweep", "--config", cfg_file, "--set",
+                         "train.learning_rate=1e6", "--out", str(tmp_path / "sweep"))
+        assert (rc, err) == (2, "config error: training diverged in warmup, task ctr, "
+                                "epoch 0, step 1: loss 3.41252e+30 at weight 0.7 is not finite "
+                                "or above 1e+06 times the weight; try a lower "
+                                "train.learning_rate\n")
+
+
 class TestCompare:
     def _train(self, capsys, cfg_file, tmp_path, mode):
         out = tmp_path / mode
@@ -545,6 +590,17 @@ class TestScore:
         assert len(lines) == 3
         scores = [float(l.split("score=")[1].split()[0]) for l in lines]
         assert scores == sorted(scores, reverse=True)
+
+    def test_tab_count_checked_per_line_exit_3(self, tmp_path, ckpts, capsys):
+        # a 0-tab line and then a 2-tab line hold 4 halves, as two candidates do
+        lines = ["1,2,3,4", "5\t1,2,3,4\t6"]
+        assert cli._candidate_block(lines, 4) is None
+        p = tmp_path / "cands.tsv"
+        p.write_text("0,1,2,3\t10\n" + "\n".join(lines) + "\n")
+        rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
+                              "--cvr-checkpoint", ckpts[1], str(p))
+        assert (rc, stdout) == (3, "")
+        assert err == f"data error: {p}:2: expected 'ids<TAB>length'\n"
 
     def test_length_scale_invariant_ordering(self, tmp_path, ckpts, capsys):
         lengths = [10, 200, 30, 40, 55]

@@ -49,13 +49,13 @@ class TwoTowerNet:
 
     def weight_grads(self, ids, task, dlogit_of):
         """Gradients of the trunk and the task's tower weights."""
-        preds, logits, inputs, pre_acts = self.forward(ids, task)
+        preds, logits, inputs = self.forward(ids, task)
         weights = self.trunk_w + self.tower_w[task]
         d_out = dlogit_of(logits, preds)[:, None]
         grads = [None] * len(weights)
         for li in range(len(weights) - 1, -1, -1):
             if li < len(weights) - 1:
-                d_out = d_out * (pre_acts[li] > 0)
+                d_out = d_out * (inputs[li + 1] > 0)
             grads[li], _, d_out = nn.affine_backward(inputs[li], weights[li], d_out)
         return grads
 

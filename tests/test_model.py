@@ -11,6 +11,7 @@ from lotshare.errors import CheckpointFormatError, ConfigError, DataError, Shape
 from lotshare.masking import TaskMask
 from lotshare.model import (CrossKind, ModelConfig, SharingMode, Task,
                             cross_output_width)
+from lotshare.training import predict_tasks
 
 
 def small_config(n_fields=3, dim=4, hidden=(6, 4), mode=SharingMode.CONNECTION_SHARE,
@@ -252,7 +253,7 @@ class TestGradients:
         p = model.init_params(cfg, 4)
         ids = np.array([[1, 2]])
         _, cache = model.forward(ids, p, cfg, Task.CVR, want_cache=True)
-        dead = cache.pre_activations[0][0] < 0
+        dead = cache.layer_inputs[1][0] == 0
         assert dead.any(), "pick a seed with a dead unit"
         grads = analytic_grads(p, cfg, Task.CVR, ids, np.array([0.9]))
         assert (grads.mlp_weights[0][:, dead] == 0).all()
@@ -397,7 +398,7 @@ class TestBackwardBitIdentity:
         d_out = dlogit[:, None]
         for li in range(len(p.mlp_weights) - 1, -1, -1):
             if li < len(p.mlp_weights) - 1:
-                d_out = d_out * (cache.pre_activations[li] > 0)
+                d_out = d_out * (cache.layer_inputs[li + 1] > 0)
             d_out = d_out @ p.mlp_weights[li].T
         d_emb = scatter_cross_backward(cache.emb, d_out, cross)
         want = scatter_embedding_grads(ids, d_emb, cfg.field_cardinalities)
@@ -425,6 +426,133 @@ class TestBackwardBitIdentity:
         assert touched.tolist() == np.unique(rows).tolist()
         assert values.shape == (len(touched), d) and values.dtype == np.float64
         assert values.tobytes() == want[touched].tobytes()
+
+
+def out_of_place_mlp_forward(x, weights, biases):
+    """Reference for ``model.mlp_forward``: every layer's ``z = inp @ w + b``
+    and ``h = max(z, 0)`` as fresh arrays, ``(preds, logits, layer_inputs,
+    pre_activations)``."""
+    layer_inputs, pre_acts = [], []
+    h = x
+    for li, (w, b) in enumerate(zip(weights, biases)):
+        layer_inputs.append(h)
+        z = h @ w + b
+        pre_acts.append(z)
+        h = np.maximum(z, 0) if li < len(weights) - 1 else z
+    logits = h[:, 0]
+    preds = np.clip(nn.sigmoid(logits), np.finfo(np.float64).tiny, np.nextafter(1.0, 0.0))
+    return preds, logits, layer_inputs, pre_acts
+
+
+def z_gated_backward(d_logits, emb, rows, layer_inputs, pre_acts, weights, layers, params,
+                     cfg):
+    """Reference for ``model.backward``: each hidden layer's ReLU gate is
+    ``z > 0`` on the pre-activations of ``out_of_place_mlp_forward``."""
+    d_out = d_logits[:, None]
+    layout = params.layout
+    mlp = model._FlatBlocks.on(layout.without_tables)
+    for li in range(len(weights) - 1, -1, -1):
+        if li < len(weights) - 1:
+            d_out = d_out * (pre_acts[li] > 0)
+        d_w, d_b, d_out = nn.affine_backward(layer_inputs[li], weights[li], d_out)
+        if layers is not None:
+            d_w *= layers[li]
+        mlp.mlp_weights[li] += d_w
+        mlp.mlp_biases[li] += d_b
+    d_emb = model._field_major_cross_backward(emb, d_out, cfg.cross_kind)
+    touched, values = model._field_major_table_grads(rows, d_emb, len(params.tables))
+    return mlp.flat, touched, values
+
+
+def unit_mask(weights, rng, task):
+    """A neuron_share-style mask: whole hidden units shut, their incoming
+    columns and outgoing rows zero."""
+    layers = [np.ones_like(w) for w in weights]
+    for li in range(len(weights) - 1):
+        dead = rng.random(weights[li].shape[1]) < 0.4
+        layers[li][:, dead] = 0.0
+        layers[li + 1][dead] = 0.0
+    return TaskMask(layers, task)
+
+
+class TestFusedForwardBitIdentity:
+    """``mlp_forward`` writes each layer's bias and ReLU into its matmul's
+    output, and ``backward`` gates on the layer outputs. Both reproduce the
+    out-of-place forward and the ``z > 0`` gate bit for bit, and leave every
+    array the two tasks share as it was."""
+
+    @staticmethod
+    def net(mode, cross, seed):
+        cfg = small_config(n_fields=4, dim=3, hidden=(8, 6), mode=mode, cross=cross,
+                           cards=(1, 3, 7, 4))
+        p = model.init_params(cfg, seed)
+        rng = nn.make_rng(seed + 1)
+        for b in p.mlp_biases:  # nonzero biases, some exactly 0.0 or -0.0
+            b[...] = rng.standard_normal(b.shape) * 0.3
+            b[rng.random(b.shape) < 0.2] = 0.0
+            b[rng.random(b.shape) < 0.1] = -0.0
+        masks = {}
+        if mode is SharingMode.CONNECTION_SHARE:
+            masks = {t: TaskMask([(rng.random(w.shape) < 0.6).astype(float)
+                                  for w in p.mlp_weights], t) for t in (Task.CTR, Task.CVR)}
+        elif mode is SharingMode.NEURON_SHARE:
+            masks = {t: unit_mask(p.mlp_weights, rng, t) for t in (Task.CTR, Task.CVR)}
+        return cfg, p, masks
+
+    @pytest.mark.parametrize("cross", list(CrossKind))
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    @pytest.mark.parametrize("n", [1, 7, 256])
+    def test_forward_and_backward(self, cross, mode, n):
+        cfg, p, masks = self.net(mode, cross, 31 + n)
+        ids = random_ids(cfg, n, seed=n)
+        ids_before, flat_before = ids.copy(), p.flat.copy()
+        dlogit = nn.make_rng(n + 2).standard_normal(n)
+        for task in (Task.CTR, Task.CVR):
+            mask = masks.get(task)
+            weights, biases = model.task_weights(p, cfg, task, mask)
+            emb, rows, x = model.front(ids, p, cfg)
+            want_preds, want_logits, want_inputs, pre_acts = out_of_place_mlp_forward(
+                x, weights, biases)
+            preds, cache = model.forward(ids, p, cfg, task, mask=mask, want_cache=True)
+            assert preds.tobytes() == want_preds.tobytes()
+            assert cache.logits.tobytes() == want_logits.tobytes()
+            assert cache.cross.tobytes() == x.tobytes()
+            assert len(cache.layer_inputs) == len(want_inputs)
+            for got, want in zip(cache.layer_inputs, want_inputs):
+                assert got.tobytes() == want.tobytes()
+            grads = model.backward(dlogit, cache, p, cfg, mask=mask)
+            layers = None if mask is None else mask.layers
+            if mode is SharingMode.LAYER_SHARE:
+                layers = model.tower_masks(cfg)[task]
+            mlp, touched, values = z_gated_backward(dlogit, emb, rows, want_inputs, pre_acts,
+                                                    weights, layers, p, cfg)
+            assert grads.mlp.tobytes() == mlp.tobytes()
+            assert grads.rows.tobytes() == touched.tobytes()
+            assert grads.values.tobytes() == values.tobytes()
+        assert ids.tobytes() == ids_before.tobytes()
+        assert p.flat.tobytes() == flat_before.tobytes()
+
+    @pytest.mark.parametrize("cross", list(CrossKind))
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_shared_front_untouched(self, cross, mode):
+        cfg, p, masks = self.net(mode, cross, 5)
+        ids = random_ids(cfg, 40, seed=6)
+        ids_before, flat_before = ids.copy(), p.flat.copy()
+        x = model.front(ids, p, cfg)[2]
+        x_before = x.copy()
+        heads = {t: model.task_weights(p, cfg, t, masks.get(t)) for t in (Task.CTR, Task.CVR)}
+        for task, (weights, biases) in heads.items():
+            assert model.mlp_forward(x, weights, biases)[0].tobytes() == \
+                out_of_place_mlp_forward(x_before, weights, biases)[0].tobytes()
+            assert x.tobytes() == x_before.tobytes()
+        got = predict_tasks({t: (p, cfg, masks.get(t)) for t in heads}, ids, chunk=16)
+        for task, (weights, biases) in heads.items():
+            want = np.concatenate([out_of_place_mlp_forward(
+                model.front(ids[i:i + 16], p, cfg)[2], weights, biases)[0]
+                for i in range(0, len(ids), 16)])
+            assert got[task].tobytes() == want.tobytes()
+        assert ids.tobytes() == ids_before.tobytes()
+        assert p.flat.tobytes() == flat_before.tobytes()
 
 
 def gather_feature_cross(emb, cross_kind):

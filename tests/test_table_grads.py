@@ -79,7 +79,7 @@ class TestCompactTableGrads:
         d_out = dlogit[:, None]
         for li in range(len(weights) - 1, -1, -1):
             if li < len(weights) - 1:
-                d_out = d_out * (cache.pre_activations[li] > 0)
+                d_out = d_out * (cache.layer_inputs[li + 1] > 0)
             d_out = d_out @ weights[li].T
         d_emb = model._field_major_cross_backward(cache.emb, d_out, cfg.cross_kind)
         d_emb = d_emb.transpose(2, 0, 1)

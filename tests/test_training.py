@@ -3,7 +3,7 @@ import pytest
 
 from lotshare import model, nn, training
 from lotshare.data import Batch, Dataset, SyntheticSpec, TaskData, batches, generate
-from lotshare.errors import ConfigError, StateError
+from lotshare.errors import ConfigError, StateError, TrainingDivergedError
 from lotshare.masking import TaskMask
 from lotshare.model import (TASKS, CrossKind, ModelConfig, SharingMode, Task,
                             cross_output_width)
@@ -162,6 +162,33 @@ class TestGenerateMasks:
             col_dead = (m.layers[li] == 0).all(axis=0)
             row_dead = (m.layers[li + 1] == 0).all(axis=1)
             assert (col_dead == row_dead).all()
+
+
+class TestDivergence:
+    def test_mask_search_names_round(self):
+        cfg = make_config()
+        ds = make_dataset(500, seed=2)
+        p = model.init_params(cfg, 2)
+        warmup(p, ds, cfg, TrainConfig(seed=2, batch_size=64))
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^training diverged in mask search round 0, task ctr, "
+                                 r"epoch 0, step 1: loss \S+ at weight 1 is not finite"):
+            generate_masks(p, ds, cfg, TrainConfig(seed=2, batch_size=64, learning_rate=1e6))
+
+    def test_bound_is_per_unit_weight(self, monkeypatch):
+        """A step fails when its loss passes ``MAX_STEP_LOSS`` times its
+        weight, though finite; a config error, so the CLI exits 2."""
+        assert issubclass(TrainingDivergedError, ConfigError)
+        cfg = make_config()
+        ds = make_dataset(300, seed=4)
+        tcfg = TrainConfig(seed=4, batch_size=64, omega_ctr=10.0)
+        monkeypatch.setattr(training, "MAX_STEP_LOSS", 2.0)
+        warmup(model.init_params(cfg, 4), ds, cfg, tcfg)   # CTR losses near 8 at weight 10
+        monkeypatch.setattr(training, "MAX_STEP_LOSS", 0.5)
+        with pytest.raises(TrainingDivergedError, match=r"^training diverged in warmup, "
+                                                        r"task ctr, epoch 0, step 0: loss "
+                                                        r"[0-9.]+ at weight 10 is not finite"):
+            warmup(model.init_params(cfg, 4), ds, cfg, tcfg)
 
 
 class TestJointTrain:
