@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaskFormatError, ShapeError
+from .errors import ConfigError, MaskFormatError, ShapeError
 from .model import ModelParams, Task, check_mask_shapes
 
 MASK_MAGIC = b"LTMK"
@@ -93,6 +93,7 @@ def prune_neurons(mlp_weights: list[np.ndarray], mask: TaskMask, q: float) -> Ta
     A hidden unit's importance is the L2 norm of its surviving incoming
     weights. Units below the global q-quantile of surviving units lose all
     incoming and outgoing connections. Output units are never pruned.
+    Raises ConfigError when no hidden unit survives in ``mask``.
     """
     check_mask_shapes(mlp_weights, mask.layers)
     # hidden units are the output side of every transition except the last
@@ -106,7 +107,10 @@ def prune_neurons(mlp_weights: list[np.ndarray], mask: TaskMask, q: float) -> Ta
         pool.append(importance[alive])
     pooled = np.concatenate(pool) if pool else np.array([])
     if pooled.size == 0:
-        raise ValueError("prune_neurons: no surviving hidden units")
+        raise ConfigError(
+            f"neuron pruning: mask round {mask.pruning_round} has no hidden unit left "
+            f"to prune, since an earlier round removed a whole hidden layer; try a lower "
+            f"train.prune_fraction (now {q:g})")
     x = quantile_threshold(pooled, q)
     new_layers = [m.copy() for m in mask.layers]
     for li, (importance, alive) in enumerate(per_layer):

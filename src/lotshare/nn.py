@@ -170,7 +170,7 @@ class Adam:
             records.put(rows, buf.view(records.dtype))
         self._update(*(a[tables:] for a in state), g)
         for a, old in zip(state, kept):
-            a.put(shut, old)
+            a[shut] = old
 
     def _shut(self, per_block) -> np.ndarray:
         """Flat indices of the entries the per-block gate ``per_block``

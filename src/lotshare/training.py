@@ -34,6 +34,12 @@ _BASELINE_EPOCH_BASE = 300_000
 # diverging runs pass it while their losses are still finite.
 MAX_STEP_LOSS = 1e6
 
+# Rows per forward call in ``predict``. With the default dims, one chunk's
+# cross output (736 KB) and first hidden layer (512 KB) fit in a 2 MB L2
+# cache, so each layer reads its input from cache. BLAS rounds by the rows
+# of each call, so this constant is part of the prediction bits (README).
+PREDICT_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -80,8 +86,12 @@ def _loss_and_dlogit(logits: np.ndarray, preds: np.ndarray, labels: np.ndarray,
     return loss, dlogit
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _train_step(params: ModelParams, cfg: ModelConfig, opt: nn.Adam, batch: Batch,
                 mask: TaskMask | None, weight: float) -> float:
+    """One step; returns its weighted loss. Overflow and NaN warnings are
+    off for the step alone: a diverging step's loss says so, and ``_epochs``
+    raises on it."""
     preds, cache = model.forward(batch.ids, params, cfg, batch.task,
                                  mask=mask, want_cache=True)
     loss, dlogit = _loss_and_dlogit(cache.logits, preds, batch.labels, batch.task)
@@ -91,14 +101,14 @@ def _train_step(params: ModelParams, cfg: ModelConfig, opt: nn.Adam, batch: Batc
 
 
 def predict(params: ModelParams, cfg: ModelConfig, task: Task, ids: np.ndarray,
-            mask: TaskMask | None = None, chunk: int = 8192) -> np.ndarray:
+            mask: TaskMask | None = None, chunk: int = PREDICT_CHUNK) -> np.ndarray:
     """``model.forward`` predictions over ``ids``, in chunks of ``chunk`` rows."""
     task = Task(task)
     return predict_tasks({task: (params, cfg, mask)}, ids, chunk)[task]
 
 
 def predict_tasks(nets: dict[Task, tuple[ModelParams, ModelConfig, TaskMask | None]],
-                  ids: np.ndarray, chunk: int = 8192) -> dict[Task, np.ndarray]:
+                  ids: np.ndarray, chunk: int = PREDICT_CHUNK) -> dict[Task, np.ndarray]:
     """Predictions of each task's ``(params, cfg, mask)`` over the same ids.
 
     Per chunk, ``model.front`` (embedding and cross) runs once for each

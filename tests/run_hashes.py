@@ -6,10 +6,12 @@ then ``train`` in all four sharing modes on the acceptance gate's
 criterion-10 config, training from the generated TSV. Then ``prune-sweep``
 on the same TSV, ``score`` over a fixed, seeded candidates file with the
 ``connection_share`` run (its ``model.ckpt`` and both masks) and with the
-``single_task`` run, ``score`` of every candidate in a seeded file of 8,195
-lines with the ``connection_share`` run, and ``mask stats`` on the
-``connection_share`` masks. 8,195 lines are a full 8192-row prediction
-chunk and a 3-row tail, and BLAS rounds by the rows of each call.
+``single_task`` run, ``score`` of every candidate in seeded files of 1,025
+and of 8,195 lines with the ``connection_share`` run, and ``mask stats`` on
+the ``connection_share`` masks. BLAS rounds by the rows of each call, so
+both files are cut by ``training.PREDICT_CHUNK`` (1,024 rows): 1,025 lines
+are one full chunk and a 1-row tail, which numpy sends down its
+matrix-vector path, and 8,195 lines are eight full chunks and a 3-row tail.
 Paths are relative to the temp dir, so each run's ``config.cfg`` is the
 same. It prints one ``name file sha256`` line per file, ``data`` being
 the generate-data output, and one ``name stdout sha256`` line per command
@@ -93,11 +95,12 @@ def main_() -> None:
         lines.append(stdout_line("score-single_task", run(
             "score", "--ctr-checkpoint", f"{st}/ctr.ckpt", "--cvr-checkpoint",
             f"{st}/cvr.ckpt", "-k", "100", "--gamma", "0.5", "candidates.tsv")))
-        write_candidates(Path("candidates_8195.tsv"), 8195)
-        lines.append(stdout_line("score-connection_share-8195", run(
-            "score", "--ctr-checkpoint", f"{cs}/model.ckpt", "--cvr-checkpoint",
-            f"{cs}/model.ckpt", "--ctr-mask", f"{cs}/mask_ctr.mask", "--cvr-mask",
-            f"{cs}/mask_cvr.mask", "-k", "8195", "candidates_8195.tsv")))
+        for n in (1025, 8195):
+            write_candidates(Path(f"candidates_{n}.tsv"), n)
+            lines.append(stdout_line(f"score-connection_share-{n}", run(
+                "score", "--ctr-checkpoint", f"{cs}/model.ckpt", "--cvr-checkpoint",
+                f"{cs}/model.ckpt", "--ctr-mask", f"{cs}/mask_ctr.mask", "--cvr-mask",
+                f"{cs}/mask_cvr.mask", "-k", str(n), f"candidates_{n}.tsv")))
         lines.append(stdout_line("mask-stats", run(
             "mask", "stats", f"{cs}/mask_ctr.mask", f"{cs}/mask_cvr.mask")))
     print("\n".join(lines))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -407,13 +411,16 @@ class TestExitCodes:
         assert (rc, stdout, got) == (code, "", err + "\n")
 
 
+@pytest.mark.filterwarnings("error")
 class TestDivergence:
     """A learning rate that drives training apart exits 2 on the first step
     whose loss is not finite or past ``training.MAX_STEP_LOSS``, naming the
-    stage, task, epoch and step, and writes no run dir."""
+    stage, task, epoch and step, and writes no run dir. No numpy warning
+    comes before that line: any warning here fails the test."""
 
     @pytest.mark.parametrize("mode,lr,where,loss", [
         ("connection_share", "1e300", "warmup, task ctr, epoch 0, step 1", "nan at weight 0.7"),
+        ("connection_share", "1e100", "warmup, task ctr, epoch 0, step 1", "nan at weight 0.7"),
         ("connection_share", "1e6", "warmup, task ctr, epoch 0, step 1",
          "3.41252e+30 at weight 0.7"),
         ("layer_share", "1e6", "joint training, task ctr, epoch 0, step 1",
@@ -423,14 +430,28 @@ class TestDivergence:
     ])
     def test_train_exits_2(self, tmp_path, cfg_file, capsys, mode, lr, where, loss):
         out = tmp_path / "run"
-        with np.errstate(all="ignore"):
-            rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--mode", mode,
-                                  "--set", f"train.learning_rate={lr}", "--out", str(out))
+        rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--mode", mode,
+                              "--set", f"train.learning_rate={lr}", "--out", str(out))
         assert (rc, stdout) == (2, "")
         assert err == (f"config error: training diverged in {where}: loss {loss} is not "
                        "finite or above 1e+06 times the weight; try a lower "
                        "train.learning_rate\n")
         assert not out.exists()
+
+    def test_process_stderr_is_the_error_line(self, tmp_path, cfg_file):
+        """In a fresh process, which prints every warning once, stderr holds
+        the error line alone."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "PYTHONWARNINGS": "default"}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from lotshare.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "train", "--config", cfg_file, "--set",
+             "train.learning_rate=1e100", "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("config error: training diverged in warmup, task ctr, epoch 0, "
+                               "step 1: loss nan at weight 0.7 is not finite or above 1e+06 "
+                               "times the weight; try a lower train.learning_rate\n")
 
     def test_prune_sweep_exits_2(self, tmp_path, cfg_file, capsys):
         rc, _, err = run(capsys, "prune-sweep", "--config", cfg_file, "--set",

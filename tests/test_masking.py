@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lotshare import masking, nn
-from lotshare.errors import MaskFormatError, ShapeError
+from lotshare.errors import ConfigError, MaskFormatError, ShapeError
 from lotshare.masking import (MaskOverlapStats, TaskMask, deserialize_mask, overlap_stats,
                               prune_connections, prune_neurons,
                               quantile_threshold, serialize_mask)
@@ -144,6 +144,21 @@ class TestPruneNeurons:
             for a, b in zip(nxt.layers, prev.layers):
                 assert (a <= b).all()
             prev = nxt
+
+    def test_no_surviving_unit_is_a_config_error(self):
+        """A round that removes every unit of the first hidden layer cuts off
+        the second, so the next round has nothing to prune: a ConfigError
+        (CLI exit 2) naming that round and the prune fraction."""
+        w = [np.full((3, 2), 0.1), np.full((2, 1), 5.0), np.ones((1, 1))]
+        m = prune_neurons(w, one_layer_mask(w), 0.9)
+        assert [layer.tolist() for layer in m.layers] == [
+            [[0.0, 0.0]] * 3, [[0.0]] * 2, [[1.0]]]
+        with pytest.raises(ConfigError) as exc:
+            prune_neurons(w, m, 0.9)
+        assert str(exc.value) == (
+            "neuron pruning: mask round 1 has no hidden unit left to prune, since an "
+            "earlier round removed a whole hidden layer; try a lower "
+            "train.prune_fraction (now 0.9)")
 
 
 class TestOverlapStats:

@@ -7,9 +7,9 @@ from lotshare.errors import ConfigError, StateError, TrainingDivergedError
 from lotshare.masking import TaskMask
 from lotshare.model import (TASKS, CrossKind, ModelConfig, SharingMode, Task,
                             cross_output_width)
-from lotshare.training import (TrainConfig, evaluate_artifacts, generate_masks,
-                               joint_train, predict, predict_tasks, train_baseline,
-                               train_model, warmup)
+from lotshare.training import (PREDICT_CHUNK, TrainConfig, evaluate_artifacts,
+                               generate_masks, joint_train, predict, predict_tasks,
+                               train_baseline, train_model, warmup)
 
 
 def make_config(mode=SharingMode.CONNECTION_SHARE, hidden=(8, 6)):
@@ -429,22 +429,24 @@ class TestTrainModel:
         assert evaluate_artifacts(a, ds, cfg) == evaluate_artifacts(b, ds, cfg)
 
 
-def forward_loop_predict(params, cfg, task, ids, mask=None, chunk=8192):
+def forward_loop_predict(params, cfg, task, ids, mask=None, chunk=PREDICT_CHUNK):
     """Reference: one full model.forward per chunk, as predict once ran."""
     out = [model.forward(ids[i:i + chunk], params, cfg, task, mask=mask)
            for i in range(0, len(ids), chunk)]
     return np.concatenate(out) if out else np.empty(0)
 
 
+PREDICT_MODES = [*((mode, False) for mode in SharingMode),
+                 (SharingMode.CONNECTION_SHARE, True), (SharingMode.NEURON_SHARE, True)]
+
+
 class TestPredictTasks:
     """predict_tasks shares one embedding and cross pass between tasks with
     the same params, and gives each task the bytes of its own forward pass."""
 
-    @pytest.mark.parametrize("mode,masked", [
-        *((mode, False) for mode in SharingMode),
-        (SharingMode.CONNECTION_SHARE, True), (SharingMode.NEURON_SHARE, True)])
-    @pytest.mark.parametrize("chunk", [7, 8192])
-    def test_bytes_equal_per_task_forward(self, mode, masked, chunk):
+    def check_per_task_forward(self, mode, masked, n, chunk=None):
+        """predict_tasks and predict over ``n`` rows, in chunks of ``chunk``
+        rows or by default, against the per-chunk forward reference."""
         cfg = make_config(mode)
         shared = model.init_params(cfg, 3)
         params = {Task.CTR: shared, Task.CVR: shared}
@@ -457,16 +459,39 @@ class TestPredictTasks:
                 layers = [(rng.random(w.shape) < 0.6 + 0.2 * ti).astype(np.float64)
                           for w in shared.mlp_weights]
                 masks[t] = TaskMask(layers, t)
-        ids = np.stack([nn.make_rng(6).integers(0, c, 50) for c in cfg.field_cardinalities],
+        ids = np.stack([nn.make_rng(6).integers(0, c, n) for c in cfg.field_cardinalities],
                        axis=1)
-        got = predict_tasks({t: (params[t], cfg, masks[t]) for t in TASKS}, ids, chunk)
+        given = {} if chunk is None else {"chunk": chunk}
+        got = predict_tasks({t: (params[t], cfg, masks[t]) for t in TASKS}, ids, **given)
         assert list(got) == list(TASKS)
         for t in TASKS:
-            want = forward_loop_predict(params[t], cfg, t, ids, masks[t], chunk)
+            want = forward_loop_predict(params[t], cfg, t, ids, masks[t], **given)
             assert got[t].tobytes() == want.tobytes()
-            assert predict(params[t], cfg, t, ids, masks[t], chunk).tobytes() == want.tobytes()
+            assert predict(params[t], cfg, t, ids, masks[t], **given).tobytes() \
+                == want.tobytes()
         if masked or mode in (SharingMode.SINGLE_TASK, SharingMode.LAYER_SHARE):
             assert got[Task.CTR].tobytes() != got[Task.CVR].tobytes()
+
+    @pytest.mark.parametrize("mode,masked", PREDICT_MODES)
+    @pytest.mark.parametrize("chunk", [7, PREDICT_CHUNK, 8192,
+                                       pytest.param(None, id="default")])
+    def test_bytes_equal_per_task_forward(self, mode, masked, chunk):
+        self.check_per_task_forward(mode, masked, 50, chunk)
+
+    @pytest.mark.parametrize("mode,masked", PREDICT_MODES)
+    def test_default_chunks_and_tail(self, mode, masked):
+        """Two full default chunks and a 3-row tail."""
+        self.check_per_task_forward(mode, masked, 2 * PREDICT_CHUNK + 3)
+
+    def test_default_chunk_is_predict_chunk(self, monkeypatch):
+        cfg = make_config()
+        p = model.init_params(cfg, 3)
+        rows = []
+        front = model.front
+        monkeypatch.setattr(model, "front",
+                            lambda ids, *a: rows.append(len(ids)) or front(ids, *a))
+        predict(p, cfg, Task.CTR, np.zeros((2 * PREDICT_CHUNK + 3, 4), dtype=np.int64))
+        assert rows == [PREDICT_CHUNK, PREDICT_CHUNK, 3]
 
     def test_front_runs_once_per_params_object(self, monkeypatch):
         cfg = make_config()
