@@ -98,10 +98,42 @@ class Dataset:
         return True
 
 
+_SPLIT_OF_HASH = np.array([0] * 8 + [1, 2], np.uint8)  # crc % 10 -> split: 80/10/10
+
+
 def _split_of(seed: int, impression_id: int) -> int:
     """Deterministic 80/10/10 hash split, stable across runs and platforms."""
-    h = zlib.crc32(f"{seed}:{impression_id}".encode("ascii")) % 10
-    return 0 if h < 8 else (1 if h == 8 else 2)
+    return int(_SPLIT_OF_HASH[zlib.crc32(f"{seed}:{impression_id}".encode("ascii")) % 10])
+
+
+def _crc32_table() -> np.ndarray:
+    """The byte table of zlib's CRC-32 (reflected polynomial 0xEDB88320)."""
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    return table
+
+
+_CRC32_TABLE = _crc32_table()
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+
+
+def split_of(seed: int, impression_ids) -> np.ndarray:
+    """``_split_of(seed, i)`` for every non-negative int64 ``i`` of
+    ``impression_ids``, as a uint8 array: the CRC-32 of ``f"{seed}:"`` (from
+    zlib) is carried on over each id's decimal digits, most significant
+    first, for all ids at once. An id of fewer digits than the longest
+    keeps its CRC while the longer ones take their leading digits."""
+    ids = np.asarray(impression_ids, dtype=np.int64)
+    if (ids < 0).any():
+        raise ValueError("split_of: impression ids must be non-negative")
+    crc = np.full(ids.shape, ~zlib.crc32(f"{seed}:".encode("ascii")) & 0xFFFFFFFF, np.uint32)
+    n_digits = np.searchsorted(_POWERS_OF_TEN[1:], ids, side="right") + 1
+    for p in range(n_digits.max(initial=0), 0, -1):   # the digit of 10**(p - 1)
+        digit = ids // _POWERS_OF_TEN[p - 1] % 10
+        step = _CRC32_TABLE[(crc ^ (digit + ord("0")).astype(np.uint32)) & 0xFF] ^ (crc >> 8)
+        crc = np.where(n_digits >= p, step, crc)
+    return _SPLIT_OF_HASH[~crc % 10]
 
 
 def _logit(p: float) -> float:
@@ -115,14 +147,29 @@ def _intercept_for_rate(utilities: np.ndarray, rate: float) -> float:
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if float(np.mean(nn.sigmoid(mid + utilities))) < rate:
-            lo = mid
+            bounds = mid, hi
         else:
-            hi = mid
+            bounds = lo, mid
+        if bounds == (lo, hi):
+            break  # a fixed point: every further pass would repeat this one
+        lo, hi = bounds
     return 0.5 * (lo + hi)
 
 
 def generate_with_trace(spec: SyntheticSpec) -> tuple[Dataset, dict[str, np.ndarray]]:
-    """Generate a dataset and return the latent logits for diagnostics."""
+    """Generate a dataset and return the latent logits for diagnostics. A
+    MemoryError on the way is a ConfigError that names the ``data.*`` sizes."""
+    try:
+        return _generate_with_trace(spec)
+    except MemoryError:
+        sizes = (f"data.n_impressions={spec.n_impressions}, data.n_users={spec.n_users}, "
+                 f"data.n_items={spec.n_items}, data.latent_dim={spec.latent_dim}, "
+                 f"data.field_cardinalities={','.join(map(str, spec.field_cardinalities))}")
+        raise ConfigError(f"synthetic data from the data.* config does not fit in "
+                          f"memory: {sizes}") from None
+
+
+def _generate_with_trace(spec: SyntheticSpec) -> tuple[Dataset, dict[str, np.ndarray]]:
     rng = nn.make_rng(spec.seed)
     L = spec.latent_dim
     scale = 1.0 / np.sqrt(L)
@@ -158,8 +205,7 @@ def generate_with_trace(spec: SyntheticSpec) -> tuple[Dataset, dict[str, np.ndar
             z = item_shared[it, (f // 2) % L]
         ids[:, f] = np.minimum((nn.sigmoid(z) * card).astype(np.int64), card - 1)
 
-    split = np.fromiter((_split_of(spec.seed, i) for i in range(n)),
-                        dtype=np.uint8, count=n)
+    split = split_of(spec.seed, np.arange(n))
     ctr = TaskData(ids=ids, labels=clicked.astype(np.float64), split=split)
     cvr = TaskData(ids=ids[clicked].copy(), labels=cvr_label[clicked].copy(),
                    split=split[clicked].copy())

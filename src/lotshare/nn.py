@@ -27,13 +27,14 @@ def xavier_init(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sigmoid(x):
-    """Numerically stable logistic; never overflows."""
+    """Numerically stable logistic; never overflows. With e = exp(-|x|), it
+    is 1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere (NaN included),
+    computed in place. ``minimum(x, -x)`` is -|x| that keeps a NaN's sign."""
     x = np.asarray(x, dtype=DTYPE)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.negative(x, out=np.empty_like(x))  # an array even for 0-d x, so out= takes it
+    np.exp(np.minimum(x, e, out=e), out=e)
+    out = np.where(x >= 0, 1.0, e)
+    out /= np.add(e, 1.0, out=e)
     return out if out.ndim else float(out)
 
 

@@ -15,7 +15,10 @@ matrix-vector path, and 8,195 lines are eight full chunks and a 3-row tail.
 Paths are relative to the temp dir, so each run's ``config.cfg`` is the
 same. It prints one ``name file sha256`` line per file, ``data`` being
 the generate-data output, and one ``name stdout sha256`` line per command
-whose output is its stdout. Run it on two trees and diff the outputs:
+whose output is its stdout. Last come ``generate-seed<k> arrays sha256``
+lines: the arrays ``data.generate_with_trace`` gives for the default
+``data.*`` spec (50,000 impressions, so 5-digit ids) at seeds 0 to 2.
+Run it on two trees and diff the outputs:
 
     PYTHONPATH=src python tests/run_hashes.py > hashes.txt
 """
@@ -30,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from lotshare.cli import main
+from lotshare.data import SyntheticSpec, generate_with_trace
 from lotshare.model import SharingMode
 
 CONFIG = """\
@@ -74,6 +78,20 @@ def hash_lines(name: str, root: Path):
               f"{hashlib.sha256(path.read_bytes()).hexdigest()}"
 
 
+def generate_line(seed: int) -> str:
+    """One line: the sha256 of every array of ``generate_with_trace`` on the
+    default spec at ``seed``, each task's ids, labels and split, then the
+    trace by name."""
+    dataset, trace = generate_with_trace(SyntheticSpec(seed=seed))
+    digest = hashlib.sha256()
+    for td in dataset.tasks.values():
+        for array in (td.ids, td.labels, td.split):
+            digest.update(array.tobytes())
+    for name in sorted(trace):
+        digest.update(trace[name].tobytes())
+    return f"generate-seed{seed} arrays {digest.hexdigest()}"
+
+
 def main_() -> None:
     with tempfile.TemporaryDirectory() as tmp, chdir(tmp):
         Path("exp.cfg").write_text(CONFIG)
@@ -103,6 +121,7 @@ def main_() -> None:
                 f"{cs}/mask_cvr.mask", "-k", str(n), f"candidates_{n}.tsv")))
         lines.append(stdout_line("mask-stats", run(
             "mask", "stats", f"{cs}/mask_ctr.mask", f"{cs}/mask_cvr.mask")))
+    lines += map(generate_line, range(3))
     print("\n".join(lines))
 
 

@@ -229,6 +229,21 @@ class TestTrain:
         assert err == (f"data error: {p}:1: field cardinalities must all be >= 1: "
                        "(0, 8, 8, 8)\n")
 
+    @pytest.mark.parametrize("command", ["train", "generate-data"])
+    def test_out_of_memory_exit_2(self, tmp_path, cfg_file, capsys, monkeypatch, command):
+        """A step of synthetic generation that runs out of memory, as a
+        ``data.n_impressions`` of 10**13 would, exits 2 naming the sizes."""
+        def fail(seed, impression_ids):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(data_mod, "split_of", fail)
+        rc, stdout, err = run(capsys, command, "--config", cfg_file, "--set",
+                              "data.n_impressions=700", "--out", str(tmp_path / "out"))
+        assert (rc, stdout) == (2, "")
+        assert err == ("config error: synthetic data from the data.* config does not fit in "
+                       "memory: data.n_impressions=700, data.n_users=40, data.n_items=40, "
+                       "data.latent_dim=4, data.field_cardinalities=8,8,8,8\n")
+
     def test_tables_past_int64_exit_3(self, tmp_path, cfg_file, capsys):
         """The check runs before any table is allocated."""
         p = tmp_path / "d.tsv"

@@ -1,3 +1,4 @@
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from lotshare.data import (SPLITS, Dataset, SyntheticSpec, batches, generate,
                            generate_with_trace)
 from lotshare.errors import ConfigError, DataError
 from lotshare.model import TASKS, Task
+from test_nn import gather_sigmoid
 
 
 SMALL = SyntheticSpec(n_users=50, n_items=50, field_cardinalities=(8,) * 4,
@@ -84,6 +86,85 @@ class TestGenerate:
             SyntheticSpec(click_base_rate=1.5)
         with pytest.raises(ConfigError):
             SyntheticSpec(task_correlation=2.0)
+
+    def test_split_is_the_impression_hash(self):
+        split = generate(SMALL).tasks[Task.CTR].split
+        assert split.tolist() == [zlib_split(SMALL.seed, i) for i in range(SMALL.n_impressions)]
+
+
+def zlib_split(seed: int, impression_id: int) -> int:
+    """Reference split: zlib's CRC-32 of ``f"{seed}:{id}"`` modulo 10 is
+    0-7 for train (0), 8 for val (1) and 9 for test (2)."""
+    h = zlib.crc32(f"{seed}:{impression_id}".encode("ascii")) % 10
+    return 0 if h < 8 else (1 if h == 8 else 2)
+
+
+def ids_of_1_to_19_digits() -> np.ndarray:
+    """The least and greatest id of each digit count up to 2**63 - 1, and
+    random ones between, shuffled so that neighbours differ in length."""
+    rng = np.random.default_rng(19)
+    ids = []
+    for d in range(1, 20):
+        lo, hi = 10 ** (d - 1) if d > 1 else 0, min(10 ** d, 2 ** 63)
+        ids += [lo, hi - 1, *rng.integers(lo, hi, 8).tolist()]
+    return rng.permutation(np.array(ids, dtype=np.int64))
+
+
+class TestSplitOf:
+    """``split_of``, the CRC-32 split of many ids at once, and ``_split_of``,
+    the one-line form the per-line reader uses, against ``zlib_split``."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 31, 10 ** 12])
+    def test_ids_to_200k(self, seed):
+        ids = np.arange(200_001)
+        got = data.split_of(seed, ids)
+        assert got.dtype == np.uint8
+        want = [zlib_split(seed, i) for i in range(200_001)]
+        assert got.tolist() == want
+        assert [data._split_of(seed, i) for i in range(0, 200_001, 97)] == want[::97]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 31, 10 ** 12])
+    def test_ids_of_1_to_19_digits(self, seed):
+        ids = ids_of_1_to_19_digits()
+        assert 2 ** 63 - 1 in ids.tolist()
+        want = [zlib_split(seed, i) for i in ids.tolist()]
+        assert data.split_of(seed, ids).tolist() == want
+        assert [data._split_of(seed, i) for i in ids.tolist()] == want
+
+    def test_shapes(self):
+        assert data.split_of(0, []).shape == (0,)
+        grid = np.arange(12).reshape(3, 4)
+        assert data.split_of(5, grid).tolist() == [[zlib_split(5, i) for i in row]
+                                                   for row in grid.tolist()]
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            data.split_of(0, [3, -1])
+
+
+def intercept_80_passes(utilities: np.ndarray, rate: float) -> float:
+    """Reference: ``_intercept_for_rate`` as it was before it stopped at its
+    fixed point, 80 bisection passes over the boolean-gather sigmoid."""
+    lo, hi = data._logit(rate) - 30.0, data._logit(rate) + 30.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if float(np.mean(gather_sigmoid(mid + utilities))) < rate:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestInterceptForRate:
+    @pytest.mark.parametrize("rate", [0.01, 0.2, 0.97])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_80_passes(self, rate, seed):
+        utilities = 1.5 * np.random.default_rng(seed).standard_normal(50_000)
+        with mock.patch.object(data.nn, "sigmoid", wraps=data.nn.sigmoid) as sigmoid:
+            got = data._intercept_for_rate(utilities, rate)
+        assert sigmoid.call_count < 80   # it stopped at the fixed point
+        want = intercept_80_passes(utilities, rate)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestSaveLoad:
@@ -412,6 +493,15 @@ class TestLoadMatchesPerLine:
         p = tmp_path / "d.tsv"
         p.write_text("cardinalities\t4,4\nctr\t1\t0,0\ntrain\tctr\t1\t0,0\ttrain\n")
         with pytest.raises(DataError, match=r"d.tsv:3: expected 3 or 4 tab-separated fields$"):
+            data.load(p)
+
+    def test_tab_count_checked_per_line_after_a_good_first_row(self, tmp_path):
+        # 3 + 2 + 4 tabs are the 9 of three 4-field rows, and the first row is one
+        rows = ["ctr\t1\t0,0\ttrain", "ctr\t1\t0,0", "train\tcvr\t0\t1,1\ttrain"]
+        assert data._row_block(rows, (4, 4)) is None
+        p = tmp_path / "d.tsv"
+        p.write_text("cardinalities\t4,4\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=r"d.tsv:4: expected 3 or 4 tab-separated fields$"):
             data.load(p)
 
     def test_only_universal_newlines_end_a_line(self, tmp_path):

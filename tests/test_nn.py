@@ -69,7 +69,47 @@ class TestAffine:
             nn.affine_forward(np.zeros((1, 3)), np.zeros((4, 2)), np.zeros(2))
 
 
+def gather_sigmoid(x):
+    """Reference: the sigmoid by boolean gathers that nn.sigmoid replaced,
+    ``1 / (1 + exp(-x))`` on the entries x >= 0 and ``exp(x) / (1 +
+    exp(x))`` on the rest."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out if out.ndim else float(out)
+
+
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 709.8, -709.8, 745.0, -745.0,
+                 5e-324, -5e-324, 1e308, -1e308]
+
+
 class TestSigmoid:
+    @pytest.mark.parametrize("n", [1, 7, 256, 50_000])
+    def test_bits_match_gather_reference(self, n):
+        rng = nn.make_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        assert nn.sigmoid(x).tobytes() == gather_sigmoid(x).tobytes()
+        grid = np.resize(x, (3, n))[:, ::2].T   # 2-D and strided
+        assert nn.sigmoid(grid).tobytes() == gather_sigmoid(grid).tobytes()
+
+    def test_edge_values_match_gather_reference(self):
+        x = np.array(SIGMOID_EDGES)
+        assert nn.sigmoid(x).tobytes() == gather_sigmoid(x).tobytes()
+        for v in SIGMOID_EDGES:   # Python floats and 0-d arrays give Python floats
+            for arg in (v, np.array(v)):
+                got = nn.sigmoid(arg)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(gather_sigmoid(v)).tobytes()
+
+    def test_leaves_input_alone(self):
+        x = np.array(SIGMOID_EDGES)
+        before = x.tobytes()
+        nn.sigmoid(x)
+        assert x.tobytes() == before
+
     def test_zero(self):
         assert nn.sigmoid(0.0) == 0.5
 
