@@ -47,6 +47,8 @@ class SyntheticSpec:
             raise ConfigError("click_base_rate must be in (0,1)")
         if not -1.0 <= self.task_correlation <= 1.0:
             raise ConfigError("task_correlation must be in [-1,1]")
+        if self.seed < 0:
+            raise ConfigError(f"data.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -428,7 +430,14 @@ def load(path) -> Dataset:
     """Read a dataset TSV written by :func:`save`, row by row as
     :func:`_parse_row` reads a row; blocks of plain 4-field rows are read in
     bulk. A DataError names the first bad line. An empty file gives an empty
-    Dataset."""
+    Dataset. A MemoryError on the way is a DataError that names the path."""
+    try:
+        return _load(path)
+    except MemoryError:
+        raise DataError(f"{path}: the dataset does not fit in memory") from None
+
+
+def _load(path) -> Dataset:
     with open_text(path) as fh:
         header = next(fh, None)
         if header is None:

@@ -202,32 +202,33 @@ class ParamLayout:
         return dataclasses.replace(self, embeddings=())
 
 
-@dataclass
 class _FlatBlocks:
     """Parameter-shaped arrays stored back to back in one contiguous float64
-    vector ``flat``, in ``blocks()`` order. The named lists hold views into
-    ``flat``: write through them in place (``w[...] = x``, ``w *= m``).
-    Rebinding a list entry detaches it, and ``nn.check_views`` rejects it."""
+    vector ``flat``, in ``blocks()`` order. The blocks are views of ``flat``,
+    made once by the constructor and held read-only: ``embeddings`` (per
+    field: (cardinality, dim)), ``mlp_weights`` and ``mlp_biases`` are
+    tuples, and they, ``layout`` and ``flat`` cannot be rebound. Write
+    through the blocks in place (``w[...] = x``, ``w *= m``)."""
 
-    layout: ParamLayout
-    flat: np.ndarray
-    embeddings: list[np.ndarray]            # per field: (cardinality, dim)
-    mlp_weights: list[np.ndarray]
-    mlp_biases: list[np.ndarray]
-
-    @classmethod
-    def on(cls, layout: ParamLayout, flat: np.ndarray | None = None):
-        """Views of ``flat`` (zeros when None) laid out by ``layout``."""
+    def __init__(self, layout: ParamLayout, flat: np.ndarray | None = None):
+        """Views of ``flat`` (zeros when None) laid out by ``layout``;
+        ShapeError unless ``flat`` is a C-contiguous 1-D float64 vector of
+        ``layout.size`` entries."""
         flat = np.zeros(layout.size, dtype=nn.DTYPE) if flat is None else flat
-        if flat.shape != (layout.size,):
-            raise ShapeError(f"flat vector {flat.shape} for a layout of {layout.size} entries")
+        if (flat.shape != (layout.size,) or flat.dtype != nn.DTYPE
+                or not flat.flags.c_contiguous):
+            raise ShapeError(f"flat vector {flat.dtype} {flat.shape} for a layout of "
+                             f"{layout.size} entries: it must be C-contiguous 1-D float64")
         views = iter([flat[start:stop].reshape(shape) for start, stop, shape in layout.spans])
+        self._layout, self._flat = layout, flat
+        self._groups = tuple(tuple(next(views) for _ in shapes) for shapes in
+                             (layout.embeddings, layout.mlp_weights, layout.mlp_biases))
 
-        def take(shapes):
-            return [next(views) for _ in shapes]
-
-        return cls(layout, flat, take(layout.embeddings), take(layout.mlp_weights),
-                   take(layout.mlp_biases))
+    layout = property(lambda self: self._layout)
+    flat = property(lambda self: self._flat)
+    embeddings = property(lambda self: self._groups[0])
+    mlp_weights = property(lambda self: self._groups[1])
+    mlp_biases = property(lambda self: self._groups[2])
 
     @property
     def tables(self) -> np.ndarray:
@@ -238,18 +239,14 @@ class _FlatBlocks:
         """All arrays in fixed declaration order."""
         return [*self.embeddings, *self.mlp_weights, *self.mlp_biases]
 
-    def __iter__(self):
-        return iter(self.blocks())
 
-
-@dataclass
 class ModelParams(_FlatBlocks):
     """All trainable weights, plus the frozen rewind snapshot."""
 
     init_snapshot: "ModelParams | None" = None
 
     def copy(self) -> "ModelParams":
-        return ModelParams.on(self.layout, self.flat.copy())
+        return ModelParams(self.layout, self.flat.copy())
 
     def take_snapshot(self) -> None:
         """Freeze a deep copy of the current weights as the rewind point."""
@@ -263,11 +260,17 @@ class ModelParams(_FlatBlocks):
 
 
 def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
-    """Xavier-uniform weights, zero biases, deterministic under seed."""
+    """Xavier-uniform weights, zero biases, deterministic under seed. A
+    MemoryError on the way is a ConfigError that names the parameter count."""
     rng = nn.make_rng(seed)
-    params = ModelParams.on(ParamLayout.of(cfg))
-    for w in [*params.embeddings, *params.mlp_weights]:
-        w[...] = nn.xavier_init(*w.shape, rng)
+    layout = ParamLayout.of(cfg)
+    try:
+        params = ModelParams(layout)
+        for w in [*params.embeddings, *params.mlp_weights]:
+            w[...] = nn.xavier_init(*w.shape, rng)
+    except MemoryError:
+        raise ConfigError(f"a model of {layout.size} parameters does not fit in "
+                          "memory") from None
     return params
 
 
@@ -401,7 +404,7 @@ class Grads:
     def dense(self) -> _FlatBlocks:
         """Every block, as views of one flat vector."""
         flat = np.zeros(self.layout.size, dtype=nn.DTYPE)
-        dense = _FlatBlocks.on(self.layout, flat)
+        dense = _FlatBlocks(self.layout, flat)
         flat[self.layout.table_size:] = self.mlp
         dense.tables[self.rows] = self.values
         return dense
@@ -575,10 +578,10 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
 
     d_emb = _field_major_cross_backward(cache.emb, d_out, cfg.cross_kind)
     layout = params.layout
-    mlp = _FlatBlocks.on(layout.without_tables)
+    mlp = _FlatBlocks(layout.without_tables)
     for li, d_w, d_b in d_mlp:  # onto zeros: -0.0 becomes +0.0
-        mlp.mlp_weights[li] += d_w
-        mlp.mlp_biases[li] += d_b
+        np.add(mlp.mlp_weights[li], d_w, out=mlp.mlp_weights[li])
+        np.add(mlp.mlp_biases[li], d_b, out=mlp.mlp_biases[li])
     rows, values = _field_major_table_grads(cache.rows, d_emb, len(params.tables))
     return Grads(layout, mlp.flat, rows, values)
 
@@ -590,7 +593,6 @@ def _ckpt_header(cfg: ModelConfig) -> bytes:
 def save_checkpoint(path, params: ModelParams, cfg: ModelConfig) -> None:
     """Binary checkpoint: magic, version, config JSON, then the flat vector
     as 64-bit LE floats, i.e. every block in ``blocks()`` order."""
-    nn.check_views(params.flat, params.blocks())
     header = _ckpt_header(cfg)
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
@@ -624,4 +626,4 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
     if payload > layout.size * 8:
         raise CheckpointFormatError(f"{path}: trailing bytes in checkpoint")
     flat = np.frombuffer(raw, dtype="<f8", count=layout.size, offset=12 + hlen)
-    return cfg, ModelParams.on(layout, flat.astype(nn.DTYPE))
+    return cfg, ModelParams(layout, flat.astype(nn.DTYPE))

@@ -66,24 +66,6 @@ def affine_backward(inp: np.ndarray, weights: np.ndarray, d_out: np.ndarray):
     return d_w, d_b, d_in
 
 
-def check_views(flat: np.ndarray, blocks) -> None:
-    """Raise ShapeError unless ``blocks`` are views of the contiguous 1-D
-    float64 vector ``flat``, back to back from its start, covering it."""
-    if flat.ndim != 1 or flat.dtype != DTYPE or not flat.flags.c_contiguous:
-        raise ShapeError(f"flat parameters must be a contiguous 1-D float64 vector, "
-                         f"got {flat.dtype} {flat.shape}")
-    base = flat.__array_interface__["data"][0]
-    offset = 0
-    for i, block in enumerate(blocks):
-        if (block.dtype != DTYPE or not block.flags.c_contiguous
-                or block.__array_interface__["data"][0] != base + 8 * offset):
-            raise ShapeError(f"block {i} {block.shape} is not a view of the flat vector "
-                             f"at entry {offset}")
-        offset += block.size
-    if offset != flat.size:
-        raise ShapeError(f"blocks cover {offset} of {flat.size} flat entries")
-
-
 def _bias_table(beta: float, n: int) -> np.ndarray:
     """``1 - beta ** t`` for t < n by numpy's array pow: every bias
     correction Adam takes, whichever clock it reads. Clocks advance before
@@ -95,8 +77,9 @@ class Adam:
     """Adam over the flat float64 vector of a ``model.ModelParams``, updated
     in place.
 
-    ``params.flat`` holds every entry and ``params.blocks()`` returns views
-    of it, back to back; the embedding tables come first, stacked as
+    ``params.flat`` holds every entry, and its blocks are read-only views
+    of it, made once by the params' constructor and laid out back to back
+    by ``params.layout``; the embedding tables come first, stacked as
     ``params.tables``. The moments ``m`` and ``v`` and the per-entry clocks
     ``t_entry`` share the vector's layout. ``beta1`` and ``beta2`` must lie
     in (0.5, 1).
@@ -121,10 +104,8 @@ class Adam:
         for name, beta in (("beta1", beta1), ("beta2", beta2)):
             if not 0.5 < beta < 1.0:
                 raise ConfigError(f"Adam {name} must lie in (0.5, 1), got {beta!r}")
-        blocks = params.blocks()
-        check_views(params.flat, blocks)
         self.flat = params.flat
-        self.sizes = tuple(b.size for b in blocks)
+        self.sizes = tuple(stop - start for start, stop, _ in params.layout.spans)
         self.tables, self.dim = params.tables.size, params.tables.shape[1]
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m = np.zeros_like(self.flat)

@@ -67,6 +67,9 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
+        for name in ("warmup_epochs", "mask_epochs", "joint_epochs", "seed"):
+            if (value := getattr(self, name)) < 0:
+                raise ConfigError(f"train.{name} must be >= 0, got {value}")
 
     def omega(self, task: Task) -> float:
         return self.omega_ctr if Task(task) is Task.CTR else self.omega_cvr

@@ -15,10 +15,15 @@ matrix-vector path, and 8,195 lines are eight full chunks and a 3-row tail.
 Paths are relative to the temp dir, so each run's ``config.cfg`` is the
 same. It prints one ``name file sha256`` line per file, ``data`` being
 the generate-data output, and one ``name stdout sha256`` line per command
-whose output is its stdout. Last come ``generate-seed<k> arrays sha256``
+whose output is its stdout. Then come ``generate-seed<k> arrays sha256``
 lines: the arrays ``data.generate_with_trace`` gives for the default
-``data.*`` spec (50,000 impressions, so 5-digit ids) at seeds 0 to 2.
-Run it on two trees and diff the outputs:
+``data.*`` spec (50,000 impressions, so 5-digit ids) at seeds 0 to 2. The
+last two lines are ``score`` stdout lines over the 500-line candidates file:
+the ``layer_share`` run's one ``model.ckpt`` and no mask, which runs each
+task through its fixed tower mask (``model._mask_layers``), and the
+``neuron_share`` run with both of its masks. They come last so that the
+lines before them compare with the outputs of older trees. Run it on two
+trees and diff the outputs:
 
     PYTHONPATH=src python tests/run_hashes.py > hashes.txt
 """
@@ -92,6 +97,16 @@ def generate_line(seed: int) -> str:
     return f"generate-seed{seed} arrays {digest.hexdigest()}"
 
 
+def score_run(mode: str, *masks: str) -> str:
+    """``score`` stdout over ``candidates.tsv`` with the run dir ``mode``'s
+    ``model.ckpt`` for both tasks, and the given mask files of that dir."""
+    mask_args = [arg for task, mask in zip(("ctr", "cvr"), masks)
+                 for arg in (f"--{task}-mask", f"{mode}/{mask}")]
+    return stdout_line(f"score-{mode}", run(
+        "score", "--ctr-checkpoint", f"{mode}/model.ckpt", "--cvr-checkpoint",
+        f"{mode}/model.ckpt", *mask_args, "-k", "100", "--gamma", "0.5", "candidates.tsv"))
+
+
 def main_() -> None:
     with tempfile.TemporaryDirectory() as tmp, chdir(tmp):
         Path("exp.cfg").write_text(CONFIG)
@@ -121,7 +136,10 @@ def main_() -> None:
                 f"{cs}/mask_cvr.mask", "-k", str(n), f"candidates_{n}.tsv")))
         lines.append(stdout_line("mask-stats", run(
             "mask", "stats", f"{cs}/mask_ctr.mask", f"{cs}/mask_cvr.mask")))
+        last = [score_run("layer_share"),
+                score_run("neuron_share", "mask_ctr.mask", "mask_cvr.mask")]
     lines += map(generate_line, range(3))
+    lines += last
     print("\n".join(lines))
 
 

@@ -269,7 +269,8 @@ def test_criterion_7_oracle_equivalences(capsys):
                      for w in p.mlp_weights], Task.CVR)
     ids = np.stack([rng.integers(0, c, 50) for c in cfg.field_cardinalities], axis=1)
     zeroed = p.copy()
-    zeroed.mlp_weights = [w * m for w, m in zip(p.mlp_weights, mask.layers)]
+    for w, m in zip(zeroed.mlp_weights, mask.layers):
+        w *= m
     ok = ok and (model.forward(ids, p, cfg, Task.CVR, mask=mask)
                  == model.forward(ids, zeroed, cfg, Task.CVR)).all()
     _report(capsys, 7, "AUC pairwise, quantile sort, and masked-forward "

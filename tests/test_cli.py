@@ -244,6 +244,53 @@ class TestTrain:
                        "memory: data.n_impressions=700, data.n_users=40, data.n_items=40, "
                        "data.latent_dim=4, data.field_cardinalities=8,8,8,8\n")
 
+    @pytest.mark.parametrize("command,args,err", [
+        ("train", ["--seed", "-1"], "train.seed must be >= 0, got -1"),
+        ("train", ["--set", "train.seed=-1"], "train.seed must be >= 0, got -1"),
+        ("train", ["--set", "data.seed=-3"], "data.seed must be >= 0, got -3"),
+        ("generate-data", ["--seed", "-1"], "train.seed must be >= 0, got -1"),
+        ("train", ["--mode", "layer_share", "--set", "train.joint_epochs=-2"],
+         "train.joint_epochs must be >= 0, got -2"),
+        ("train", ["--set", "train.warmup_epochs=-1"], "train.warmup_epochs must be >= 0, got -1"),
+        ("train", ["--set", "train.mask_epochs=-1"], "train.mask_epochs must be >= 0, got -1"),
+    ])
+    def test_negative_seed_or_epoch_count_exit_2(self, tmp_path, cfg_file, capsys, command,
+                                                 args, err):
+        """Not an internal error from numpy's seeding, and not a run dir of
+        an untrained model."""
+        out = tmp_path / "out"
+        rc, stdout, got = run(capsys, command, "--config", cfg_file, *args, "--out", str(out))
+        assert (rc, stdout, got) == (2, "", f"config error: {err}\n")
+        assert not out.exists()
+
+    def test_dataset_out_of_memory_exit_3(self, tmp_path, cfg_file, capsys, monkeypatch):
+        """A TSV whose rows do not fit in memory exits 3 naming its path."""
+        p = tmp_path / "d.tsv"
+        p.write_text("cardinalities\t8,8,8,8\nctr\t1\t5,1,2,3\ttrain\n")
+
+        def fail(lines, cards):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(data_mod, "_row_block", fail)
+        rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--dataset", str(p),
+                              "--out", str(tmp_path / "run"))
+        assert (rc, stdout, err) == (3, "", f"data error: {p}: the dataset does not fit in "
+                                            "memory\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_model_out_of_memory_exit_2(self, tmp_path, cfg_file, capsys, monkeypatch):
+        """Parameters that do not fit in memory exit 2 naming their count."""
+        def fail(self, layout, flat=None):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(model.ModelParams, "__init__", fail)
+        rc, stdout, err = run(capsys, "train", "--config", cfg_file,
+                              "--out", str(tmp_path / "run"))
+        size = model.ParamLayout.of(load_experiment(cfg_file).model_config((8, 8, 8, 8))).size
+        assert (rc, stdout, err) == (2, "", f"config error: a model of {size} parameters "
+                                            "does not fit in memory\n")
+        assert not (tmp_path / "run").exists()
+
     def test_tables_past_int64_exit_3(self, tmp_path, cfg_file, capsys):
         """The check runs before any table is allocated."""
         p = tmp_path / "d.tsv"

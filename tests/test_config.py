@@ -76,6 +76,21 @@ def test_bad_value_names_its_key(key, value):
         build_experiment({key: value})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("train.seed", "-1"), ("data.seed", "-3"), ("train.warmup_epochs", "-1"),
+    ("train.mask_epochs", "-1"), ("train.joint_epochs", "-2")])
+def test_negative_seed_or_epoch_count_is_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got {value}$"):
+        build_experiment({key: value})
+
+
+def test_zero_epochs_and_seeds_are_valid():
+    exp = build_experiment({"seed": "0", "train.warmup_epochs": "0",
+                            "train.mask_epochs": "0", "train.joint_epochs": "0"})
+    assert (exp.train.seed, exp.synth.seed) == (0, 0)
+    assert (exp.train.warmup_epochs, exp.train.mask_epochs, exp.train.joint_epochs) == (0, 0, 0)
+
+
 def test_paths_with_hash_round_trip():
     """'#' inside a value is data; only a line starting with '#' is a comment."""
     exp = build_experiment({"output_dir": "runs/a#b", "dataset": "data/#1 set#.tsv"})

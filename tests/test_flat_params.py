@@ -121,6 +121,20 @@ def flat_bytes(blocks) -> bytes:
     return np.concatenate([b.ravel() for b in blocks]).tobytes()
 
 
+def assert_views(params):
+    """Every block of ``params`` is a view of its contiguous 1-D float64
+    vector ``flat``, back to back from its start, covering it."""
+    flat = params.flat
+    assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
+    base = flat.__array_interface__["data"][0]
+    offset = 0
+    for block in params.blocks():
+        assert block.dtype == np.float64 and block.flags.c_contiguous
+        assert block.__array_interface__["data"][0] == base + 8 * offset
+        offset += block.size
+    assert offset == flat.size
+
+
 def make_cfg(mode=SharingMode.CONNECTION_SHARE, cards=(5, 3, 7), emb=3, hidden=(12, 6)):
     width = cross_output_width(len(cards), emb, CrossKind.PAIRWISE_DOT)
     return ModelConfig(cards, emb, (width, *hidden, 1), CrossKind.PAIRWISE_DOT, mode)
@@ -226,7 +240,7 @@ class TestAdamBitIdentity:
         fell behind and clocks that kept up both still match."""
         rng = nn.make_rng(11)
         layout = model.ParamLayout(embeddings=((1, 1),), mlp_weights=((6,),), mlp_biases=())
-        params = model.ModelParams.on(layout, np.concatenate([[0.0], rng.standard_normal(6)]))
+        params = model.ModelParams(layout, np.concatenate([[0.0], rng.standard_normal(6)]))
         flat = params.mlp_weights[0]
         ref_flat = flat.copy()
         opt, state = nn.Adam(params, 0.01), AdamState.for_param(ref_flat)
@@ -352,7 +366,7 @@ class TestFlatLayout:
     @pytest.mark.parametrize("mode", list(SharingMode))
     def test_blocks_are_views_in_order(self, mode):
         params = model.init_params(make_cfg(mode, hidden=(10, 6, 4)), 1)
-        nn.check_views(params.flat, params.blocks())
+        assert_views(params)
         assert params.flat.size == sum(b.size for b in params.blocks())
         assert [b.shape for b in params.blocks()] == [s for _, _, s in params.layout.spans]
 
@@ -360,20 +374,32 @@ class TestFlatLayout:
         params = model.init_params(make_cfg(), 2)
         params.take_snapshot()
         snap = params.flat.copy()
-        params.mlp_weights[0] += 1.0
+        params.mlp_weights[0][...] += 1.0
         params.rewind()
         assert params.flat.tobytes() == snap.tobytes()
-        nn.check_views(params.init_snapshot.flat, params.init_snapshot.blocks())
+        assert_views(params.init_snapshot)
         assert not np.shares_memory(params.flat, params.init_snapshot.flat)
 
-    def test_detached_block_rejected(self, tmp_path):
-        cfg = make_cfg()
-        params = model.init_params(cfg, 2)
-        params.mlp_weights = [w * 1.0 for w in params.mlp_weights]
-        with pytest.raises(ShapeError):
-            nn.Adam(params, 0.01)
-        with pytest.raises(ShapeError):
-            model.save_checkpoint(tmp_path / "x.ckpt", params, cfg)
+    def test_blocks_cannot_be_rebound(self):
+        params = model.init_params(make_cfg(), 2)
+        for name in ("layout", "flat", "embeddings", "mlp_weights", "mlp_biases"):
+            with pytest.raises(AttributeError):
+                setattr(params, name, getattr(params, name))
+        for group in (params.embeddings, params.mlp_weights, params.mlp_biases):
+            with pytest.raises(TypeError):
+                group[0] = group[0] * 1.0
+        assert_views(params)
+
+    @pytest.mark.parametrize("flat", [
+        np.zeros(10), np.zeros(12, dtype=np.float32), np.zeros((3, 4)),
+        np.zeros(24)[::2], np.zeros(12).astype(">f8")], ids=[
+        "short", "float32", "2-d", "strided", "big-endian"])
+    def test_constructor_rejects_bad_flat(self, flat):
+        layout = model.ParamLayout(embeddings=((2, 3),), mlp_weights=((3, 2),),
+                                   mlp_biases=())
+        with pytest.raises(ShapeError, match="for a layout of 12 entries"):
+            model.ModelParams(layout, flat)
+        assert_views(model.ModelParams(layout, np.zeros(12)))
 
 
 class TestCheckpointBytes:
@@ -394,7 +420,7 @@ class TestCheckpointBytes:
         assert cfg2 == cfg
         assert loaded.flat.tobytes() == params.flat.tobytes()
         assert flat_bytes(loaded.blocks()) == flat_bytes(params.blocks())
-        nn.check_views(loaded.flat, loaded.blocks())
+        assert_views(loaded)
         assert loaded.flat.flags.writeable
         model.save_checkpoint(tmp_path / "c.ckpt", loaded, cfg2)
         assert (tmp_path / "c.ckpt").read_bytes() == ours.read_bytes()

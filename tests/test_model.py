@@ -132,7 +132,8 @@ class TestForward:
         ids = random_ids(cfg, 20, 7)
         masked = model.forward(ids, p, cfg, Task.CVR, mask=mask)
         zeroed = p.copy()
-        zeroed.mlp_weights = [w * m for w, m in zip(p.mlp_weights, mask.layers)]
+        for w, m in zip(zeroed.mlp_weights, mask.layers):
+            w *= m
         oracle = model.forward(ids, zeroed, cfg, Task.CVR)
         assert (masked == oracle).all()
 
@@ -450,15 +451,15 @@ def z_gated_backward(d_logits, emb, rows, layer_inputs, pre_acts, weights, layer
     ``z > 0`` on the pre-activations of ``out_of_place_mlp_forward``."""
     d_out = d_logits[:, None]
     layout = params.layout
-    mlp = model._FlatBlocks.on(layout.without_tables)
+    mlp = model._FlatBlocks(layout.without_tables)
     for li in range(len(weights) - 1, -1, -1):
         if li < len(weights) - 1:
             d_out = d_out * (pre_acts[li] > 0)
         d_w, d_b, d_out = nn.affine_backward(layer_inputs[li], weights[li], d_out)
         if layers is not None:
             d_w *= layers[li]
-        mlp.mlp_weights[li] += d_w
-        mlp.mlp_biases[li] += d_b
+        np.add(mlp.mlp_weights[li], d_w, out=mlp.mlp_weights[li])
+        np.add(mlp.mlp_biases[li], d_b, out=mlp.mlp_biases[li])
     d_emb = model._field_major_cross_backward(emb, d_out, cfg.cross_kind)
     touched, values = model._field_major_table_grads(rows, d_emb, len(params.tables))
     return mlp.flat, touched, values
