@@ -66,8 +66,8 @@ def _history_kv(entry: dict) -> str:
 def build_report(art: training.TrainedArtifacts, dataset: data_mod.Dataset,
                  mcfg: model.ModelConfig, exp: ExperimentConfig) -> MetricsReport:
     report = MetricsReport(
-        mode=art.mode.value,
-        metrics=training.evaluate_artifacts(art, dataset, mcfg, split="test"),
+        mode=mcfg.sharing_mode.value,
+        metrics=training.evaluate_artifacts(art, dataset, mcfg),
         config_fingerprint=exp.fingerprint(),
         notes={
             "hidden_activation": "relu",

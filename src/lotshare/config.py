@@ -4,8 +4,9 @@ Each key sets one dataclass field: `mode`, `output_dir`, `dataset` and
 `model.*` set the fields of `ExperimentConfig`, `train.*` those of
 `TrainConfig` and `data.*` those of `SyntheticSpec`. A key is its field's
 name, except `train.q` (`prune_fraction`) and `data.rho`
-(`task_correlation`); `TrainConfig.sharing_mode` follows `mode`. Defaults
-live only on the dataclasses, and a value parses by the type of its default.
+(`task_correlation`); `TrainConfig.sharing_mode` follows `mode`, whose
+default is that field's. Defaults live only on the dataclasses, and a value
+parses by the type of its default; a float value must be finite.
 The key `seed` sets both `train.seed` and `data.seed`.
 
 Precedence is overrides (CLI flags, `--set`) > config file > defaults. Within
@@ -17,6 +18,7 @@ effective config, one line per key; a run directory keeps it as
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 
@@ -47,7 +49,7 @@ def parse_kv_text(text: str) -> dict[str, str]:
 @dataclass
 class ExperimentConfig:
     # "key" metadata: the config key of a field, or the key prefix of a section
-    mode: SharingMode = SharingMode.CONNECTION_SHARE
+    mode: SharingMode = TrainConfig.sharing_mode
     output_dir: str = "runs/run"
     dataset_path: str | None = field(default=None, metadata={"key": "dataset"})
     embedding_dim: int = field(default=8, metadata={"key": "model.embedding_dim"})
@@ -118,7 +120,10 @@ class _Key:
                 return text or None
             if isinstance(self.default, tuple):
                 return tuple(int(x) for x in text.split(",") if x.strip())
-            return type(self.default)(text)
+            value = type(self.default)(text)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError("not a finite number")
+            return value
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"config key {self.name}: bad value {text!r}: {exc}") from exc
 

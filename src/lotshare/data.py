@@ -474,21 +474,21 @@ class Batch:
         return len(self.labels)
 
 
-def _task_batches(td: TaskData, task: Task, split: str, batch_size: int,
+def _task_batches(td: TaskData, task: Task, batch_size: int,
                   rng: np.random.Generator) -> list[Batch]:
-    ids, labels = td.subset(split)
+    ids, labels = td.subset("train")
     order = rng.permutation(len(labels))
     ids, labels = ids[order], labels[order]
     return [Batch(task, ids[i:i + batch_size], labels[i:i + batch_size])
             for i in range(0, len(labels), batch_size)]
 
 
-def batches(dataset: Dataset, tasks, batch_size: int, seed: int, epoch: int,
-            split: str = "train"):
-    """Seeded per-epoch shuffled stream of task-homogeneous batches.
+def batches(dataset: Dataset, tasks, batch_size: int, seed: int, epoch: int):
+    """Seeded per-epoch shuffled stream of task-homogeneous batches of the
+    train split.
 
     With several tasks the per-task streams interleave proportionally to their
-    batch counts via a seeded schedule; every sample appears exactly once.
+    batch counts via a seeded schedule; every train row appears exactly once.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -496,7 +496,7 @@ def batches(dataset: Dataset, tasks, batch_size: int, seed: int, epoch: int,
     per_task = {}
     for t in tasks:
         rng = np.random.default_rng([int(seed), int(epoch), list(TASKS).index(t)])
-        per_task[t] = _task_batches(dataset.task(t), t, split, batch_size, rng)
+        per_task[t] = _task_batches(dataset.task(t), t, batch_size, rng)
     tags = np.concatenate([np.full(len(per_task[t]), ti, dtype=np.int64)
                            for ti, t in enumerate(tasks)]) if tasks else np.empty(0, np.int64)
     if len(tasks) > 1:

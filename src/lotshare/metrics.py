@@ -98,8 +98,7 @@ def _pow(x: np.ndarray, e: float, name: str, exponent: str) -> np.ndarray:
         raise
 
 
-def rank_scores(pctr, pcvr, lengths, alpha: float = 1.0, beta: float = 1.0,
-                gamma: float = 1.0) -> np.ndarray:
+def rank_scores(pctr, pcvr, lengths, alpha: float, beta: float, gamma: float) -> np.ndarray:
     """pCTR^alpha * pCVR^beta * length^gamma per candidate, each bit for bit
     as Python's ``pctr ** alpha * pcvr ** beta * length ** gamma``. Raises
     ConfigError on inputs of different lengths, a probability outside (0,1)

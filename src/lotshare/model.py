@@ -22,8 +22,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import nn
-from .errors import (CheckpointFormatError, ConfigError, FeatureIdError, ShapeError,
-                     StateError)
+from .errors import (CheckpointFormatError, ConfigError, DataError, FeatureIdError,
+                     ShapeError, StateError)
 
 CKPT_MAGIC = b"LTCK"
 CKPT_VERSION = 1
@@ -79,8 +79,8 @@ class ModelConfig:
     field_cardinalities: tuple[int, ...]
     embedding_dim: int
     mlp_dims: tuple[int, ...]  # includes the input width and the final width 1
-    cross_kind: CrossKind = CrossKind.PAIRWISE_DOT
-    sharing_mode: SharingMode = SharingMode.CONNECTION_SHARE
+    cross_kind: CrossKind
+    sharing_mode: SharingMode
 
     def __post_init__(self):
         object.__setattr__(self, "field_cardinalities", tuple(int(c) for c in self.field_cardinalities))
@@ -249,8 +249,13 @@ class ModelParams(_FlatBlocks):
         return ModelParams(self.layout, self.flat.copy())
 
     def take_snapshot(self) -> None:
-        """Freeze a deep copy of the current weights as the rewind point."""
-        self.init_snapshot = self.copy()
+        """Freeze a deep copy of the current weights as the rewind point. A
+        MemoryError on the way is a ConfigError that names the parameter count."""
+        try:
+            self.init_snapshot = self.copy()
+        except MemoryError:
+            raise ConfigError(f"the rewind snapshot of a model of {self.layout.size} "
+                              "parameters does not fit in memory") from None
 
     def rewind(self) -> None:
         """Restore live weights to the frozen snapshot, bit-exactly."""
@@ -378,9 +383,8 @@ class ForwardCache:
     ids: np.ndarray
     rows: np.ndarray                    # the ids' rows in the stacked tables
     emb: np.ndarray
-    cross: np.ndarray
     weights: list[np.ndarray]           # the task's MLP weights, under its mask
-    layer_inputs: list[np.ndarray]      # input to each FC transition (post-ReLU)
+    layer_inputs: list[np.ndarray]      # input to each FC transition: the cross, then post-ReLU
     logits: np.ndarray
     task: Task
 
@@ -391,9 +395,8 @@ class Grads:
     stacked tables (``ModelParams.tables``) that the batch touched,
     ``values`` (len(rows), dim), their gradients, and ``mlp``, every entry
     past the tables. Every other table entry's gradient is 0.0. ``dense``
-    holds every block as views of one flat vector, built on first use;
-    ``flat``, ``embeddings``, ``mlp_weights`` and ``blocks()`` read it.
-    Iterating yields the blocks in order.
+    holds every block as views of one flat vector, built on first use, and
+    iterating yields its blocks in order.
     """
 
     def __init__(self, layout: ParamLayout, mlp: np.ndarray, rows: np.ndarray,
@@ -409,15 +412,8 @@ class Grads:
         dense.tables[self.rows] = self.values
         return dense
 
-    flat = property(lambda self: self.dense.flat)
-    embeddings = property(lambda self: self.dense.embeddings)
-    mlp_weights = property(lambda self: self.dense.mlp_weights)
-
-    def blocks(self) -> list[np.ndarray]:
-        return self.dense.blocks()
-
     def __iter__(self):
-        return iter(self.blocks())
+        return iter(self.dense.blocks())
 
 
 def tower_masks(cfg: ModelConfig) -> dict[Task, list[np.ndarray]]:
@@ -508,7 +504,7 @@ def forward(ids: np.ndarray, params: ModelParams, cfg: ModelConfig, task: Task,
     preds, logits, layer_inputs = mlp_forward(x, weights, biases)
     if not want_cache:
         return preds
-    cache = ForwardCache(ids=np.asarray(ids), rows=rows, emb=emb, cross=x, weights=weights,
+    cache = ForwardCache(ids=np.asarray(ids), rows=rows, emb=emb, weights=weights,
                          layer_inputs=layer_inputs, logits=logits, task=task)
     return preds, cache
 
@@ -604,7 +600,15 @@ def save_checkpoint(path, params: ModelParams, cfg: ModelConfig) -> None:
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
     """The config and params that ``save_checkpoint`` wrote to ``path``.
     CheckpointFormatError for anything else, such as a header that is not
-    the JSON ``save_checkpoint`` writes for the ModelConfig it builds."""
+    the JSON ``save_checkpoint`` writes for the ModelConfig it builds. A
+    MemoryError on the way is a DataError that names the path."""
+    try:
+        return _load_checkpoint(path)
+    except MemoryError:
+        raise DataError(f"{path}: the checkpoint does not fit in memory") from None
+
+
+def _load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 12 or raw[:4] != CKPT_MAGIC:

@@ -12,6 +12,9 @@ from .errors import ConfigError, ShapeError
 
 DTYPE = np.float64
 
+# Adam's fixed constants (Kingma & Ba, 2015); the learning rate is the only setting
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded generator; the single entry point for randomness."""
@@ -81,8 +84,8 @@ class Adam:
     of it, made once by the params' constructor and laid out back to back
     by ``params.layout``; the embedding tables come first, stacked as
     ``params.tables``. The moments ``m`` and ``v`` and the per-entry clocks
-    ``t_entry`` share the vector's layout. ``beta1`` and ``beta2`` must lie
-    in (0.5, 1).
+    ``t_entry`` share the vector's layout. ``b1``, ``b2`` and ``eps`` are the
+    fixed ``BETA1``, ``BETA2`` and ``EPS``.
 
     One rule: an entry that gets no gradient term this step, or whose gate
     is shut, does not move. Its parameter, both moments and its clock stay
@@ -99,21 +102,23 @@ class Adam:
     block is all open, so its clocks count every step.
     """
 
-    def __init__(self, params, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        for name, beta in (("beta1", beta1), ("beta2", beta2)):
-            if not 0.5 < beta < 1.0:
-                raise ConfigError(f"Adam {name} must lie in (0.5, 1), got {beta!r}")
+    def __init__(self, params, lr: float):
+        """Zero moments and clocks for ``params``: 20 bytes per entry. A
+        MemoryError on the way is a ConfigError that names the entry count."""
         self.flat = params.flat
         self.sizes = tuple(stop - start for start, stop, _ in params.layout.spans)
         self.tables, self.dim = params.tables.size, params.tables.shape[1]
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
+        self.lr = lr
+        try:
+            self.m = np.zeros_like(self.flat)
+            self.v = np.zeros_like(self.flat)
+            # int32 halves the clocks' memory; no clock exceeds t, and the bias
+            # tables it indexes hold 2t floats each, so memory ends first
+            self.t_entry = np.zeros(self.flat.shape, dtype=np.int32)
+        except MemoryError:
+            raise ConfigError(f"the Adam state of a model of {self.flat.size} parameters "
+                              "does not fit in memory") from None
         self.t = 0
-        # int32 halves the clocks' memory; no clock exceeds t, and the bias
-        # tables it indexes hold 2t floats each, so memory ends first
-        self.t_entry = np.zeros(self.flat.shape, dtype=np.int32)
         self._bc1 = self._bc2 = np.empty(0)
         # p, m, v and the clocks over the tables, one record per row
         self._table_rows = [
@@ -142,7 +147,7 @@ class Adam:
         self.t += 1
         if len(self._bc1) <= self.t:   # no clock exceeds t; double past it
             n = max(1024, 2 * self.t)
-            self._bc1, self._bc2 = _bias_table(self.beta1, n), _bias_table(self.beta2, n)
+            self._bc1, self._bc2 = _bias_table(BETA1, n), _bias_table(BETA2, n)
         state = (self.flat, self.m, self.v, self.t_entry)
         kept = [a.take(shut) for a in state]
         # the named table rows, gathered with their moments and clocks
@@ -183,15 +188,14 @@ class Adam:
         correctly rounded, so an entry's result depends on that entry alone,
         which is what lets ``step`` undo any entry's step exactly."""
         te += 1
-        b1, b2 = self.beta1, self.beta2
-        m *= b1
-        m += g * (1.0 - b1)
-        v *= b2
-        v += np.square(g) * (1.0 - b2)
+        m *= BETA1
+        m += g * (1.0 - BETA1)
+        v *= BETA2
+        v += np.square(g) * (1.0 - BETA2)
         upd = m / self._bc1.take(te)
         upd *= self.lr
         den = v / self._bc2.take(te)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += EPS
         upd /= den
         p -= upd

@@ -104,15 +104,16 @@ def _train_step(params: ModelParams, cfg: ModelConfig, opt: nn.Adam, batch: Batc
 
 
 def predict(params: ModelParams, cfg: ModelConfig, task: Task, ids: np.ndarray,
-            mask: TaskMask | None = None, chunk: int = PREDICT_CHUNK) -> np.ndarray:
-    """``model.forward`` predictions over ``ids``, in chunks of ``chunk`` rows."""
+            mask: TaskMask | None = None) -> np.ndarray:
+    """``model.forward`` predictions over ``ids``, by ``predict_tasks``."""
     task = Task(task)
-    return predict_tasks({task: (params, cfg, mask)}, ids, chunk)[task]
+    return predict_tasks({task: (params, cfg, mask)}, ids)[task]
 
 
 def predict_tasks(nets: dict[Task, tuple[ModelParams, ModelConfig, TaskMask | None]],
-                  ids: np.ndarray, chunk: int = PREDICT_CHUNK) -> dict[Task, np.ndarray]:
-    """Predictions of each task's ``(params, cfg, mask)`` over the same ids.
+                  ids: np.ndarray) -> dict[Task, np.ndarray]:
+    """Predictions of each task's ``(params, cfg, mask)`` over the same ids,
+    in chunks of ``PREDICT_CHUNK`` rows, read at each call.
 
     Per chunk, ``model.front`` (embedding and cross) runs once for each
     distinct params object, then each task's MLP under its mask. Tasks that
@@ -122,11 +123,11 @@ def predict_tasks(nets: dict[Task, tuple[ModelParams, ModelConfig, TaskMask | No
     heads = {task: model.task_weights(params, cfg, task, mask)
              for task, (params, cfg, mask) in nets.items()}
     out: dict[Task, list[np.ndarray]] = {task: [] for task in nets}
-    for i in range(0, len(ids), chunk):
+    for i in range(0, len(ids), PREDICT_CHUNK):
         fronts: dict[int, np.ndarray] = {}
         for task, (params, cfg, _) in nets.items():
             if id(params) not in fronts:
-                fronts[id(params)] = model.front(ids[i:i + chunk], params, cfg)[2]
+                fronts[id(params)] = model.front(ids[i:i + PREDICT_CHUNK], params, cfg)[2]
             out[task].append(model.mlp_forward(fronts[id(params)], *heads[task])[0])
     return {task: np.concatenate(p) if p else np.empty(0) for task, p in out.items()}
 
@@ -236,7 +237,6 @@ class TrainedArtifacts:
     object under both tasks in the shared modes, one per task in
     single_task. ``masks`` holds each task's searched masks by round and
     ``best_i`` the round selected; both are empty when nothing was searched."""
-    mode: SharingMode
     params: dict[Task, ModelParams]
     masks: dict[Task, list[TaskMask]] = field(default_factory=dict)
     best_i: dict[Task, int] = field(default_factory=dict)
@@ -281,7 +281,7 @@ def train_baseline(dataset: Dataset, cfg: ModelConfig,
                                              _BASELINE_EPOCH_BASE, "single-task training")):
             history.append({"stage": "single", "task": task.value, "epoch": epoch,
                             "mean_loss": loss})
-    return TrainedArtifacts(mode, per_task, history=history)
+    return TrainedArtifacts(per_task, history=history)
 
 
 def train_model(dataset: Dataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainedArtifacts:
@@ -305,17 +305,17 @@ def train_model(dataset: Dataset, cfg: ModelConfig, tcfg: TrainConfig) -> Traine
     else:
         best = {t: TaskMask(layers, t) for t, layers in model.tower_masks(cfg).items()}
     joint_train(params, best, dataset, cfg, tcfg, history)
-    return TrainedArtifacts(mode, dict.fromkeys(TASKS, params), masks, best_i, history)
+    return TrainedArtifacts(dict.fromkeys(TASKS, params), masks, best_i, history)
 
 
-def evaluate_artifacts(art: TrainedArtifacts, dataset: Dataset, cfg: ModelConfig,
-                       split: str = "test") -> dict[str, float]:
-    """Each task's metric on ``split``, as ``ctr_auc`` and ``cvr_mse``. A task
-    without rows there, or CTR labels of one class, raise; the CLI checks
-    the splits a command reads before it trains."""
+def evaluate_artifacts(art: TrainedArtifacts, dataset: Dataset,
+                       cfg: ModelConfig) -> dict[str, float]:
+    """Each task's metric on the test split, as ``ctr_auc`` and ``cvr_mse``.
+    A task without test rows, or CTR test labels of one class, raise; the
+    CLI checks the splits a command reads before it trains."""
     out = {}
     for task in TASKS:
-        ids, labels = dataset.subset(task, split)
+        ids, labels = dataset.subset(task, "test")
         score = evaluate(art.params[task], cfg, task, ids, labels,
                          mask=art.best_mask(task))
         key = "ctr_auc" if task is Task.CTR else "cvr_mse"

@@ -36,7 +36,7 @@ def max_relative_error(cfg, task, params, ids, labels, mask=None, h=1e-4):
     grads = analytic_grads(params, cfg, task, ids, labels, mask=mask)
     base_signs = _relu_signs(params, cfg, task, ids, mask=mask)
     max_rel = 0.0
-    for blk, gblk in zip(params.blocks(), grads.blocks()):
+    for blk, gblk in zip(params.blocks(), grads.dense.blocks()):
         flat, gflat = blk.ravel(), gblk.ravel()
         for i in range(flat.size):
             orig = flat[i]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from lotshare import cli, training
 from lotshare import data as data_mod
-from lotshare import masking, model
+from lotshare import masking, model, nn
 from lotshare.cli import comparison_table, main
 from lotshare.errors import ConfigError, DataError, ShapeError
 from lotshare.config import load_experiment, parse_kv_text
@@ -290,6 +290,62 @@ class TestTrain:
         assert (rc, stdout, err) == (2, "", f"config error: a model of {size} parameters "
                                             "does not fit in memory\n")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("place", ["adam", "snapshot"])
+    def test_training_state_out_of_memory_exit_2(self, tmp_path, cfg_file, capsys,
+                                                 monkeypatch, place):
+        """Adam's moments and clocks, or the rewind snapshot, that do not fit
+        in memory exit 2 naming the parameter count."""
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        class NumpyWithoutZerosLike:   # numpy as nn sees it, zeros_like failing
+            zeros_like = staticmethod(fail)
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        if place == "adam":
+            monkeypatch.setattr(nn, "np", NumpyWithoutZerosLike())
+            what = "the Adam state of"
+        else:
+            monkeypatch.setattr(model.ModelParams, "copy", fail)
+            what = "the rewind snapshot of"
+        rc, stdout, err = run(capsys, "train", "--config", cfg_file,
+                              "--out", str(tmp_path / "run"))
+        size = model.ParamLayout.of(load_experiment(cfg_file).model_config((8, 8, 8, 8))).size
+        assert (rc, stdout, err) == (2, "", f"config error: {what} a model of {size} "
+                                            "parameters does not fit in memory\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_checkpoint_out_of_memory_exit_3(self, tmp_path, cfg_file, capsys, monkeypatch):
+        """A checkpoint whose payload does not fit in memory exits 3 naming
+        its path."""
+        out = tmp_path / "st"
+        assert run(capsys, "train", "--config", cfg_file, "--mode", "single_task",
+                   "--out", str(out))[0] == 0
+        cands = tmp_path / "cands.tsv"
+        cands.write_text("0,1,2,3\t10\n")
+
+        def fail(self, layout, flat=None):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(model.ModelParams, "__init__", fail)
+        ckpt = out / "ctr.ckpt"
+        rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", str(ckpt),
+                              "--cvr-checkpoint", str(out / "cvr.ckpt"), str(cands))
+        assert (rc, stdout, err) == (3, "", f"data error: {ckpt}: the checkpoint does not "
+                                            "fit in memory\n")
+
+    def test_non_finite_learning_rate_exit_2(self, tmp_path, cfg_file, capsys):
+        """Rejected as the config is read, before a step runs."""
+        out = tmp_path / "run"
+        rc, stdout, err = run(capsys, "train", "--config", cfg_file,
+                              "--set", "train.learning_rate=nan", "--out", str(out))
+        assert (rc, stdout) == (2, "")
+        assert err == ("config error: config key train.learning_rate: bad value 'nan': "
+                       "not a finite number\n")
+        assert not out.exists()
 
     def test_tables_past_int64_exit_3(self, tmp_path, cfg_file, capsys):
         """The check runs before any table is allocated."""
@@ -773,24 +829,35 @@ class TestScore:
         assert rc == 2 and stdout == ""
         assert err == f"config error: {option} must be finite, got {value}\n"
 
-    @pytest.mark.parametrize("given,missing", [((), "ctr"), (("ctr",), "cvr")])
+    @pytest.mark.parametrize("mode,given,missing", [
+        pytest.param("connection_share", (), "ctr", id="given0-ctr"),
+        pytest.param("connection_share", ("ctr",), "cvr", id="given1-cvr"),
+        pytest.param("neuron_share", (), "ctr", id="neuron_share-given0-ctr"),
+        pytest.param("neuron_share", ("ctr",), "cvr", id="neuron_share-given1-cvr")])
     def test_mask_mode_checkpoint_needs_both_masks(self, tmp_path, cfg_file, capsys,
-                                                   given, missing):
+                                                   mode, given, missing):
         out = tmp_path / "cs"
-        assert run(capsys, "train", "--config", cfg_file, "--out", str(out))[0] == 0
+        assert run(capsys, "train", "--config", cfg_file, "--mode", mode,
+                   "--out", str(out))[0] == 0
         ckpt = str(out / "model.ckpt")
         masks = [arg for t in given for arg in (f"--{t}-mask", str(out / f"mask_{t}.mask"))]
         rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpt, "--cvr-checkpoint",
                               ckpt, *masks, self._cands(tmp_path, [10, 20]))
         assert rc == 2 and stdout == ""
         assert err == (f"config error: --{missing}-mask is required: {ckpt} is a "
-                       f"connection_share checkpoint\n")
+                       f"{mode} checkpoint\n")
 
-    @pytest.mark.parametrize("exponents", [(1.0, 1.0, 1.0), (0.7, 1.3, 0.5)])
+    @pytest.mark.parametrize("mode,exponents", [
+        pytest.param("connection_share", (1.0, 1.0, 1.0), id="exponents0"),
+        pytest.param("connection_share", (0.7, 1.3, 0.5), id="exponents1"),
+        pytest.param("neuron_share", (1.0, 1.0, 1.0), id="neuron_share-exponents0"),
+        pytest.param("neuron_share", (0.7, 1.3, 0.5), id="neuron_share-exponents1")])
     def test_connection_share_run_with_both_masks(self, tmp_path, cfg_file, capsys,
-                                                  monkeypatch, exponents):
+                                                  monkeypatch, mode, exponents):
+        """Also a neuron_share run: a searched mode's model.ckpt and both masks."""
         out = tmp_path / "cs"
-        assert run(capsys, "train", "--config", cfg_file, "--out", str(out))[0] == 0
+        assert run(capsys, "train", "--config", cfg_file, "--mode", mode,
+                   "--out", str(out))[0] == 0
         rng = np.random.default_rng(1)
         ids = rng.integers(0, 8, (300, 4))
         lengths = np.round(rng.uniform(1.0, 600.0, 300), 1)

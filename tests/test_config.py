@@ -70,7 +70,10 @@ def test_defaults_come_from_the_dataclasses():
 
 
 @pytest.mark.parametrize("key,value", [("train.batch_size", "3.5"), ("mode", "bogus"),
-                                       ("model.hidden_dims", "8,x"), ("data.rho", "high")])
+                                       ("model.hidden_dims", "8,x"), ("data.rho", "high"),
+                                       ("train.learning_rate", "nan"), ("train.omega_cvr", "inf"),
+                                       ("data.click_noise", "-inf"), ("data.rho", "nan"),
+                                       ("train.q", "NaN"), ("data.cvr_noise", "1e999")])
 def test_bad_value_names_its_key(key, value):
     with pytest.raises(ConfigError, match=f"config key {key}: bad value"):
         build_experiment({key: value})

@@ -639,7 +639,15 @@ class TestBatches:
             list(batches(tiny_dataset(), [Task.CTR], 0, 0, 0))
 
     def test_split_filter(self):
-        ds = tiny_dataset(n_ctr=10)
-        ds.tasks[Task.CTR].split[:3] = 1
-        bs = list(batches(ds, [Task.CTR], 4, 0, 0, split="val"))
-        assert sum(b.n for b in bs) == 3
+        """Batches hold every train row once, and no val or test row."""
+        ds = tiny_dataset(n_ctr=10, n_cvr=9)
+        for td in ds.tasks.values():
+            td.split[:] = np.arange(td.n) % 3   # train, val, test, train, ...
+        bs = list(batches(ds, [Task.CTR, Task.CVR], 2, 0, 0))
+        for task in (Task.CTR, Task.CVR):
+            td = ds.tasks[task]
+            got = sorted((*b.ids[i].tolist(), b.labels[i])
+                         for b in bs if b.task is task for i in range(b.n))
+            train = td.split == 0
+            assert got == sorted((*ids, label) for ids, label
+                                 in zip(td.ids[train].tolist(), td.labels[train]))

@@ -286,7 +286,8 @@ class TestAdamBitIdentity:
         ds = generate(SyntheticSpec(n_users=30, n_items=30, field_cardinalities=(6,) * 4,
                                     latent_dim=4, n_impressions=2000, seed=5))
         cfg = model.ModelConfig(ds.field_cardinalities, 4,
-                                (cross_output_width(4, 4, CrossKind.PAIRWISE_DOT), 16, 8, 1))
+                                (cross_output_width(4, 4, CrossKind.PAIRWISE_DOT), 16, 8, 1),
+                                CrossKind.PAIRWISE_DOT, SharingMode.CONNECTION_SHARE)
         params = model.init_params(cfg, 6)
         rng = nn.make_rng(8)
         masks = {t: random_mask(params, t, rng, 0.6) for t in (Task.CTR, Task.CVR)}
@@ -320,7 +321,8 @@ class TestEntryClocks:
         ds = generate(SyntheticSpec(n_users=30, n_items=30, field_cardinalities=(9, 5, 40, 7),
                                     latent_dim=4, n_impressions=2000, seed=3))
         cfg = model.ModelConfig(ds.field_cardinalities, 4,
-                                (cross_output_width(4, 4, CrossKind.PAIRWISE_DOT), 12, 6, 1))
+                                (cross_output_width(4, 4, CrossKind.PAIRWISE_DOT), 12, 6, 1),
+                                CrossKind.PAIRWISE_DOT, SharingMode.CONNECTION_SHARE)
         params = model.init_params(cfg, 2)
         rng = nn.make_rng(4)
         masks = {t: random_mask(params, t, rng, 0.6) for t in (Task.CTR, Task.CVR)}

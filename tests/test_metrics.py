@@ -201,20 +201,20 @@ class TestRankScore:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="video_length must be positive, got -1.0"):
-            rank_scores([0.5], [0.4], [-1.0])
+            rank_scores([0.5], [0.4], [-1.0], 1.0, 1.0, 1.0)
         for pctr, pcvr in ((1.0, 0.4), (0.5, 0.0), (float("nan"), 0.4)):
             with pytest.raises(ValueError, match="probabilities must be in"):
-                rank_scores([0.3, pctr], [0.3, pcvr], [10.0, 10.0])
+                rank_scores([0.3, pctr], [0.3, pcvr], [10.0, 10.0], 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="pctr=0.5, pcvr=1.0"):  # first bad entry
-            rank_scores([0.5, 0.5, 0.5], [0.5, 1.0, 0.3], [10.0, -1.0, -1.0])
+            rank_scores([0.5, 0.5, 0.5], [0.5, 1.0, 0.3], [10.0, -1.0, -1.0], 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="2 pctr, 2 pcvr, 1 lengths"):
-            rank_scores([0.5, 0.5], [0.5, 0.5], [10.0])
+            rank_scores([0.5, 0.5], [0.5, 0.5], [10.0], 1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("args", [([0.5], [0.4], [-1.0]), ([1.0], [0.4], [10.0]),
                                       ([0.5, 0.5], [0.5, 0.5], [10.0])])
     def test_invalid_inputs_are_config_errors(self, args):
         with pytest.raises(ConfigError) as info:
-            rank_scores(*args)
+            rank_scores(*args, 1.0, 1.0, 1.0)
         assert type(info.value) is ConfigError
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -268,7 +268,7 @@ class TestRankScore:
         assert got.tobytes() == np.array(want).tobytes()
 
     def test_infinite_length_is_not_an_overflow(self):
-        assert rank_scores([0.5], [0.5], [float("inf")]).tolist() == [float("inf")]
+        assert rank_scores([0.5], [0.5], [float("inf")], 1.0, 1.0, 1.0).tolist() == [float("inf")]
 
 
 class TestRankTopK:
@@ -326,7 +326,7 @@ class TestRankTopK:
 
     def test_ties_at_kth_score_from_scores(self):
         lengths = [10.0, 20.0, 10.0, 20.0, 10.0, 5.0, 10.0]
-        scores = rank_scores([0.5] * 7, [0.5] * 7, lengths)
+        scores = rank_scores([0.5] * 7, [0.5] * 7, lengths, 1.0, 1.0, 1.0)
         assert rank_top_k(scores, 3) == [1, 3, 0]
         assert rank_top_k(scores, 4) == [1, 3, 0, 2]
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotshare import model, nn
+from lotshare import model, nn, training
 from lotshare.errors import CheckpointFormatError, ConfigError, DataError, ShapeError
 from lotshare.masking import TaskMask
 from lotshare.model import (CrossKind, ModelConfig, SharingMode, Task,
@@ -37,14 +37,16 @@ def random_ids(cfg, n, seed=0):
 class TestConfig:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            ModelConfig((5, 5), 4, (99, 8, 1))
+            ModelConfig((5, 5), 4, (99, 8, 1), CrossKind.PAIRWISE_DOT,
+                        SharingMode.CONNECTION_SHARE)
 
     @pytest.mark.parametrize("hidden", [(0,), (8, 0), (-3, 4)])
     def test_hidden_width_below_one_rejected(self, hidden):
         bad = next(w for w in hidden if w < 1)
         with pytest.raises(ConfigError, match=f"MLP width {bad} at position"):
             ModelConfig((5, 5), 4, (cross_output_width(2, 4, CrossKind.PAIRWISE_DOT),
-                                    *hidden, 1))
+                                    *hidden, 1), CrossKind.PAIRWISE_DOT,
+                        SharingMode.CONNECTION_SHARE)
 
     def test_cross_widths(self):
         assert cross_output_width(3, 4, CrossKind.NONE) == 12
@@ -195,8 +197,8 @@ class TestLayerShare:
         explicit = TaskMask(masks[Task.CVR], Task.CVR)
         assert preds.tobytes() == model.forward(ids, p, cfg, Task.CVR, mask=explicit).tobytes()
         d = np.linspace(-1.0, 1.0, 10)
-        assert (model.backward(d, cache, p, cfg).flat.tobytes()
-                == model.backward(d, cache, p, cfg, mask=explicit).flat.tobytes())
+        assert (model.backward(d, cache, p, cfg).dense.flat.tobytes()
+                == model.backward(d, cache, p, cfg, mask=explicit).dense.flat.tobytes())
 
     def test_odd_last_width_rejected(self):
         small_config(hidden=(8, 5, 4), mode=SharingMode.LAYER_SHARE)  # only the last splits
@@ -225,8 +227,8 @@ class TestGradients:
         preds, cache = model.forward(ids, p, cfg, Task.CVR, want_cache=True)
         dlogit = 2 * (preds - y) * preds * (1 - preds)
         grads = model.backward(dlogit, cache, p, cfg)
-        expected = 2 * (preds[0] - y[0]) * preds[0] * (1 - preds[0]) * cache.cross[0]
-        np.testing.assert_allclose(grads.mlp_weights[0][:, 0], expected, rtol=1e-12)
+        expected = 2 * (preds[0] - y[0]) * preds[0] * (1 - preds[0]) * cache.layer_inputs[0][0]
+        np.testing.assert_allclose(grads.dense.mlp_weights[0][:, 0], expected, rtol=1e-12)
 
     @pytest.mark.parametrize("task", [Task.CTR, Task.CVR])
     @pytest.mark.parametrize("cross", [CrossKind.NONE, CrossKind.PAIRWISE_DOT,
@@ -257,7 +259,7 @@ class TestGradients:
         dead = cache.layer_inputs[1][0] == 0
         assert dead.any(), "pick a seed with a dead unit"
         grads = analytic_grads(p, cfg, Task.CVR, ids, np.array([0.9]))
-        assert (grads.mlp_weights[0][:, dead] == 0).all()
+        assert (grads.dense.mlp_weights[0][:, dead] == 0).all()
 
     def test_embedding_row_gradient_single_touch(self):
         cfg = small_config(n_fields=2, dim=3, hidden=(4,), cards=(5, 5))
@@ -275,8 +277,8 @@ class TestGradients:
             lm = loss_of(p, cfg, Task.CVR, ids, labels)
             p.embeddings[0][2, j] = orig
             num[j] = (lp - lm) / (2 * h)
-        np.testing.assert_allclose(grads.embeddings[0][2], num, rtol=1e-4, atol=1e-10)
-        assert (grads.embeddings[0][4] == 0).all()  # untouched row
+        np.testing.assert_allclose(grads.dense.embeddings[0][2], num, rtol=1e-4, atol=1e-10)
+        assert (grads.dense.embeddings[0][4] == 0).all()  # untouched row
 
 
 def scatter_cross_backward(emb, d_x, cross_kind):
@@ -403,7 +405,7 @@ class TestBackwardBitIdentity:
             d_out = d_out @ p.mlp_weights[li].T
         d_emb = scatter_cross_backward(cache.emb, d_out, cross)
         want = scatter_embedding_grads(ids, d_emb, cfg.field_cardinalities)
-        for g, w in zip(grads.embeddings, want):
+        for g, w in zip(grads.dense.embeddings, want):
             assert g.tobytes() == w.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -517,7 +519,6 @@ class TestFusedForwardBitIdentity:
             preds, cache = model.forward(ids, p, cfg, task, mask=mask, want_cache=True)
             assert preds.tobytes() == want_preds.tobytes()
             assert cache.logits.tobytes() == want_logits.tobytes()
-            assert cache.cross.tobytes() == x.tobytes()
             assert len(cache.layer_inputs) == len(want_inputs)
             for got, want in zip(cache.layer_inputs, want_inputs):
                 assert got.tobytes() == want.tobytes()
@@ -535,7 +536,7 @@ class TestFusedForwardBitIdentity:
 
     @pytest.mark.parametrize("cross", list(CrossKind))
     @pytest.mark.parametrize("mode", list(SharingMode))
-    def test_shared_front_untouched(self, cross, mode):
+    def test_shared_front_untouched(self, cross, mode, monkeypatch):
         cfg, p, masks = self.net(mode, cross, 5)
         ids = random_ids(cfg, 40, seed=6)
         ids_before, flat_before = ids.copy(), p.flat.copy()
@@ -546,7 +547,8 @@ class TestFusedForwardBitIdentity:
             assert model.mlp_forward(x, weights, biases)[0].tobytes() == \
                 out_of_place_mlp_forward(x_before, weights, biases)[0].tobytes()
             assert x.tobytes() == x_before.tobytes()
-        got = predict_tasks({t: (p, cfg, masks.get(t)) for t in heads}, ids, chunk=16)
+        monkeypatch.setattr(training, "PREDICT_CHUNK", 16)
+        got = predict_tasks({t: (p, cfg, masks.get(t)) for t in heads}, ids)
         for task, (weights, biases) in heads.items():
             want = np.concatenate([out_of_place_mlp_forward(
                 model.front(ids[i:i + 16], p, cfg)[2], weights, biases)[0]

@@ -444,9 +444,10 @@ class TestPredictTasks:
     """predict_tasks shares one embedding and cross pass between tasks with
     the same params, and gives each task the bytes of its own forward pass."""
 
-    def check_per_task_forward(self, mode, masked, n, chunk=None):
-        """predict_tasks and predict over ``n`` rows, in chunks of ``chunk``
-        rows or by default, against the per-chunk forward reference."""
+    def check_per_task_forward(self, mode, masked, n, chunk=PREDICT_CHUNK):
+        """predict_tasks and predict over ``n`` rows, in chunks of
+        ``training.PREDICT_CHUNK`` rows, against the per-chunk forward
+        reference in chunks of ``chunk`` rows."""
         cfg = make_config(mode)
         shared = model.init_params(cfg, 3)
         params = {Task.CTR: shared, Task.CVR: shared}
@@ -461,22 +462,22 @@ class TestPredictTasks:
                 masks[t] = TaskMask(layers, t)
         ids = np.stack([nn.make_rng(6).integers(0, c, n) for c in cfg.field_cardinalities],
                        axis=1)
-        given = {} if chunk is None else {"chunk": chunk}
-        got = predict_tasks({t: (params[t], cfg, masks[t]) for t in TASKS}, ids, **given)
+        got = predict_tasks({t: (params[t], cfg, masks[t]) for t in TASKS}, ids)
         assert list(got) == list(TASKS)
         for t in TASKS:
-            want = forward_loop_predict(params[t], cfg, t, ids, masks[t], **given)
+            want = forward_loop_predict(params[t], cfg, t, ids, masks[t], chunk)
             assert got[t].tobytes() == want.tobytes()
-            assert predict(params[t], cfg, t, ids, masks[t], **given).tobytes() \
-                == want.tobytes()
+            assert predict(params[t], cfg, t, ids, masks[t]).tobytes() == want.tobytes()
         if masked or mode in (SharingMode.SINGLE_TASK, SharingMode.LAYER_SHARE):
             assert got[Task.CTR].tobytes() != got[Task.CVR].tobytes()
 
     @pytest.mark.parametrize("mode,masked", PREDICT_MODES)
     @pytest.mark.parametrize("chunk", [7, PREDICT_CHUNK, 8192,
                                        pytest.param(None, id="default")])
-    def test_bytes_equal_per_task_forward(self, mode, masked, chunk):
-        self.check_per_task_forward(mode, masked, 50, chunk)
+    def test_bytes_equal_per_task_forward(self, mode, masked, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(training, "PREDICT_CHUNK", chunk)
+        self.check_per_task_forward(mode, masked, 50, chunk or PREDICT_CHUNK)
 
     @pytest.mark.parametrize("mode,masked", PREDICT_MODES)
     def test_default_chunks_and_tail(self, mode, masked):
@@ -500,11 +501,12 @@ class TestPredictTasks:
         front = model.front
         monkeypatch.setattr(model, "front", lambda *a: calls.append(a[1]) or front(*a))
         ids = np.zeros((20, 4), dtype=np.int64)
-        predict_tasks({t: (p, cfg, None) for t in TASKS}, ids, chunk=8)
+        monkeypatch.setattr(training, "PREDICT_CHUNK", 8)
+        predict_tasks({t: (p, cfg, None) for t in TASKS}, ids)
         assert len(calls) == 3 and all(c is p for c in calls)
         calls.clear()
         q = p.copy()
-        predict_tasks({Task.CTR: (p, cfg, None), Task.CVR: (q, cfg, None)}, ids, chunk=8)
+        predict_tasks({Task.CTR: (p, cfg, None), Task.CVR: (q, cfg, None)}, ids)
         assert len(calls) == 6
 
     def test_empty_ids(self):
