@@ -234,6 +234,12 @@ def cmd_generate_data(config_path, mode, dataset, seed, output_dir, extra, out_f
 def cmd_train(config_path, mode, dataset, seed, output_dir, extra):
     """Train the configured sharing mode end to end and write the run dir."""
     exp = _build_exp(config_path, mode, dataset, seed, output_dir, extra)
+    for line in exp.to_kv_lines():   # config.cfg is written after training
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ConfigError(f"{line.split(' = ')[0]} is not valid UTF-8, so config.cfg "
+                              "cannot hold it") from None
     ds = _load_dataset(exp, ("train", "val", "test") if exp.mode.prunes else ("train", "test"))
     mcfg = exp.model_config(ds.field_cardinalities)
     art = training.train_model(ds, mcfg, exp.train)
@@ -297,7 +303,7 @@ def cmd_prune_sweep(config_path, mode, dataset, seed, output_dir, extra, curve_f
     click.echo(f"curve written to {path}")
 
 
-def _parse_candidate(line: str, lineno: int, n_fields: int) -> tuple[list[int], float] | None:
+def _parse_candidate(line: str, n_fields: int) -> tuple[list[int], float] | None:
     """A candidate, ``id,...,id<TAB>length``, as ``(ids, length)``; None for
     a blank line or a comment (``#`` first). Surrounding whitespace is
     ignored, and ids and length convert with Python's ``int()`` and

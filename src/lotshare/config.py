@@ -193,6 +193,6 @@ def load_experiment(path: str | None,
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 kv = parse_kv_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return build_experiment(kv, overrides)

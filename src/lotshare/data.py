@@ -103,11 +103,6 @@ class Dataset:
 _SPLIT_OF_HASH = np.array([0] * 8 + [1, 2], np.uint8)  # crc % 10 -> split: 80/10/10
 
 
-def _split_of(seed: int, impression_id: int) -> int:
-    """Deterministic 80/10/10 hash split, stable across runs and platforms."""
-    return int(_SPLIT_OF_HASH[zlib.crc32(f"{seed}:{impression_id}".encode("ascii")) % 10])
-
-
 def _crc32_table() -> np.ndarray:
     """The byte table of zlib's CRC-32 (reflected polynomial 0xEDB88320)."""
     table = np.arange(256, dtype=np.uint32)
@@ -121,11 +116,11 @@ _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 
 
 def split_of(seed: int, impression_ids) -> np.ndarray:
-    """``_split_of(seed, i)`` for every non-negative int64 ``i`` of
-    ``impression_ids``, as a uint8 array: the CRC-32 of ``f"{seed}:"`` (from
-    zlib) is carried on over each id's decimal digits, most significant
-    first, for all ids at once. An id of fewer digits than the longest
-    keeps its CRC while the longer ones take their leading digits."""
+    """The 80/10/10 split of ``f"{seed}:{i}"``'s zlib CRC-32 for each int64
+    ``i >= 0`` of ``impression_ids``, as uint8: the CRC of ``f"{seed}:"`` is
+    carried on over each id's decimal digits, most significant first, for
+    all ids at once. An id of fewer digits than the longest keeps its CRC
+    while the longer ones take their leading digits."""
     ids = np.asarray(impression_ids, dtype=np.int64)
     if (ids < 0).any():
         raise ValueError("split_of: impression ids must be non-negative")
@@ -247,9 +242,9 @@ def read_blocks(path, fh, parse_block, parse_line, first_line: int = 1):
     line is line ``first_line`` of ``path``, as columns, one block of
     BLOCK_LINES lines at a time; a block without rows yields nothing.
 
-    ``parse_line(line, lineno)`` defines the format: it returns the row of
-    one line (without its line ending) as a tuple, None for a line that
-    holds no row, and raises ValueError naming the rule a line breaks.
+    ``parse_line(line)`` defines the format: it returns the row of one line
+    (without its line ending) as a tuple, None for a line that holds no
+    row, and raises ValueError naming the rule a line breaks.
     ``parse_block(lines)`` returns a block's columns as arrays equal to
     those of ``parse_line``, or None to leave the block to ``parse_line``.
     The DataError ``path:line: problem`` names the first line that is not
@@ -269,7 +264,7 @@ def read_blocks(path, fh, parse_block, parse_line, first_line: int = 1):
                 try:
                     if not _is_utf8(line):
                         raise ValueError("not valid UTF-8")
-                    row = parse_line(line, lineno)
+                    row = parse_line(line)
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
                 if row is not None:
@@ -347,17 +342,16 @@ def digit_ids(id_col: list[str], n_fields: int) -> np.ndarray | None:
     return (10 ** np.arange(width - 1, -1, -1) @ window).reshape(n, n_fields)
 
 
-def _parse_row(line: str, lineno: int, cards: tuple[int, ...]):
-    """A dataset row, ``task<TAB>label<TAB>id,...,id[<TAB>split]``, as
+def _parse_row(line: str, cards: tuple[int, ...]):
+    """A dataset row, ``task<TAB>label<TAB>id,...,id<TAB>split``, as
     ``(task code, label, ids, split index)``; None for a blank line (empty
     or all whitespace). Labels and ids convert with Python's ``float()`` and
-    ``int()``, and a 3-field row takes its split from its line number.
-    Raises ValueError naming the first rule the row breaks."""
+    ``int()``. Raises ValueError naming the first rule the row breaks."""
     if not line.strip():
         return None
     parts = line.split("\t")
-    if len(parts) not in (3, 4):
-        raise ValueError("expected 3 or 4 tab-separated fields")
+    if len(parts) != 4:
+        raise ValueError("expected 4 tab-separated fields")
     code = _TASK_CODE.get(parts[0])
     if code is None:
         raise ValueError(f"unknown task {parts[0]!r}")
@@ -378,8 +372,6 @@ def _parse_row(line: str, lineno: int, cards: tuple[int, ...]):
     for f, (fid, card) in enumerate(zip(ids, cards)):
         if not 0 <= fid < min(card, 2 ** 63):  # an id past int64 is in no field
             raise ValueError(f"id {fid} out of range for field {f} (cardinality {card})")
-    if len(parts) == 3:
-        return code, label, ids, _split_of(0, lineno)
     split = _SPLIT_INDEX.get(parts[3])
     if split is None:
         raise ValueError(f"unknown split {parts[3]!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MaskFormatError, ShapeError
-from .model import ModelParams, Task, check_mask_shapes
+from .model import ModelParams, TASKS, Task, check_mask_shapes
 
 MASK_MAGIC = b"LTMK"
 MASK_VERSION = 1
@@ -171,16 +171,13 @@ def overlap_stats(mask_ctr: TaskMask, mask_cvr: TaskMask) -> MaskOverlapStats:
     return MaskOverlapStats(*totals, per_layer=per_layer)
 
 
-_TASK_CODES = {Task.CTR: 0, Task.CVR: 1}
-_CODE_TASKS = {v: k for k, v in _TASK_CODES.items()}
-
-
 def serialize_mask(mask: TaskMask) -> bytes:
     """Header {magic, version, n_layers, task, round, per-layer rows/cols},
-    then row-major bit-packed payloads, little-endian throughout."""
+    then row-major bit-packed payloads, little-endian throughout. A task's
+    code is its index in ``TASKS``."""
     parts = [MASK_MAGIC,
              struct.pack("<BHBI", MASK_VERSION, len(mask.layers),
-                         _TASK_CODES[mask.task], mask.pruning_round)]
+                         TASKS.index(mask.task), mask.pruning_round)]
     for m in mask.layers:
         parts.append(struct.pack("<II", *m.shape))
     for m in mask.layers:
@@ -195,7 +192,7 @@ def deserialize_mask(data: bytes) -> TaskMask:
     version, n_layers, task_code, rnd = struct.unpack_from("<BHBI", data, 4)
     if version != MASK_VERSION:
         raise MaskFormatError(f"unsupported mask version {version}")
-    if task_code not in _CODE_TASKS:
+    if task_code >= len(TASKS):
         raise MaskFormatError(f"unknown task code {task_code}")
     offset = 12
     shapes = []
@@ -216,7 +213,7 @@ def deserialize_mask(data: bytes) -> TaskMask:
         offset += nbytes
     if offset != len(data):
         raise MaskFormatError("trailing bytes after mask payload")
-    return TaskMask(layers, _CODE_TASKS[task_code], rnd)
+    return TaskMask(layers, TASKS[task_code], rnd)
 
 
 def save_mask(path, mask: TaskMask) -> None:

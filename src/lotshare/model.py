@@ -120,25 +120,6 @@ class ModelConfig:
     def n_fields(self) -> int:
         return len(self.field_cardinalities)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "field_cardinalities": list(self.field_cardinalities),
-            "embedding_dim": self.embedding_dim,
-            "mlp_dims": list(self.mlp_dims),
-            "cross_kind": self.cross_kind.value,
-            "sharing_mode": self.sharing_mode.value,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            field_cardinalities=tuple(d["field_cardinalities"]),
-            embedding_dim=d["embedding_dim"],
-            mlp_dims=tuple(d["mlp_dims"]),
-            cross_kind=CrossKind(d["cross_kind"]),
-            sharing_mode=SharingMode(d["sharing_mode"]),
-        )
-
 
 @dataclass(frozen=True)
 class ParamLayout:
@@ -583,7 +564,8 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
 
 
 def _ckpt_header(cfg: ModelConfig) -> bytes:
-    return json.dumps(cfg.to_json_dict(), sort_keys=True).encode("utf-8")
+    """The fields of ``cfg`` as sorted-key JSON; enums as their values."""
+    return json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode("utf-8")
 
 
 def save_checkpoint(path, params: ModelParams, cfg: ModelConfig) -> None:
@@ -618,10 +600,10 @@ def _load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
         raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
     header = raw[12:12 + hlen]
     try:
-        cfg = ModelConfig.from_json_dict(json.loads(header.decode("utf-8")))
+        cfg = ModelConfig(**json.loads(header.decode("utf-8")))
         if _ckpt_header(cfg) != header:   # such as "4" or 4.0 for an int
             raise ValueError(f"not the header of {cfg}")
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise CheckpointFormatError(f"{path}: bad checkpoint header: {exc}") from exc
     layout = ParamLayout.of(cfg)
     payload = len(raw) - 12 - hlen

@@ -10,7 +10,9 @@ rate 3e-3, and compares their CVR test MSE. Criterion 9
 search on 5,000 impressions of latent dim 4 (hidden 32,16, 6 pruning rounds
 at q 0.2, 5 epochs a round, learning rate 3e-3, batch 64) and asks whether
 CVR's best round is interior, neither round 0 nor the last. Both configs are
-copies of the gate's; the train seed is the data seed.
+copies of the gate's, built here once (``tests/mode_table.py`` reads
+criterion 8's too); ``tests/test_gate_scan.py`` checks that they are what
+the gate passes. The train seed is the data seed.
 
 Each seed prints one markdown row: criterion 8's two CVR test MSEs and
 whether ``connection_share`` wins, then criterion 9's CVR best round and
@@ -38,25 +40,40 @@ def gate_model_config(cards, mode, hidden) -> ModelConfig:
     return ModelConfig(cards, 8, dims, CrossKind.PAIRWISE_DOT, mode)
 
 
+def criterion_8_spec(seed: int) -> SyntheticSpec:
+    return SyntheticSpec(n_impressions=50000, task_correlation=0.8, seed=seed)
+
+
+def criterion_8_configs(cards, mode: SharingMode, seed: int) -> tuple[ModelConfig, TrainConfig]:
+    return (gate_model_config(cards, mode, (64, 32, 16)),
+            TrainConfig(seed=seed, sharing_mode=mode, joint_epochs=8,
+                        omega_ctr=0.5, omega_cvr=0.5, learning_rate=3e-3))
+
+
+def criterion_9_spec(seed: int) -> SyntheticSpec:
+    return SyntheticSpec(latent_dim=4, n_impressions=5000, task_correlation=0.8, seed=seed)
+
+
+def criterion_9_configs(cards, seed: int) -> tuple[ModelConfig, TrainConfig]:
+    return (gate_model_config(cards, SharingMode.CONNECTION_SHARE, (32, 16)),
+            TrainConfig(seed=seed, n_pruning=6, prune_fraction=0.2,
+                        mask_epochs=5, learning_rate=3e-3, batch_size=64))
+
+
 def criterion_8(seed: int) -> dict[SharingMode, float]:
     """CVR test MSE of each mode criterion 8 compares."""
-    ds = generate(SyntheticSpec(n_impressions=50000, task_correlation=0.8, seed=seed))
+    ds = generate(criterion_8_spec(seed))
     mse = {}
     for mode in (SharingMode.SINGLE_TASK, SharingMode.CONNECTION_SHARE):
-        cfg = gate_model_config(ds.field_cardinalities, mode, (64, 32, 16))
-        tcfg = TrainConfig(seed=seed, sharing_mode=mode, joint_epochs=8,
-                           omega_ctr=0.5, omega_cvr=0.5, learning_rate=3e-3)
+        cfg, tcfg = criterion_8_configs(ds.field_cardinalities, mode, seed)
         mse[mode] = evaluate_artifacts(train_model(ds, cfg, tcfg), ds, cfg)["cvr_mse"]
     return mse
 
 
 def criterion_9(seed: int) -> tuple[int, int]:
     """CVR's best mask round in criterion 9's search, and its round count."""
-    ds = generate(SyntheticSpec(latent_dim=4, n_impressions=5000,
-                                task_correlation=0.8, seed=seed))
-    cfg = gate_model_config(ds.field_cardinalities, SharingMode.CONNECTION_SHARE, (32, 16))
-    tcfg = TrainConfig(seed=seed, n_pruning=6, prune_fraction=0.2,
-                       mask_epochs=5, learning_rate=3e-3, batch_size=64)
+    ds = generate(criterion_9_spec(seed))
+    cfg, tcfg = criterion_9_configs(ds.field_cardinalities, seed)
     params = model.init_params(cfg, tcfg.seed)
     warmup(params, ds, cfg, tcfg)
     _, best_i = generate_masks(params, ds, cfg, tcfg)

@@ -3,7 +3,8 @@ gate's criterion-8 config, one markdown row per seed and mode.
 
 Criterion 8 compares ``connection_share`` with ``single_task`` only. This
 script also runs ``layer_share`` and ``neuron_share`` on the same data and
-settings: 50,000 synthetic impressions at rho 0.8, the criterion's model
+settings, built by ``tests/gate_scan.py``: 50,000 synthetic impressions at
+rho 0.8, the criterion's model
 dims (embedding 8, hidden 64,32,16, pairwise-dot cross), 8 joint epochs,
 omega 0.5/0.5 and learning rate 3e-3; the train seed is the data seed.
 
@@ -19,23 +20,16 @@ import argparse
 import sys
 import time
 
+from gate_scan import criterion_8_configs, criterion_8_spec
 from lotshare import masking, model
-from lotshare.data import SyntheticSpec, generate
+from lotshare.data import generate
 from lotshare.masking import TaskMask
-from lotshare.model import (CrossKind, ModelConfig, SharingMode, TASKS, Task,
-                            cross_output_width)
-from lotshare.training import TrainConfig, evaluate_artifacts, train_model
-
-
-def mode_config(cards, mode) -> ModelConfig:
-    dims = (cross_output_width(len(cards), 8, CrossKind.PAIRWISE_DOT), 64, 32, 16, 1)
-    return ModelConfig(cards, 8, dims, CrossKind.PAIRWISE_DOT, mode)
+from lotshare.model import SharingMode, TASKS, Task
+from lotshare.training import evaluate_artifacts, train_model
 
 
 def row(seed: int, ds, mode: SharingMode) -> str:
-    cfg = mode_config(ds.field_cardinalities, mode)
-    tcfg = TrainConfig(seed=seed, sharing_mode=mode, joint_epochs=8,
-                       omega_ctr=0.5, omega_cvr=0.5, learning_rate=3e-3)
+    cfg, tcfg = criterion_8_configs(ds.field_cardinalities, mode, seed)
     art = train_model(ds, cfg, tcfg)
     scores = evaluate_artifacts(art, ds, cfg)
     rounds = (f"{art.best_i[Task.CTR]}, {art.best_i[Task.CVR]}" if art.best_i else "-")
@@ -60,7 +54,7 @@ def main() -> None:
     print("|---|---|---|---|---|---|---|---|---|")
     for seed in seeds:
         t0 = time.time()
-        ds = generate(SyntheticSpec(n_impressions=50000, task_correlation=0.8, seed=seed))
+        ds = generate(criterion_8_spec(seed))
         for mode in SharingMode:
             print(row(seed, ds, mode), flush=True)
         print(f"seed {seed}: {time.time() - t0:.0f} s", file=sys.stderr)

@@ -72,6 +72,19 @@ class TestGenerateData:
         assert rc == 0
         assert again.read_bytes() == (out / "dataset.tsv").read_bytes()
 
+    def test_not_utf8_out_dir(self, tmp_path, cfg_file):
+        """The sidecar spec holds only data.* lines, so the directory's name
+        need not be UTF-8. In a fresh process, whose stdout takes the name
+        that pytest's UTF-8 capture refuses."""
+        out = tmp_path / os.fsdecode(b"d\xff")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from lotshare.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "generate-data", "--config", cfg_file,
+             "--out", str(out)], capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert data_mod.load(out / "dataset.tsv").tasks[Task.CTR].n == 600
+
     def test_block_writer_round_trip(self, tmp_path, cfg_file, capsys):
         out = tmp_path / "d"
         assert run(capsys, "generate-data", "--config", cfg_file, "--out", str(out))[0] == 0
@@ -199,6 +212,28 @@ class TestTrain:
         assert rc == 3 and stdout == ""
         assert err == f"data error: {p}:3: not valid UTF-8\n"
 
+    def test_not_utf8_config_file_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "exp.cfg"
+        p.write_bytes(b"mode = single_task\n# caf\xe9\n")
+        rc, stdout, err = run(capsys, "train", "--config", str(p), "--out", str(tmp_path / "run"))
+        assert (rc, stdout) == (2, "")
+        assert err == (f"config error: cannot read config file {p}: 'utf-8' codec can't "
+                       "decode byte 0xe9 in position 24: invalid continuation byte\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_not_utf8_out_dir_exit_2_before_training(self, tmp_path, cfg_file, capsys,
+                                                     monkeypatch):
+        """config.cfg, written last, could not hold the directory's name."""
+        def fail(*args):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(training, "train_model", fail)
+        out = tmp_path / os.fsdecode(b"run\xff")
+        rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--out", str(out))
+        assert (rc, stdout) == (2, "")
+        assert err == "config error: output_dir is not valid UTF-8, so config.cfg cannot hold it\n"
+        assert not out.exists()
+
     def test_dataset_tab_count_checked_per_line_exit_3(self, tmp_path, cfg_file, capsys):
         # a 0-tab row and then a 6-tab row hold 8 fields, as two 4-field rows do
         rows = ["ctr", "1\t0,1,2,3\ttrain\tcvr\t0.5\t0,1,2,3\ttrain"]
@@ -208,7 +243,7 @@ class TestTrain:
         rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--dataset", str(p),
                               "--out", str(tmp_path / "run"))
         assert (rc, stdout) == (3, "")
-        assert err == f"data error: {p}:3: expected 3 or 4 tab-separated fields\n"
+        assert err == f"data error: {p}:3: expected 4 tab-separated fields\n"
 
     @pytest.mark.parametrize("mode", ["connection_share", "single_task"])
     @pytest.mark.parametrize("text", ["", "cardinalities\t8,8,8,8\n"])

@@ -111,8 +111,8 @@ def ids_of_1_to_19_digits() -> np.ndarray:
 
 
 class TestSplitOf:
-    """``split_of``, the CRC-32 split of many ids at once, and ``_split_of``,
-    the one-line form the per-line reader uses, against ``zlib_split``."""
+    """``split_of``, the CRC-32 split of many ids at once, against
+    ``zlib_split``."""
 
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 31, 10 ** 12])
     def test_ids_to_200k(self, seed):
@@ -121,7 +121,6 @@ class TestSplitOf:
         assert got.dtype == np.uint8
         want = [zlib_split(seed, i) for i in range(200_001)]
         assert got.tolist() == want
-        assert [data._split_of(seed, i) for i in range(0, 200_001, 97)] == want[::97]
 
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 31, 10 ** 12])
     def test_ids_of_1_to_19_digits(self, seed):
@@ -129,7 +128,6 @@ class TestSplitOf:
         assert 2 ** 63 - 1 in ids.tolist()
         want = [zlib_split(seed, i) for i in ids.tolist()]
         assert data.split_of(seed, ids).tolist() == want
-        assert [data._split_of(seed, i) for i in ids.tolist()] == want
 
     def test_shapes(self):
         assert data.split_of(0, []).shape == (0,)
@@ -236,10 +234,11 @@ class TestSaveLoad:
         with pytest.raises(DataError, match=":2:.*eleven"):
             data.load(p)
 
-    def test_three_column_rows_get_default_split(self, tmp_path):
+    def test_three_column_rows_rejected(self, tmp_path):
         p = self._write(tmp_path, "ctr\t1\t0,0\nctr\t0\t1,1\n")
-        ds = data.load(p)
-        assert ds.tasks[Task.CTR].n == 2
+        with pytest.raises(DataError) as exc:
+            data.load(p)
+        assert str(exc.value) == f"{p}:2: expected 4 tab-separated fields"
 
 
 def per_line_load(path) -> Dataset:
@@ -265,8 +264,8 @@ def per_line_load(path) -> Dataset:
         if not line.strip():
             continue
         parts = line.split("\t")
-        if len(parts) not in (3, 4):
-            raise DataError(f"{path}:{lineno}: expected 3 or 4 tab-separated fields")
+        if len(parts) != 4:
+            raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields")
         try:
             task = Task(parts[0])
         except ValueError:
@@ -289,12 +288,9 @@ def per_line_load(path) -> Dataset:
             if not 0 <= fid < card:
                 raise DataError(f"{path}:{lineno}: id {fid} out of range for field {f} "
                                 f"(cardinality {card})")
-        if len(parts) == 4:
-            if parts[3] not in data._SPLIT_INDEX:
-                raise DataError(f"{path}:{lineno}: unknown split {parts[3]!r}")
-            split = data._SPLIT_INDEX[parts[3]]
-        else:
-            split = data._split_of(0, lineno)
+        if parts[3] not in data._SPLIT_INDEX:
+            raise DataError(f"{path}:{lineno}: unknown split {parts[3]!r}")
+        split = data._SPLIT_INDEX[parts[3]]
         rows[task].append((ids, label, split))
     tasks = {}
     for t in TASKS:
@@ -376,7 +372,7 @@ _GOOD_CVR_ROW = st.tuples(
     st.sampled_from(SPLITS)).map(lambda t: "cvr\t" + "\t".join(t))
 _ROW = st.one_of(  # repeated branches are drawn more often
     _GOOD_ROW, _GOOD_ROW, _GOOD_CVR_ROW,
-    _GOOD_ROW.map(lambda row: row.rsplit("\t", 1)[0]),  # 3 fields: split from the line number
+    _GOOD_ROW.map(lambda row: row.rsplit("\t", 1)[0]),  # 3 fields: a row without its split
     *[st.tuples(_TASK, _LABEL, st.lists(_INT, min_size=2, max_size=2).map(",".join), _SPLIT)
       .map("\t".join)] * 3,
     st.tuples(_TASK, _LABEL, st.lists(_INT, min_size=1, max_size=3).map(",".join))
@@ -451,13 +447,13 @@ class TestLoadMatchesPerLine:
     def test_grammar_of_int_and_float(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("cardinalities\t11,4\r\nctr\t+1\t1_0, 2\tval\r\n\r\n"
-                     "cvr\t 1e-1 \t003,-0\ttest\rctr\t-0\t0,0\n")
+                     "cvr\t 1e-1 \t003,-0\ttest\rctr\t-0\t0,0\ttest\n")
         ds = data.load(p)
         ctr, cvr = ds.tasks[Task.CTR], ds.tasks[Task.CVR]
         assert ctr.ids.tolist() == [[10, 2], [0, 0]] and cvr.ids.tolist() == [[3, 0]]
         assert ctr.labels.tobytes() == np.array([1.0, -0.0]).tobytes()
         assert cvr.labels.tolist() == [0.1] and cvr.split.tolist() == [2]
-        assert ctr.split.tolist() == [1, data._split_of(0, 5)]
+        assert ctr.split.tolist() == [1, 2]
 
     def test_first_bad_line_across_blocks(self, tmp_path):
         p = tmp_path / "d.tsv"
@@ -475,7 +471,8 @@ class TestLoadMatchesPerLine:
         ("ctr\t1\t0,4\tval", "id 4 out of range for field 1 (cardinality 4)"),
         ("ctr\t1\t0,0,0\tval", "3 ids for 2 fields"),
         ("cvr\t0\t0,0\tvalid", "unknown split 'valid'"),
-        ("cvr\t0\t0,0\ttrain\t", "expected 3 or 4 tab-separated fields"),
+        ("cvr\t0\t0,0\ttrain\t", "expected 4 tab-separated fields"),
+        ("cvr\t0\t0,0", "expected 4 tab-separated fields"),
     ])
     def test_bad_line_deep_in_a_block(self, tmp_path, bad, problem):
         # plain rows around it, so only the bad line keeps the block from the bulk path
@@ -492,7 +489,7 @@ class TestLoadMatchesPerLine:
         # a 3-field row and then a 5-field row hold 8 fields, as two 4-field rows do
         p = tmp_path / "d.tsv"
         p.write_text("cardinalities\t4,4\nctr\t1\t0,0\ntrain\tctr\t1\t0,0\ttrain\n")
-        with pytest.raises(DataError, match=r"d.tsv:3: expected 3 or 4 tab-separated fields$"):
+        with pytest.raises(DataError, match=r"d.tsv:2: expected 4 tab-separated fields$"):
             data.load(p)
 
     def test_tab_count_checked_per_line_after_a_good_first_row(self, tmp_path):
@@ -501,13 +498,13 @@ class TestLoadMatchesPerLine:
         assert data._row_block(rows, (4, 4)) is None
         p = tmp_path / "d.tsv"
         p.write_text("cardinalities\t4,4\n" + "\n".join(rows) + "\n")
-        with pytest.raises(DataError, match=r"d.tsv:4: expected 3 or 4 tab-separated fields$"):
+        with pytest.raises(DataError, match=r"d.tsv:3: expected 4 tab-separated fields$"):
             data.load(p)
 
     def test_only_universal_newlines_end_a_line(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_bytes("cardinalities\t4,4\nctr\t1\t0,0\x0cctr\t0\t1,1\n".encode())
-        with pytest.raises(DataError, match=r"d.tsv:2: expected 3 or 4 tab-separated fields$"):
+        with pytest.raises(DataError, match=r"d.tsv:2: expected 4 tab-separated fields$"):
             data.load(p)  # str.splitlines would read two rows here
         p.write_bytes("cardinalities\t4,4\nctr\t1\t0,0\ttrain\x0c\n".encode())
         with pytest.raises(DataError, match=r"d.tsv:2: unknown split 'train\\x0c'$"):

@@ -4,7 +4,7 @@ checkpoint writer. Every comparison is on bytes."""
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -98,7 +98,7 @@ def named_rows(grads):
 
 def reference_save_checkpoint(path, params, cfg):
     """The per-block checkpoint writer."""
-    header = json.dumps(cfg.to_json_dict(), sort_keys=True).encode("utf-8")
+    header = json.dumps(asdict(cfg), sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(model.CKPT_MAGIC)
         fh.write(struct.pack("<II", model.CKPT_VERSION, len(header)))

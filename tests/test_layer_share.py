@@ -2,6 +2,7 @@
 shared-trunk + two-tower net it replaced, kept here as a reference; its old
 checkpoint layout; and layer_share run dirs through ``score``."""
 
+import dataclasses
 import json
 import struct
 
@@ -140,7 +141,7 @@ def write_two_tower_checkpoint(path, cfg):
     shapes = [*((c, cfg.embedding_dim) for c in cards), *zip(trunk, trunk[1:]), *trunk[1:],
               *([*zip(tower, tower[1:]), *tower[1:]] * 2)]
     payload = nn.make_rng(1).standard_normal(sum(int(np.prod(s)) for s in shapes))
-    header = json.dumps(cfg.to_json_dict(), sort_keys=True).encode("utf-8")
+    header = json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode("utf-8")
     path.write_bytes(model.CKPT_MAGIC + struct.pack("<II", model.CKPT_VERSION, len(header))
                      + header + payload.astype("<f8").tobytes())
     return payload.size

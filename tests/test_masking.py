@@ -218,6 +218,17 @@ class TestSerialization:
         assert (rows, cols) == (2, 2)
         assert blob[-1] == 0b1111  # four set bits, little-endian packing
 
+    @pytest.mark.parametrize("task,code", [(Task.CTR, 0), (Task.CVR, 1)])
+    def test_golden_bytes(self, task, code):
+        """Version 1 bytes: a task's code is its index in TASKS, and no
+        other code reads."""
+        blob = serialize_mask(TaskMask([np.ones((2, 3))], task, 1))
+        assert blob == (b"LTMK\x01\x01\x00" + bytes([code])
+                        + b"\x01\x00\x00\x00\x02\x00\x00\x00\x03\x00\x00\x00\x3f")
+        assert deserialize_mask(blob).task is task
+        with pytest.raises(MaskFormatError, match="unknown task code 2$"):
+            deserialize_mask(blob[:7] + b"\x02" + blob[8:])
+
     def test_truncated_rejected(self):
         m = TaskMask([np.ones((4, 4))], Task.CTR)
         blob = serialize_mask(m)

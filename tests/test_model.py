@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -55,7 +56,7 @@ class TestConfig:
 
     def test_json_round_trip(self):
         cfg = small_config()
-        assert ModelConfig.from_json_dict(cfg.to_json_dict()) == cfg
+        assert ModelConfig(**json.loads(model._ckpt_header(cfg))) == cfg
 
 
 class TestEmbed:
@@ -631,6 +632,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError):
             model.load_checkpoint(f)
 
+    @pytest.mark.parametrize("mode,cross,cards,dim,hidden,header", [
+        (SharingMode.SINGLE_TASK, CrossKind.NONE, (3, 5), 2, (4, 2),
+         b'{"cross_kind": "none", "embedding_dim": 2, "field_cardinalities": [3, 5], '
+         b'"mlp_dims": [4, 4, 2, 1], "sharing_mode": "single_task"}'),
+        (SharingMode.LAYER_SHARE, CrossKind.PAIRWISE_DOT, (10 ** 12, 7, 2), 3, (6, 4),
+         b'{"cross_kind": "pairwise_dot", "embedding_dim": 3, "field_cardinalities": '
+         b'[1000000000000, 7, 2], "mlp_dims": [12, 6, 4, 1], "sharing_mode": "layer_share"}'),
+        (SharingMode.CONNECTION_SHARE, CrossKind.PAIRWISE_PRODUCT, (4, 4), 1, (3,),
+         b'{"cross_kind": "pairwise_product", "embedding_dim": 1, "field_cardinalities": '
+         b'[4, 4], "mlp_dims": [3, 3, 1], "sharing_mode": "connection_share"}'),
+        (SharingMode.NEURON_SHARE, CrossKind.PAIRWISE_DOT, (9,), 4, (8, 8),
+         b'{"cross_kind": "pairwise_dot", "embedding_dim": 4, "field_cardinalities": [9], '
+         b'"mlp_dims": [4, 8, 8, 1], "sharing_mode": "neuron_share"}'),
+    ], ids=[m.value for m in SharingMode])
+    def test_header_golden_bytes(self, mode, cross, cards, dim, hidden, header):
+        """Version 1 headers, byte for byte, in every sharing mode and cross
+        kind; each loads back to its config."""
+        cfg = small_config(dim=dim, hidden=hidden, mode=mode, cross=cross, cards=cards)
+        assert model._ckpt_header(cfg) == header
+        assert ModelConfig(**json.loads(header)) == cfg
+
     @staticmethod
     def _blob(header, payload: bytes) -> bytes:
         """Checkpoint bytes whose header is the JSON of ``header``."""
@@ -653,7 +675,7 @@ class TestCheckpoint:
         cfg = small_config()
         f = tmp_path / "a.ckpt"
         size = model.ParamLayout.of(cfg).size
-        f.write_bytes(self._blob(edit(cfg.to_json_dict()), b"\0" * 8 * size))
+        f.write_bytes(self._blob(edit(dataclasses.asdict(cfg)), b"\0" * 8 * size))
         with pytest.raises(CheckpointFormatError, match="bad checkpoint header"):
             model.load_checkpoint(f)
 
@@ -676,8 +698,8 @@ class TestCheckpoint:
             blob = bytes(raw)
         else:
             value = data.draw(JSON_VALUES)
-            key = data.draw(st.sampled_from([None, *cfg.to_json_dict()]))
-            header = value if key is None else {**cfg.to_json_dict(), key: value}
+            key = data.draw(st.sampled_from([None, *dataclasses.asdict(cfg)]))
+            header = value if key is None else {**dataclasses.asdict(cfg), key: value}
             blob = self._blob(header, blob[12 + struct.unpack_from("<I", blob, 8)[0]:])
         f.write_bytes(blob)
         try:
