@@ -58,6 +58,15 @@ def _load_dataset(exp: ExperimentConfig, splits: tuple[str, ...]) -> data_mod.Da
     return ds
 
 
+def _check_dir_target(path: Path) -> None:
+    """DataError unless ``path`` is a directory or can be made one: the
+    first of it and its parents that exists must be a directory. Nothing
+    is created, so a run that fails later leaves no directory behind."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise DataError(f"cannot create directory {path}: {existing} is not a directory")
+
+
 def _history_kv(entry: dict) -> str:
     return " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
                     for k, v in entry.items())
@@ -240,11 +249,12 @@ def cmd_train(config_path, mode, dataset, seed, output_dir, extra):
         except UnicodeEncodeError:
             raise ConfigError(f"{line.split(' = ')[0]} is not valid UTF-8, so config.cfg "
                               "cannot hold it") from None
+    outdir = Path(exp.output_dir)
+    _check_dir_target(outdir)
     ds = _load_dataset(exp, ("train", "val", "test") if exp.mode.prunes else ("train", "test"))
     mcfg = exp.model_config(ds.field_cardinalities)
     art = training.train_model(ds, mcfg, exp.train)
     report = build_report(art, ds, mcfg, exp)
-    outdir = Path(exp.output_dir)
     write_run_dir(outdir, exp, art, mcfg, report)
     for entry in art.history:
         click.echo(_history_kv(entry))
@@ -283,15 +293,15 @@ def cmd_prune_sweep(config_path, mode, dataset, seed, output_dir, extra, curve_f
     exp = _build_exp(config_path, mode, dataset, seed, output_dir, extra)
     if not exp.mode.prunes:
         raise ConfigError(f"prune-sweep needs a pruning mode, got {exp.mode.value}")
+    path = Path(curve_file) if curve_file else Path(exp.output_dir) / "sweep.tsv"
+    _check_dir_target(path.parent)
     ds = _load_dataset(exp, ("train", "val"))
     mcfg = exp.model_config(ds.field_cardinalities)
     history: list[dict] = []
     params = model.init_params(mcfg, exp.train.seed)
     training.warmup(params, ds, mcfg, exp.train, history)
     training.generate_masks(params, ds, mcfg, exp.train, history)
-    outdir = Path(exp.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = Path(curve_file) if curve_file else outdir / "sweep.tsv"
+    path.parent.mkdir(parents=True, exist_ok=True)
     rows = [e for e in history if e.get("stage") == "mask_gen"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("task\tround\tproportion_left\tval_metric\n")
@@ -303,11 +313,13 @@ def cmd_prune_sweep(config_path, mode, dataset, seed, output_dir, extra, curve_f
     click.echo(f"curve written to {path}")
 
 
-def _parse_candidate(line: str, n_fields: int) -> tuple[list[int], float] | None:
+def _parse_candidate(line: str, cards: tuple[int, ...]) -> tuple[list[int], float] | None:
     """A candidate, ``id,...,id<TAB>length``, as ``(ids, length)``; None for
     a blank line or a comment (``#`` first). Surrounding whitespace is
     ignored, and ids and length convert with Python's ``int()`` and
-    ``float()``. Raises ValueError naming the first rule the line breaks."""
+    ``float()``. The ids follow ``data.check_ids`` for the field
+    cardinalities ``cards``. Raises ValueError naming the first rule the
+    line breaks."""
     line = line.strip()
     if not line or line[0] == "#":
         return None
@@ -316,26 +328,24 @@ def _parse_candidate(line: str, n_fields: int) -> tuple[list[int], float] | None
         raise ValueError("expected 'ids<TAB>length'")
     ids = [int(x) for x in parts[0].split(",")]
     length = float(parts[1])
-    if len(ids) != n_fields:
-        raise ValueError(f"{len(ids)} ids for {n_fields} fields")
+    data_mod.check_ids(ids, cards)
     if length <= 0:
         raise ValueError("video length must be positive")
     if not math.isfinite(length):
         raise ValueError("video length must be finite")
-    if not all(-2 ** 63 <= i < 2 ** 63 for i in ids):
-        raise ValueError("feature id out of the 64-bit integer range")
     return ids, length
 
 
-def _candidate_block(lines: list[str], n_fields: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _candidate_block(lines: list[str],
+                     cards: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
     """The columns :func:`_parse_candidate` gives ``lines``, as ``(ids (n, F)
     int64, lengths (n,) float64)``, when every line is a candidate that it
     accepts and whose ids ``data.digit_ids`` reads; None otherwise."""
     if not data_mod.tabs_per_line(lines, 1):
         return None
     halves = "\t".join(lines).split("\t")
-    ids = data_mod.digit_ids(halves[0::2], n_fields)
-    if ids is None:
+    ids = data_mod.digit_ids(halves[0::2], len(cards))
+    if ids is None or (ids.max(0) >= cards).any():
         return None
     try:
         lengths = np.fromiter(map(float, halves[1::2]), np.float64, len(lines))
@@ -346,17 +356,18 @@ def _candidate_block(lines: list[str], n_fields: int) -> tuple[np.ndarray, np.nd
     return ids, lengths
 
 
-def _read_candidates(path, n_fields: int) -> tuple[np.ndarray, np.ndarray]:
-    """Candidates as ``(ids (n, F) int64, lengths (n,) float64)``, one a line
-    as :func:`_parse_candidate` reads a line; blocks of plain candidates are
-    read in bulk. Lines are read by ``data.read_blocks``, so a DataError
-    names the first bad line and its problem.
+def _read_candidates(path, cards: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates for a model of field cardinalities ``cards``, as ``(ids (n,
+    F) int64, lengths (n,) float64)``, one a line as :func:`_parse_candidate`
+    reads a line; blocks of plain candidates are read in bulk. Lines are read
+    by ``data.read_blocks``, so a DataError names the first bad line and its
+    problem.
     """
     with data_mod.open_text(path) as fh:
-        blocks = list(data_mod.read_blocks(path, fh, partial(_candidate_block, n_fields=n_fields),
-                                           partial(_parse_candidate, n_fields=n_fields)))
+        blocks = list(data_mod.read_blocks(path, fh, partial(_candidate_block, cards=cards),
+                                           partial(_parse_candidate, cards=cards)))
     if not blocks:
-        return np.empty((0, n_fields), dtype=np.int64), np.empty(0)
+        return np.empty((0, len(cards)), dtype=np.int64), np.empty(0)
     ids, lengths = zip(*blocks)
     return np.concatenate(ids), np.concatenate(lengths)
 
@@ -420,7 +431,7 @@ def cmd_score(ctr_checkpoint, cvr_checkpoint, ctr_mask, cvr_mask, top_k,
         Task.CTR: _load_slot_mask(ctr_mask, Task.CTR, ctr_params) if ctr_mask else None,
         Task.CVR: _load_slot_mask(cvr_mask, Task.CVR, cvr_params) if cvr_mask else None,
     }
-    ids, lengths = _read_candidates(candidates_file, ctr_cfg.n_fields)
+    ids, lengths = _read_candidates(candidates_file, ctr_cfg.field_cardinalities)
     if not len(lengths):
         raise DataError(f"{candidates_file}: no candidates")
     if top_k > len(lengths):

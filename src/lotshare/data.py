@@ -157,59 +157,55 @@ def generate_with_trace(spec: SyntheticSpec) -> tuple[Dataset, dict[str, np.ndar
     """Generate a dataset and return the latent logits for diagnostics. A
     MemoryError on the way is a ConfigError that names the ``data.*`` sizes."""
     try:
-        return _generate_with_trace(spec)
+        rng = nn.make_rng(spec.seed)
+        L = spec.latent_dim
+        scale = 1.0 / np.sqrt(L)
+        user_shared = rng.standard_normal((spec.n_users, L))
+        item_shared = rng.standard_normal((spec.n_items, L))
+        user_click = rng.standard_normal((spec.n_users, L))
+        item_click = rng.standard_normal((spec.n_items, L))
+        user_conv = rng.standard_normal((spec.n_users, L))
+        item_conv = rng.standard_normal((spec.n_items, L))
+
+        n = spec.n_impressions
+        u = rng.integers(0, spec.n_users, size=n)
+        it = rng.integers(0, spec.n_items, size=n)
+        shared = np.einsum("nd,nd->n", user_shared[u], item_shared[it]) * scale
+        click_spec = np.einsum("nd,nd->n", user_click[u], item_click[it]) * scale
+        conv_spec = np.einsum("nd,nd->n", user_conv[u], item_conv[it]) * scale
+
+        utilities = shared + click_spec + spec.click_noise * rng.standard_normal(n)
+        click_logit = _intercept_for_rate(utilities, spec.click_base_rate) + utilities
+        p_click = nn.sigmoid(click_logit)
+        clicked = rng.random(n) < p_click
+        conv_logit = (spec.task_correlation * shared + conv_spec
+                      + spec.cvr_noise * rng.standard_normal(n))
+        cvr_label = np.clip(nn.sigmoid(conv_logit), 0.0, 1.0)
+
+        # categorical features: quantized latent coordinates, alternating user/item
+        F = len(spec.field_cardinalities)
+        ids = np.empty((n, F), dtype=np.int64)
+        for f, card in enumerate(spec.field_cardinalities):
+            if f % 2 == 0:
+                z = user_shared[u, (f // 2) % L]
+            else:
+                z = item_shared[it, (f // 2) % L]
+            ids[:, f] = np.minimum((nn.sigmoid(z) * card).astype(np.int64), card - 1)
+
+        split = split_of(spec.seed, np.arange(n))
+        ctr = TaskData(ids=ids, labels=clicked.astype(np.float64), split=split)
+        cvr = TaskData(ids=ids[clicked].copy(), labels=cvr_label[clicked].copy(),
+                       split=split[clicked].copy())
+        dataset = Dataset(spec.field_cardinalities, {Task.CTR: ctr, Task.CVR: cvr})
+        trace = {"click_logit": click_logit, "conv_logit": conv_logit,
+                 "p_click": p_click, "clicked": clicked}
+        return dataset, trace
     except MemoryError:
         sizes = (f"data.n_impressions={spec.n_impressions}, data.n_users={spec.n_users}, "
                  f"data.n_items={spec.n_items}, data.latent_dim={spec.latent_dim}, "
                  f"data.field_cardinalities={','.join(map(str, spec.field_cardinalities))}")
         raise ConfigError(f"synthetic data from the data.* config does not fit in "
                           f"memory: {sizes}") from None
-
-
-def _generate_with_trace(spec: SyntheticSpec) -> tuple[Dataset, dict[str, np.ndarray]]:
-    rng = nn.make_rng(spec.seed)
-    L = spec.latent_dim
-    scale = 1.0 / np.sqrt(L)
-    user_shared = rng.standard_normal((spec.n_users, L))
-    item_shared = rng.standard_normal((spec.n_items, L))
-    user_click = rng.standard_normal((spec.n_users, L))
-    item_click = rng.standard_normal((spec.n_items, L))
-    user_conv = rng.standard_normal((spec.n_users, L))
-    item_conv = rng.standard_normal((spec.n_items, L))
-
-    n = spec.n_impressions
-    u = rng.integers(0, spec.n_users, size=n)
-    it = rng.integers(0, spec.n_items, size=n)
-    shared = np.einsum("nd,nd->n", user_shared[u], item_shared[it]) * scale
-    click_spec = np.einsum("nd,nd->n", user_click[u], item_click[it]) * scale
-    conv_spec = np.einsum("nd,nd->n", user_conv[u], item_conv[it]) * scale
-
-    utilities = shared + click_spec + spec.click_noise * rng.standard_normal(n)
-    click_logit = _intercept_for_rate(utilities, spec.click_base_rate) + utilities
-    p_click = nn.sigmoid(click_logit)
-    clicked = rng.random(n) < p_click
-    conv_logit = (spec.task_correlation * shared + conv_spec
-                  + spec.cvr_noise * rng.standard_normal(n))
-    cvr_label = np.clip(nn.sigmoid(conv_logit), 0.0, 1.0)
-
-    # categorical features: quantized latent coordinates, alternating user/item
-    F = len(spec.field_cardinalities)
-    ids = np.empty((n, F), dtype=np.int64)
-    for f, card in enumerate(spec.field_cardinalities):
-        if f % 2 == 0:
-            z = user_shared[u, (f // 2) % L]
-        else:
-            z = item_shared[it, (f // 2) % L]
-        ids[:, f] = np.minimum((nn.sigmoid(z) * card).astype(np.int64), card - 1)
-
-    split = split_of(spec.seed, np.arange(n))
-    ctr = TaskData(ids=ids, labels=clicked.astype(np.float64), split=split)
-    cvr = TaskData(ids=ids[clicked].copy(), labels=cvr_label[clicked].copy(),
-                   split=split[clicked].copy())
-    dataset = Dataset(spec.field_cardinalities, {Task.CTR: ctr, Task.CVR: cvr})
-    trace = {"click_logit": click_logit, "conv_logit": conv_logit,
-             "p_click": p_click, "clicked": clicked}
-    return dataset, trace
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
@@ -342,6 +338,18 @@ def digit_ids(id_col: list[str], n_fields: int) -> np.ndarray | None:
     return (10 ** np.arange(width - 1, -1, -1) @ window).reshape(n, n_fields)
 
 
+def check_ids(ids: list[int], cards: tuple[int, ...]) -> None:
+    """The id rule of both text formats, dataset rows and ``score``'s
+    candidates: one id per field of ``cards`` (the fields' cardinalities),
+    each with ``0 <= id < card``. Raises ValueError naming the first id that
+    breaks it."""
+    if len(ids) != len(cards):
+        raise ValueError(f"{len(ids)} ids for {len(cards)} fields")
+    for f, (fid, card) in enumerate(zip(ids, cards)):
+        if not 0 <= fid < min(card, 2 ** 63):  # an id past int64 is in no field
+            raise ValueError(f"id {fid} out of range for field {f} (cardinality {card})")
+
+
 def _parse_row(line: str, cards: tuple[int, ...]):
     """A dataset row, ``task<TAB>label<TAB>id,...,id<TAB>split``, as
     ``(task code, label, ids, split index)``; None for a blank line (empty
@@ -367,11 +375,7 @@ def _parse_row(line: str, cards: tuple[int, ...]):
         ids = [int(x) for x in parts[2].split(",")]
     except ValueError:
         raise ValueError(f"bad feature ids {parts[2]!r}") from None
-    if len(ids) != len(cards):
-        raise ValueError(f"{len(ids)} ids for {len(cards)} fields")
-    for f, (fid, card) in enumerate(zip(ids, cards)):
-        if not 0 <= fid < min(card, 2 ** 63):  # an id past int64 is in no field
-            raise ValueError(f"id {fid} out of range for field {f} (cardinality {card})")
+    check_ids(ids, cards)
     split = _SPLIT_INDEX.get(parts[3])
     if split is None:
         raise ValueError(f"unknown split {parts[3]!r}")
@@ -424,27 +428,24 @@ def load(path) -> Dataset:
     bulk. A DataError names the first bad line. An empty file gives an empty
     Dataset. A MemoryError on the way is a DataError that names the path."""
     try:
-        return _load(path)
+        with open_text(path) as fh:
+            header = next(fh, None)
+            if header is None:
+                return Dataset((), {t: _empty_taskdata(0) for t in TASKS})
+            cards = _parse_header(path, header.removesuffix("\n"))
+            blocks = list(read_blocks(path, fh, partial(_row_block, cards=cards),
+                                      partial(_parse_row, cards=cards), first_line=2))
+        if not blocks:
+            return Dataset(cards, {t: _empty_taskdata(len(cards)) for t in TASKS})
+        codes, labels, ids, split = (np.concatenate(col) for col in zip(*blocks))
+        tasks = {}
+        for code, t in enumerate(TASKS):
+            sel = codes == code
+            tasks[t] = TaskData(ids=ids[sel], labels=labels[sel],
+                                split=split[sel].astype(np.uint8))
+        return Dataset(cards, tasks)
     except MemoryError:
         raise DataError(f"{path}: the dataset does not fit in memory") from None
-
-
-def _load(path) -> Dataset:
-    with open_text(path) as fh:
-        header = next(fh, None)
-        if header is None:
-            return Dataset((), {t: _empty_taskdata(0) for t in TASKS})
-        cards = _parse_header(path, header.removesuffix("\n"))
-        blocks = list(read_blocks(path, fh, partial(_row_block, cards=cards),
-                                  partial(_parse_row, cards=cards), first_line=2))
-    if not blocks:
-        return Dataset(cards, {t: _empty_taskdata(len(cards)) for t in TASKS})
-    codes, labels, ids, split = (np.concatenate(col) for col in zip(*blocks))
-    tasks = {}
-    for code, t in enumerate(TASKS):
-        sel = codes == code
-        tasks[t] = TaskData(ids=ids[sel], labels=labels[sel], split=split[sel].astype(np.uint8))
-    return Dataset(cards, tasks)
 
 
 def _empty_taskdata(n_fields: int) -> TaskData:
@@ -491,9 +492,7 @@ def batches(dataset: Dataset, tasks, batch_size: int, seed: int, epoch: int):
         per_task[t] = _task_batches(dataset.task(t), t, batch_size, rng)
     tags = np.concatenate([np.full(len(per_task[t]), ti, dtype=np.int64)
                            for ti, t in enumerate(tasks)]) if tasks else np.empty(0, np.int64)
-    if len(tasks) > 1:
-        sched_rng = np.random.default_rng([int(seed), int(epoch), 1000003])
-        sched_rng.shuffle(tags)
+    np.random.default_rng([int(seed), int(epoch), 1000003]).shuffle(tags)
     iters = {t: iter(per_task[t]) for t in tasks}
     for tag in tags:
         yield next(iters[tasks[int(tag)]])

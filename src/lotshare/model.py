@@ -177,11 +177,6 @@ class ParamLayout:
         offsets.flags.writeable = False
         return offsets
 
-    @cached_property
-    def without_tables(self) -> "ParamLayout":
-        """The blocks past the tables, laid out from entry 0."""
-        return dataclasses.replace(self, embeddings=())
-
 
 class _FlatBlocks:
     """Parameter-shaped arrays stored back to back in one contiguous float64
@@ -311,7 +306,7 @@ def feature_cross(emb: np.ndarray, cross_kind: CrossKind) -> np.ndarray:
     n, F, d = emb.shape
     flat = emb.reshape(n, F * d)
     kind = CrossKind(cross_kind)
-    if kind is CrossKind.NONE or F == 1:
+    if kind is CrossKind.NONE:
         return flat
     if kind is CrossKind.PAIRWISE_DOT:
         pairs = [np.einsum("nd,njd->nj", emb[:, i], emb[:, i + 1:]) for i in range(F - 1)]
@@ -344,7 +339,7 @@ def _field_major_cross_backward(emb: np.ndarray, d_x: np.ndarray,
     flat_w = F * d
     d_emb = d_x[:, :flat_w].T.reshape(F, d, n).copy()
     kind = CrossKind(cross_kind)
-    if kind is CrossKind.NONE or F == 1:
+    if kind is CrossKind.NONE:
         return d_emb
     partner, pcol = _cross_tables(F)
     emb_fm = emb.transpose(1, 2, 0).copy()
@@ -543,24 +538,21 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
     weights = cache.weights
 
     d_out = d_logits[:, None]
-    d_mlp = []
+    d_ws, d_bs = [], []   # in blocks() order
     for li in range(len(weights) - 1, -1, -1):
         if li < len(weights) - 1:
             d_out = d_out * (cache.layer_inputs[li + 1] > 0)
-        d_w, d_b, d_in = nn.affine_backward(cache.layer_inputs[li], weights[li], d_out)
+        d_w, d_b, d_out = nn.affine_backward(cache.layer_inputs[li], weights[li], d_out)
         if layers is not None:
             d_w *= layers[li]  # masked connections get exactly zero gradient
-        d_mlp.append((li, d_w, d_b))
-        d_out = d_in
+        d_ws.insert(0, d_w.ravel())
+        d_bs.insert(0, d_b)
 
     d_emb = _field_major_cross_backward(cache.emb, d_out, cfg.cross_kind)
-    layout = params.layout
-    mlp = _FlatBlocks(layout.without_tables)
-    for li, d_w, d_b in d_mlp:  # onto zeros: -0.0 becomes +0.0
-        np.add(mlp.mlp_weights[li], d_w, out=mlp.mlp_weights[li])
-        np.add(mlp.mlp_biases[li], d_b, out=mlp.mlp_biases[li])
+    mlp = np.concatenate(d_ws + d_bs)
+    mlp += 0.0   # g + 0.0 is 0.0 + g to the bit: a sum onto zeros, so -0.0 becomes +0.0
     rows, values = _field_major_table_grads(cache.rows, d_emb, len(params.tables))
-    return Grads(layout, mlp.flat, rows, values)
+    return Grads(params.layout, mlp, rows, values)
 
 
 def _ckpt_header(cfg: ModelConfig) -> bytes:
@@ -585,31 +577,27 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
     the JSON ``save_checkpoint`` writes for the ModelConfig it builds. A
     MemoryError on the way is a DataError that names the path."""
     try:
-        return _load_checkpoint(path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if len(raw) < 12 or raw[:4] != CKPT_MAGIC:
+            raise CheckpointFormatError(f"{path}: not a checkpoint file")
+        version, hlen = struct.unpack_from("<II", raw, 4)
+        if version != CKPT_VERSION:
+            raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
+        header = raw[12:12 + hlen]
+        try:
+            cfg = ModelConfig(**json.loads(header.decode("utf-8")))
+            if _ckpt_header(cfg) != header:   # such as "4" or 4.0 for an int
+                raise ValueError(f"not the header of {cfg}")
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+            raise CheckpointFormatError(f"{path}: bad checkpoint header: {exc}") from exc
+        layout = ParamLayout.of(cfg)
+        payload = len(raw) - 12 - hlen
+        if payload < layout.size * 8:
+            raise CheckpointFormatError(f"{path}: truncated checkpoint")
+        if payload > layout.size * 8:
+            raise CheckpointFormatError(f"{path}: trailing bytes in checkpoint")
+        flat = np.frombuffer(raw, dtype="<f8", count=layout.size, offset=12 + hlen)
+        return cfg, ModelParams(layout, flat.astype(nn.DTYPE))
     except MemoryError:
         raise DataError(f"{path}: the checkpoint does not fit in memory") from None
-
-
-def _load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12 or raw[:4] != CKPT_MAGIC:
-        raise CheckpointFormatError(f"{path}: not a checkpoint file")
-    version, hlen = struct.unpack_from("<II", raw, 4)
-    if version != CKPT_VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
-    header = raw[12:12 + hlen]
-    try:
-        cfg = ModelConfig(**json.loads(header.decode("utf-8")))
-        if _ckpt_header(cfg) != header:   # such as "4" or 4.0 for an int
-            raise ValueError(f"not the header of {cfg}")
-    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
-        raise CheckpointFormatError(f"{path}: bad checkpoint header: {exc}") from exc
-    layout = ParamLayout.of(cfg)
-    payload = len(raw) - 12 - hlen
-    if payload < layout.size * 8:
-        raise CheckpointFormatError(f"{path}: truncated checkpoint")
-    if payload > layout.size * 8:
-        raise CheckpointFormatError(f"{path}: trailing bytes in checkpoint")
-    flat = np.frombuffer(raw, dtype="<f8", count=layout.size, offset=12 + hlen)
-    return cfg, ModelParams(layout, flat.astype(nn.DTYPE))

@@ -234,6 +234,21 @@ class TestTrain:
         assert err == "config error: output_dir is not valid UTF-8, so config.cfg cannot hold it\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["f", "f/run/x"])
+    def test_out_under_a_file_exit_3_before_loading_data(self, tmp_path, cfg_file, capsys,
+                                                         monkeypatch, out):
+        def fail(*args):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr(data_mod, "generate", fail)
+        (tmp_path / "f").write_text("x")
+        out = tmp_path / out
+        rc, stdout, err = run(capsys, "train", "--config", cfg_file, "--out", str(out))
+        assert (rc, stdout) == (3, "")
+        assert err == (f"data error: cannot create directory {out}: {tmp_path / 'f'} "
+                       "is not a directory\n")
+        assert (tmp_path / "f").read_text() == "x"
+
     def test_dataset_tab_count_checked_per_line_exit_3(self, tmp_path, cfg_file, capsys):
         # a 0-tab row and then a 6-tab row hold 8 fields, as two 4-field rows do
         rows = ["ctr", "1\t0,1,2,3\ttrain\tcvr\t0.5\t0,1,2,3\ttrain"]
@@ -732,6 +747,37 @@ class TestPruneSweep:
         first = lines[1].split("\t")
         assert first[1] == "0" and float(first[2]) == 1.0
 
+    def test_curve_file_makes_its_directory(self, tmp_path, cfg_file, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        curve = tmp_path / "missing" / "dir" / "sweep.tsv"
+        rc, stdout, _ = run(capsys, "prune-sweep", "--config", cfg_file,
+                            "--curve-file", str(curve))
+        assert rc == 0
+        assert stdout.endswith(f"curve written to {curve}\n")
+        assert len(curve.read_text().splitlines()) == 1 + 2 * 3
+
+    def test_curve_file_leaves_no_output_dir(self, tmp_path, cfg_file, capsys, monkeypatch):
+        """With --curve-file, the default output_dir (runs/run) is not made."""
+        monkeypatch.chdir(tmp_path)
+        rc, _, _ = run(capsys, "prune-sweep", "--config", cfg_file,
+                       "--curve-file", "sweep.tsv")
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "sweep.tsv"]
+
+    def test_curve_file_under_a_file_exit_3_before_warmup(self, tmp_path, cfg_file, capsys,
+                                                          monkeypatch):
+        def fail(*args):
+            raise AssertionError("warmup ran")
+
+        monkeypatch.setattr(training, "warmup", fail)
+        (tmp_path / "f").write_text("x")
+        curve = tmp_path / "f" / "sweep.tsv"
+        rc, stdout, err = run(capsys, "prune-sweep", "--config", cfg_file,
+                              "--curve-file", str(curve))
+        assert (rc, stdout) == (3, "")
+        assert err == (f"data error: cannot create directory {curve.parent}: "
+                       f"{tmp_path / 'f'} is not a directory\n")
+
     def test_baseline_mode_rejected(self, cfg_file, capsys):
         rc, _, _ = run(capsys, "prune-sweep", "--config", cfg_file,
                        "--mode", "layer_share")
@@ -768,7 +814,7 @@ class TestScore:
     def test_tab_count_checked_per_line_exit_3(self, tmp_path, ckpts, capsys):
         # a 0-tab line and then a 2-tab line hold 4 halves, as two candidates do
         lines = ["1,2,3,4", "5\t1,2,3,4\t6"]
-        assert cli._candidate_block(lines, 4) is None
+        assert cli._candidate_block(lines, CARDS) is None
         p = tmp_path / "cands.tsv"
         p.write_text("0,1,2,3\t10\n" + "\n".join(lines) + "\n")
         rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
@@ -793,10 +839,10 @@ class TestScore:
     def test_out_of_range_id_is_data_error(self, tmp_path, ckpts, capsys):
         p = tmp_path / "bad.tsv"
         p.write_text("0,0,0,1000000\t10\n")
-        rc, _, err = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
-                         "--cvr-checkpoint", ckpts[1], str(p))
-        assert rc == 3
-        assert "data error: feature id 1000000 out of range for field 3" in err
+        rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
+                              "--cvr-checkpoint", ckpts[1], str(p))
+        assert (rc, stdout) == (3, "")
+        assert err == f"data error: {p}:1: id 1000000 out of range for field 3 (cardinality 8)\n"
 
     def test_malformed_candidates_exit_3(self, tmp_path, ckpts, capsys):
         p = tmp_path / "bad.tsv"
@@ -820,7 +866,8 @@ class TestScore:
         rc, stdout, err = run(capsys, "score", "--ctr-checkpoint", ckpts[0],
                               "--cvr-checkpoint", ckpts[1], str(p))
         assert rc == 3 and stdout == ""
-        assert f"data error: {p}:2: feature id out of the 64-bit integer range" in err
+        assert err == (f"data error: {p}:2: id 99999999999999999999 out of range for field 2 "
+                       "(cardinality 8)\n")
 
     @pytest.mark.parametrize("body,line", [
         (b"0,1,2,3\t10\n1,2,3,4\t1\xff\n", 2),
@@ -984,9 +1031,14 @@ class TestScore:
         assert rc == 2
 
 
-def per_line_read_candidates(path, n_fields):
+CARDS = (8,) * 4   # the field cardinalities of the ``cfg_file`` checkpoints
+
+
+def per_line_read_candidates(path, cards):
     """Reference: the per-line candidate parser the block parser replaced,
-    plus its two later rules (a finite length, ids within int64)."""
+    plus its later rules (a finite length, and the dataset rows' id rule:
+    ``0 <= id < min(card, 2**63)``)."""
+    n_fields = len(cards)
     ids_out, lengths_out = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -1003,12 +1055,14 @@ def per_line_read_candidates(path, n_fields):
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
             if len(ids) != n_fields:
                 raise DataError(f"{path}:{lineno}: {len(ids)} ids for {n_fields} fields")
+            for f, (i, card) in enumerate(zip(ids, cards)):
+                if i < 0 or i >= card or i >= 2 ** 63:
+                    raise DataError(f"{path}:{lineno}: id {i} out of range for field {f} "
+                                    f"(cardinality {card})")
             if length <= 0:
                 raise DataError(f"{path}:{lineno}: video length must be positive")
             if not math.isfinite(length):
                 raise DataError(f"{path}:{lineno}: video length must be finite")
-            if not all(-2 ** 63 <= i < 2 ** 63 for i in ids):
-                raise DataError(f"{path}:{lineno}: feature id out of the 64-bit integer range")
             ids_out.append(ids)
             lengths_out.append(length)
     return (np.array(ids_out, dtype=np.int64).reshape(-1, n_fields),
@@ -1052,17 +1106,19 @@ class TestReadCandidates:
     @settings(max_examples=500, deadline=None)
     @given(lines=st.one_of(_MIXED_FILE, _MOSTLY_GOOD_FILE, _DIGIT_FILE),
            newlines=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=21, max_size=21),
-           block=st.one_of(st.integers(1, 5), st.sampled_from([8, 64])))
-    def test_matches_per_line_reference(self, tmp_path_factory, lines, newlines, block):
+           block=st.one_of(st.integers(1, 5), st.sampled_from([8, 64])),
+           cards=st.sampled_from([CARDS, (10 ** 18, 2 ** 63, 10 ** 30, 8),
+                                  (10 ** 19, 2 ** 63 - 1, 10 ** 18 + 1, 2 ** 64)]))
+    def test_matches_per_line_reference(self, tmp_path_factory, lines, newlines, block, cards):
         p = tmp_path_factory.mktemp("cands") / "c.tsv"
         p.write_bytes("".join(a + b for a, b in zip(lines, newlines)).encode("utf-8"))
         try:
-            want = per_line_read_candidates(p, 4)
+            want = per_line_read_candidates(p, cards)
         except DataError as exc:
             want = str(exc)
         with mock.patch.object(data_mod, "BLOCK_LINES", block):
             try:
-                got = cli._read_candidates(p, 4)
+                got = cli._read_candidates(p, cards)
             except DataError as exc:
                 got = str(exc)
         if isinstance(want, str):
@@ -1076,9 +1132,9 @@ class TestReadCandidates:
 
     def test_grammar_of_int_and_float(self, tmp_path):
         p = tmp_path / "c.tsv"
-        p.write_text("# c\r\n+5,1_0, 5,007\t 1_0.5 \r\n\r\n\t-1,2,3,4\t1e3\n")
-        ids, lengths = cli._read_candidates(p, 4)
-        assert ids.tolist() == [[5, 10, 5, 7], [-1, 2, 3, 4]]
+        p.write_text("# c\r\n+5,1_0, 5,007\t 1_0.5 \r\n\r\n\t-0,2,3,4\t1e3\n")
+        ids, lengths = cli._read_candidates(p, (16,) * 4)
+        assert ids.tolist() == [[5, 10, 5, 7], [0, 2, 3, 4]]
         assert lengths.tolist() == [10.5, 1000.0]
 
     def test_first_bad_line_across_blocks(self, tmp_path):
@@ -1086,7 +1142,7 @@ class TestReadCandidates:
         p.write_text("0,0,0,0\t1\n" * 5 + "0,0,0\t1\n" + "0,0,0,0\tx\n")
         with mock.patch.object(data_mod, "BLOCK_LINES", 2):
             with pytest.raises(DataError, match=r"c.tsv:6: 3 ids for 4 fields$"):
-                cli._read_candidates(p, 4)
+                cli._read_candidates(p, CARDS)
 
     @pytest.mark.parametrize("bad,problem", [
         ("0,0,0,0\t-1", "video length must be positive"),
@@ -1095,7 +1151,8 @@ class TestReadCandidates:
         ("0,0,0\t1", "3 ids for 4 fields"),
         ("0,0,0,x\t1", "invalid literal for int() with base 10: 'x'"),
         ("0,0,0,0\t1\t1", "expected 'ids<TAB>length'"),
-        ("0,0,0,99999999999999999999\t1", "feature id out of the 64-bit integer range"),
+        ("0,0,0,99999999999999999999\t1",
+         "id 99999999999999999999 out of range for field 3 (cardinality 8)"),
     ])
     def test_bad_line_deep_in_a_block(self, tmp_path, bad, problem):
         # plain lines around it, so only the bad line keeps the block from the bulk path
@@ -1105,7 +1162,7 @@ class TestReadCandidates:
         p.write_text("\n".join(lines) + "\n")
         with mock.patch.object(data_mod, "BLOCK_LINES", 64):
             with pytest.raises(DataError) as exc:
-                cli._read_candidates(p, 4)
+                cli._read_candidates(p, CARDS)
         assert str(exc.value) == f"{p}:41: {problem}"
 
     def test_tab_count_checked_per_line(self, tmp_path):
@@ -1113,7 +1170,7 @@ class TestReadCandidates:
         p = tmp_path / "c.tsv"
         p.write_text("1,2,3,4\n5\t1,2,3,4\t6\n")
         with pytest.raises(DataError, match=r"c.tsv:1: expected 'ids<TAB>length'$"):
-            cli._read_candidates(p, 4)
+            cli._read_candidates(p, CARDS)
 
     def test_plain_ids_never_reach_int(self, tmp_path):
         """A block of plain candidates is read in bulk, without the per-line
@@ -1122,10 +1179,10 @@ class TestReadCandidates:
         p = tmp_path / "c.tsv"
         with mock.patch.object(cli, "_parse_candidate", wraps=cli._parse_candidate) as parse:
             p.write_text("1,02,3,4\t10\n0,0,0,999999999999999999\t2.5\n")
-            plain = cli._read_candidates(p, 4)
+            plain = cli._read_candidates(p, (8, 8, 8, 10 ** 18))
             assert parse.call_count == 0
             p.write_text("+1,02,3,4\t10\n0,0,0,999999999999999999\t2.5\n")
-            signed = cli._read_candidates(p, 4)
+            signed = cli._read_candidates(p, (8, 8, 8, 10 ** 18))
             assert parse.call_count == 2
         assert plain[0].tolist() == [[1, 2, 3, 4], [0, 0, 0, 10 ** 18 - 1]]
         assert signed[0].tobytes() == plain[0].tobytes()

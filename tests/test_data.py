@@ -1,3 +1,4 @@
+import hashlib
 import zlib
 from unittest import mock
 
@@ -630,6 +631,24 @@ class TestBatches:
         assert run(0, 0) == run(0, 0)
         assert run(0, 0) != run(0, 1)
         assert run(0, 0) != run(7, 0)
+
+    @pytest.mark.parametrize("tasks,seed,epoch,digest", [
+        ([Task.CVR], 0, 0, "01361a4f32a07e00237169454869f64e2bc0b27d81c7f79d939b856c9e5e3434"),
+        ([Task.CVR], 5, 3, "56780057f616f008843f38cbc2eee34408ab9acce256032122946bceb82580d3"),
+        ([Task.CTR, Task.CVR], 0, 0,
+         "48681732d1d35b2ec1bbba29b663d479030e7b8ed9fdba6af0802cfee386c31b"),
+        ([Task.CTR, Task.CVR], 5, 3,
+         "0b8c15b71864355fc4794748df6ba3709be3dc902009ec663a38e0ad6fc0b95d"),
+    ])
+    def test_golden_order(self, tasks, seed, epoch, digest):
+        """The sha256 of each batch's task, ids and labels, in stream order, is
+        pinned: a change that reorders batches or rows would move every
+        training bit."""
+        h = hashlib.sha256()
+        for b in batches(tiny_dataset(n_ctr=301, n_cvr=67), tasks, 8, seed, epoch):
+            h.update(b.task.value.encode() + b.ids.astype("<i8").tobytes()
+                     + b.labels.astype("<f8").tobytes())
+        assert h.hexdigest() == digest
 
     def test_batch_size_validated(self):
         with pytest.raises(ConfigError):

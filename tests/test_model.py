@@ -454,7 +454,7 @@ def z_gated_backward(d_logits, emb, rows, layer_inputs, pre_acts, weights, layer
     ``z > 0`` on the pre-activations of ``out_of_place_mlp_forward``."""
     d_out = d_logits[:, None]
     layout = params.layout
-    mlp = model._FlatBlocks(layout.without_tables)
+    mlp = model._FlatBlocks(dataclasses.replace(layout, embeddings=()))
     for li in range(len(weights) - 1, -1, -1):
         if li < len(weights) - 1:
             d_out = d_out * (pre_acts[li] > 0)
