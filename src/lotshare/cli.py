@@ -67,6 +67,14 @@ def _check_dir_target(path: Path) -> None:
         raise DataError(f"cannot create directory {path}: {existing} is not a directory")
 
 
+def _check_file_target(path: Path) -> None:
+    """DataError unless ``path`` can be written as a file: it is not a
+    directory, and its directory passes ``_check_dir_target``."""
+    if path.is_dir():
+        raise DataError(f"cannot write file {path}: it is a directory")
+    _check_dir_target(path.parent)
+
+
 def _history_kv(entry: dict) -> str:
     return " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
                     for k, v in entry.items())
@@ -225,11 +233,14 @@ def cmd_generate_data(config_path, mode, dataset, seed, output_dir, extra, out_f
     the `data.*` lines of the effective config."""
     exp = _build_exp(config_path, mode, dataset, seed, output_dir, extra)
     path = Path(out_file) if out_file else Path(exp.output_dir) / "dataset.tsv"
+    spec_path = Path(str(path) + ".spec")
+    for target in (path, spec_path):
+        _check_file_target(target)
     path.parent.mkdir(parents=True, exist_ok=True)
     ds = data_mod.generate(exp.synth)
     data_mod.save(ds, path)
     spec = [line for line in exp.to_kv_lines() if line.startswith("data.")]
-    Path(str(path) + ".spec").write_text("\n".join(spec) + "\n", encoding="utf-8")
+    spec_path.write_text("\n".join(spec) + "\n", encoding="utf-8")
     counts = ds.counts()
     click.echo(f"wrote {path}")
     click.echo("dataset        #user  #item  #impression  #click  #conversion")
@@ -294,7 +305,7 @@ def cmd_prune_sweep(config_path, mode, dataset, seed, output_dir, extra, curve_f
     if not exp.mode.prunes:
         raise ConfigError(f"prune-sweep needs a pruning mode, got {exp.mode.value}")
     path = Path(curve_file) if curve_file else Path(exp.output_dir) / "sweep.tsv"
-    _check_dir_target(path.parent)
+    _check_file_target(path)
     ds = _load_dataset(exp, ("train", "val"))
     mcfg = exp.model_config(ds.field_cardinalities)
     history: list[dict] = []

@@ -1,15 +1,15 @@
 """Binary subnetwork masks: quantile pruning, the neuron variant, overlap stats.
 
 Masks carry one {0,1} entry per MLP connection and are immutable once built:
-each layer is a private read-only copy. Pruning returns a new mask with
-pruning_round + 1.
+each layer is a private read-only copy, which no caller rebinds or makes
+writeable again. Pruning returns a new mask with pruning_round + 1.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,7 @@ class TaskMask:
     layers: list[np.ndarray]  # read-only float64 {0,1}, shape-matching mlp_weights
     task: Task
     pruning_round: int = 0
+    _gate: tuple = field(default=(None, None), init=False, repr=False)   # (layout, gate)
 
     def __post_init__(self):
         self.task = Task(self.task)
@@ -38,9 +39,18 @@ class TaskMask:
     def update_gate(self, params: ModelParams) -> tuple:
         """The per-block gate ``nn.Adam.step`` takes for this mask over
         ``params``' blocks: None (ungated) for each embedding table, this
-        mask's layers for the MLP weights, and None for each bias."""
-        return ((None,) * len(params.embeddings) + tuple(self.layers)
-                + (None,) * len(params.mlp_biases))
+        mask's layers for the MLP weights, and None for each bias.
+
+        The tuple is made once and made again only for another params
+        layout, so ``nn.Adam`` scans it once for all the steps it is passed
+        to. That relies on the mask's contract: its layers are never
+        rebound, and never made writeable again."""
+        layout, gate = self._gate
+        if layout != params.layout:
+            gate = ((None,) * len(params.embeddings) + tuple(self.layers)
+                    + (None,) * len(params.mlp_biases))
+            self._gate = (params.layout, gate)
+        return gate
 
     @classmethod
     def all_ones(cls, mlp_weights: list[np.ndarray], task: Task) -> "TaskMask":

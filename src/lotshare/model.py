@@ -275,23 +275,26 @@ def embed(ids: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=None)
-def _cross_tables(F: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables for F fields: ``(partner, pcol)``.
+def _cross_tables(F: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables for F fields: ``(grid, partner, pcol)``.
 
-    Row t of ``partner`` (F-1, F) holds field k's t-th partner,
-    ``(k + 1 + t) % F``, and the same row of ``pcol`` holds the index of the
-    pair {k, partner} in the cross output, whose pairs are in
-    ``np.triu_indices(F, k=1)`` order. The arrays are shared: read only.
+    Entry (k, j) of ``grid``, raveled from (F, F), holds 1 + the index of
+    the pair {k, j} in the cross output, whose pairs are in
+    ``np.triu_indices(F, k=1)`` order, and 0 on the diagonal. Row t of
+    ``partner`` (F-1, F) holds field k's t-th partner, ``(k + 1 + t) % F``,
+    and the same row of ``pcol`` holds the index of the pair {k, partner}.
+    The arrays are shared: read only.
     """
     pi, pj = np.triu_indices(F, k=1)
-    pair_of = np.zeros((F, F), dtype=np.intp)
-    pair_of[pi, pj] = pair_of[pj, pi] = np.arange(len(pi))
+    grid = np.zeros((F, F), dtype=np.intp)
+    grid[pi, pj] = grid[pj, pi] = np.arange(1, len(pi) + 1)
     k = np.arange(F)
     partner = (k[None, :] + 1 + np.arange(F - 1)[:, None]) % F
-    pcol = pair_of[k[None, :], partner]
-    for a in (partner, pcol):
+    pcol = grid[k[None, :], partner] - 1
+    grid = grid.ravel()
+    for a in (grid, partner, pcol):
         a.flags.writeable = False
-    return partner, pcol
+    return grid, partner, pcol
 
 
 def feature_cross(emb: np.ndarray, cross_kind: CrossKind) -> np.ndarray:
@@ -315,42 +318,38 @@ def feature_cross(emb: np.ndarray, cross_kind: CrossKind) -> np.ndarray:
     return np.concatenate([flat, *pairs], axis=1)
 
 
-def _field_major_cross_backward(emb: np.ndarray, d_x: np.ndarray,
-                                cross_kind: CrossKind) -> np.ndarray:
-    """Gradient through feature_cross, field-major: (n, F, d) embeddings and
-    d_x (n, width) -> d_emb (F, d, n), i.e. ``d_emb[k, c, s]`` is the
-    gradient of ``emb[s, k, c]``.
+def _cross_backward(emb: np.ndarray, d_x: np.ndarray, cross_kind: CrossKind) -> np.ndarray:
+    """Gradient through feature_cross: (n, F, d) embeddings and d_x (n,
+    width) -> d_emb (n, F, d).
 
-    The work runs on field-major copies, ``emb`` as (F, d, n) and the pair
-    part of d_x as (pairs, n) (dot) or (pairs, d, n) (product), so every
-    elementwise op's inner loop is n samples long, not d.
-
-    Accumulation-order invariant: each ``d_emb[k, c, s]`` starts from its
-    flat-part gradient and then receives one product per partner field, in
-    the order ``k+1, ..., F-1, 0, ..., k-1``. That is the order in which an
-    unbuffered scatter-add (``ufunc.at``) over the pairs ``(k, j>k)`` and
-    then ``(i<k, k)`` adds them, one at a time. Step t below adds every
-    field's t-th partner term in one whole-array in-place add, so each
-    element sees the same float products and additions in the same
-    sequence, and the result is bit-identical to the scatter-add
-    formulation, transposed.
+    NONE returns the flat part of d_x, ``d_flat``, as an (n, F, d) view.
+    PAIRWISE_DOT is one batched matmul: ``d_flat + dG @ emb``, where each
+    sample's dG (F, F) is symmetric with a zero diagonal and holds at (k, j)
+    the gradient of the pair {k, j}'s dot. BLAS picks the order of each
+    row's sum. PAIRWISE_PRODUCT starts each ``d_emb[s, k, c]`` from
+    ``d_flat`` and adds one product per partner field, in the order ``k+1,
+    ..., F-1, 0, ..., k-1``: the order in which an unbuffered scatter-add
+    (``ufunc.at``) over the pairs ``(k, j>k)`` and then ``(i<k, k)`` adds
+    them, so the result is bit-identical to that formulation.
     """
     n, F, d = emb.shape
     flat_w = F * d
-    d_emb = d_x[:, :flat_w].T.reshape(F, d, n).copy()
+    d_flat = d_x[:, :flat_w].reshape(n, F, d)
     kind = CrossKind(cross_kind)
     if kind is CrossKind.NONE:
-        return d_emb
-    partner, pcol = _cross_tables(F)
-    emb_fm = emb.transpose(1, 2, 0).copy()
+        return d_flat
+    grid, partner, pcol = _cross_tables(F)
     if kind is CrossKind.PAIRWISE_DOT:
-        g = d_x[:, flat_w:].T.copy()                      # (n_pairs, n)
-        for part, col in zip(partner, pcol):
-            d_emb += g[col][:, None, :] * emb_fm[part]
-    else:
-        g = d_x[:, flat_w:].T.reshape(-1, d, n).copy()    # (n_pairs, d, n)
-        for part, col in zip(partner, pcol):
-            d_emb += g[col] * emb_fm[part]
+        # the pair gradients behind one zero column, which fills the diagonal
+        g = np.zeros((n, d_x.shape[1] - flat_w + 1))
+        g[:, 1:] = d_x[:, flat_w:]
+        d_emb = g.take(grid, axis=1).reshape(n, F, F) @ emb
+        d_emb += d_flat
+        return d_emb
+    g = d_x[:, flat_w:].reshape(n, -1, d)      # (n, n_pairs, d)
+    d_emb = d_flat.copy()
+    for part, col in zip(partner, pcol):
+        d_emb += g[:, col] * emb[:, part]
     return d_emb
 
 
@@ -485,31 +484,29 @@ def forward(ids: np.ndarray, params: ModelParams, cfg: ModelConfig, task: Task,
     return preds, cache
 
 
-def _field_major_table_grads(rows: np.ndarray, d_emb: np.ndarray,
-                             n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scatter the field-major d_emb (F, d, n) onto the rows (n, F) of the
-    stacked tables, which have ``n_rows`` rows, compactly: ``(touched,
-    values)``, the sorted unique rows and their (len(touched), d) gradients.
+def _table_grads(rows: np.ndarray, d_emb: np.ndarray,
+                 n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scatter d_emb (n, F, d) onto the rows (n, F) of the stacked tables,
+    which have ``n_rows`` rows, compactly: ``(touched, values)``, the sorted
+    unique rows and their (len(touched), d) gradients.
 
     One ``np.bincount`` over the compacted bins, laid out like d_emb in
-    (field, dim, sample) order: element (f, c, s) goes to bin
-    ``slot * d + c``, ``slot`` being row ``rows[s, f]``'s place in
-    ``touched``. bincount starts every bin at 0.0 and adds its weights in
-    input order. Every row of the stacked tables belongs to exactly one
-    field, so all of a bin's terms share f and c and arrive in sample
-    order, which is what a scatter-add (``ufunc.at``) into a zeroed table
-    does: each row's bits are the same. No sum is -0.0, since 0.0 + -0.0 is
-    0.0: ``nn.Adam`` relies on that. rows must be in range, which ``embed``
-    checks.
+    (sample, field, dim) order: element (s, f, c) goes to bin ``slot * d +
+    c``, ``slot`` being row ``rows[s, f]``'s place in ``touched``. bincount
+    starts every bin at 0.0 and adds its weights in input order. Every row
+    of the stacked tables belongs to exactly one field, so all of a bin's
+    terms share f and c and arrive in sample order, which is what a
+    scatter-add (``ufunc.at``) into a zeroed table does: each row's bits
+    are the same. No sum is -0.0, since 0.0 + -0.0 is 0.0: ``nn.Adam``
+    relies on that. rows must be in range, which ``embed`` checks.
     """
-    d = d_emb.shape[1]
+    d = d_emb.shape[2]
     seen = np.zeros(n_rows, dtype=bool)
     seen[rows] = True
     touched = np.flatnonzero(seen)
     slot = np.empty(n_rows, dtype=np.intp)
     slot[touched] = np.arange(len(touched))
-    # a C-contiguous (F, n) index gives C-contiguous bins, which ravel as a view
-    bins = (slot[rows.T.copy()] * d)[:, None, :] + np.arange(d)[:, None]
+    bins = (slot[rows] * d)[:, :, None] + np.arange(d)
     values = np.bincount(bins.ravel(), weights=d_emb.ravel(), minlength=len(touched) * d)
     return touched, values.reshape(-1, d)
 
@@ -521,16 +518,14 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
     The MLP runs on the masked weights that ``forward`` cached; ``mask``,
     the one ``forward`` got, gates their gradients. Each ReLU gate reads
     the layer output, ``relu(z) > 0``, true exactly when ``z > 0`` (for NaN
-    and -0.0 too). The table gradient comes back compact (see ``Grads``).
-    From the cross backward to the table gradient the embedding gradient
-    stays field-major, (F, d, n), so the inner loops run over samples. It
-    is bit-identical to a formulation with scatter-adds (``ufunc.at``):
-    ``_field_major_cross_backward`` adds each field's partner terms in the
-    order the scatter-add would, and ``_field_major_table_grads`` sums each
-    table row in sample order from 0.0, as a scatter-add into a zeroed
-    table would, because each row belongs to one field. Any change here
-    must keep both orders, or checkpoints and reports stop being
-    byte-identical across versions.
+    and -0.0 too), and is applied in place to the fresh gradient of that
+    output. The table gradient comes back compact (see ``Grads``). The
+    embedding gradient is sample-major, (n, F, d), from the cross backward
+    (``_cross_backward``) to the table gradient (``_table_grads``), which
+    sums each table row in sample order from 0.0, as a scatter-add
+    (``ufunc.at``) into a zeroed table would, because each row belongs to
+    one field. Any change to that order, or to the cross backward's, moves
+    the bits of checkpoints and reports.
     """
     if cache is None or not cache.layer_inputs:
         raise StateError("backward called without a cached forward pass")
@@ -541,17 +536,17 @@ def backward(d_logits: np.ndarray, cache: ForwardCache, params: ModelParams,
     d_ws, d_bs = [], []   # in blocks() order
     for li in range(len(weights) - 1, -1, -1):
         if li < len(weights) - 1:
-            d_out = d_out * (cache.layer_inputs[li + 1] > 0)
+            np.multiply(d_out, cache.layer_inputs[li + 1] > 0, out=d_out)
         d_w, d_b, d_out = nn.affine_backward(cache.layer_inputs[li], weights[li], d_out)
         if layers is not None:
             d_w *= layers[li]  # masked connections get exactly zero gradient
         d_ws.insert(0, d_w.ravel())
         d_bs.insert(0, d_b)
 
-    d_emb = _field_major_cross_backward(cache.emb, d_out, cfg.cross_kind)
+    d_emb = _cross_backward(cache.emb, d_out, cfg.cross_kind)
     mlp = np.concatenate(d_ws + d_bs)
     mlp += 0.0   # g + 0.0 is 0.0 + g to the bit: a sum onto zeros, so -0.0 becomes +0.0
-    rows, values = _field_major_table_grads(cache.rows, d_emb, len(params.tables))
+    rows, values = _table_grads(cache.rows, d_emb, len(params.tables))
     return Grads(params.layout, mlp, rows, values)
 
 

@@ -76,6 +76,17 @@ def _bias_table(beta: float, n: int) -> np.ndarray:
     return 1.0 - beta ** np.arange(n)
 
 
+def _frozen(per_block) -> bool:
+    """Whether the per-block gate ``per_block`` is taken to stay as it is: a
+    tuple whose entries are None or read-only arrays that own their data,
+    so no view of a writeable array, as ``masking.TaskMask.update_gate``
+    gives. numpy lets an array's owner make it writeable again; a caller
+    that passes such a gate must not do so while an ``Adam`` may hold it."""
+    return type(per_block) is tuple and all(
+        g is None or (type(g) is np.ndarray and not g.flags.writeable and g.base is None)
+        for g in per_block)
+
+
 class Adam:
     """Adam over the flat float64 vector of a ``model.ModelParams``, updated
     in place.
@@ -120,6 +131,7 @@ class Adam:
                               "does not fit in memory") from None
         self.t = 0
         self._bc1 = self._bc2 = np.empty(0)
+        self._gate = self._gate_shut = None   # the last frozen gate and its scan
         # p, m, v and the clocks over the tables, one record per row
         self._table_rows = [
             (a[:self.tables].view(np.dtype((np.void, a.itemsize * self.dim))), a.dtype)
@@ -162,10 +174,13 @@ class Adam:
     def _shut(self, per_block) -> np.ndarray:
         """Flat indices of the entries the per-block gate ``per_block``
         shuts, ascending. Only gated blocks are scanned, so ungated tables
-        cost nothing."""
+        cost nothing. A gate taken to stay as it is (``_frozen``) is scanned
+        once: while every step passes that same object, its scan is reused."""
         shut = [np.empty(0, dtype=np.intp)]
         if per_block is None:
             return shut[0]
+        if per_block is self._gate:
+            return self._gate_shut
         if len(per_block) != len(self.sizes):
             raise ShapeError(f"Adam.step: gate has {len(per_block)} blocks, "
                              f"parameters have {len(self.sizes)}")
@@ -177,7 +192,10 @@ class Adam:
                                      f"block has {n}")
                 shut.append(np.flatnonzero(np.asarray(gate) == 0) + start)
             start += n
-        return np.concatenate(shut)
+        shut = np.concatenate(shut)
+        if _frozen(per_block):
+            self._gate, self._gate_shut = per_block, shut
+        return shut
 
     def _update(self, p, m, v, te, g) -> None:
         """Adam in place on every entry of parameters ``p``, moments ``m``,

@@ -20,7 +20,7 @@ from lotshare.config import load_experiment, parse_kv_text
 from lotshare.metrics import MetricsReport
 from lotshare.model import Task
 from test_data import DIGIT_ID, per_line_load, per_row_save
-from test_model import row_major_cross_backward, scatter_table_grads
+from test_model import scatter_cross_backward, scatter_table_grads
 
 BASE_CFG = """\
 mode = connection_share
@@ -93,6 +93,20 @@ class TestGenerateData:
         assert (out / "dataset.tsv").read_bytes() == (tmp_path / "per_row.tsv").read_bytes()
         loaded = data_mod.load(out / "dataset.tsv")
         assert loaded == ds == per_line_load(out / "dataset.tsv")
+
+    @pytest.mark.parametrize("dir_name", ["data.tsv", "data.tsv.spec"])
+    def test_out_file_a_directory_exit_3_before_generating(self, tmp_path, cfg_file, capsys,
+                                                           monkeypatch, dir_name):
+        def fail(*args):
+            raise AssertionError("generate ran")
+
+        monkeypatch.setattr(data_mod, "generate", fail)
+        (tmp_path / dir_name).mkdir()
+        rc, stdout, err = run(capsys, "generate-data", "--config", cfg_file,
+                              "--out-file", str(tmp_path / "data.tsv"))
+        assert (rc, stdout) == (3, "")
+        assert err == f"data error: cannot write file {tmp_path / dir_name}: it is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["exp.cfg", dir_name])
 
 
 class TestTrain:
@@ -778,6 +792,19 @@ class TestPruneSweep:
         assert err == (f"data error: cannot create directory {curve.parent}: "
                        f"{tmp_path / 'f'} is not a directory\n")
 
+    def test_curve_file_a_directory_exit_3_before_warmup(self, tmp_path, cfg_file, capsys,
+                                                         monkeypatch):
+        def fail(*args):
+            raise AssertionError("warmup ran")
+
+        monkeypatch.setattr(training, "warmup", fail)
+        curve = tmp_path / "sweep.tsv"
+        curve.mkdir()
+        rc, stdout, err = run(capsys, "prune-sweep", "--config", cfg_file,
+                              "--curve-file", str(curve))
+        assert (rc, stdout) == (3, "")
+        assert err == f"data error: cannot write file {curve}: it is a directory\n"
+
     def test_baseline_mode_rejected(self, cfg_file, capsys):
         rc, _, _ = run(capsys, "prune-sweep", "--config", cfg_file,
                        "--mode", "layer_share")
@@ -1232,21 +1259,17 @@ class TestDeterminism:
         assert (a / "report.kv").read_bytes() == (b / "report.kv").read_bytes()
         assert (a / "model.ckpt").read_bytes() == (b / "model.ckpt").read_bytes()
 
-    @pytest.mark.parametrize("mode", ["single_task", "layer_share", "connection_share",
-                                      "neuron_share"])
-    def test_backward_matches_scatter_add_pipeline(self, tmp_path, cfg_file, capsys,
-                                                   monkeypatch, mode):
-        """A whole training run is byte-identical with the field-major cross
-        backward and table gradient swapped for the row-major ``ufunc.at``
-        references: checkpoints, masks, reports and train log."""
+    @staticmethod
+    def check_scatter_add_pipeline(tmp_path, capsys, monkeypatch, mode, swaps, *args):
+        """Train ``mode`` twice, shipped and with each ``model`` function
+        named in ``swaps`` replaced by its value, and require the same files
+        with the same bytes: checkpoints, masks, reports and train log."""
         shipped, ref = tmp_path / "shipped", tmp_path / "ref"
-        assert run(capsys, "train", "--config", cfg_file, "--mode", mode,
-                   "--out", str(shipped))[0] == 0
+        assert run(capsys, "train", *args, "--mode", mode, "--out", str(shipped))[0] == 0
         with monkeypatch.context() as m:
-            m.setattr(model, "_field_major_cross_backward", row_major_cross_backward)
-            m.setattr(model, "_field_major_table_grads", scatter_table_grads)
-            assert run(capsys, "train", "--config", cfg_file, "--mode", mode,
-                       "--out", str(ref))[0] == 0
+            for name, value in swaps.items():
+                m.setattr(model, name, value)
+            assert run(capsys, "train", *args, "--mode", mode, "--out", str(ref))[0] == 0
         files = run_files(shipped)
         assert files == run_files(ref)
         assert "report.kv" in files and any(f.endswith(".ckpt") for f in files)
@@ -1255,3 +1278,24 @@ class TestDeterminism:
         for name in files:   # config.cfg records the output dir
             if name != "config.cfg" and (shipped / name).is_file():
                 assert (shipped / name).read_bytes() == (ref / name).read_bytes(), name
+
+    @pytest.mark.parametrize("mode", ["single_task", "layer_share", "connection_share",
+                                      "neuron_share"])
+    def test_backward_matches_scatter_add_pipeline(self, tmp_path, cfg_file, capsys,
+                                                   monkeypatch, mode):
+        """A whole pairwise-dot run is byte-identical with the table
+        gradient swapped for the ``ufunc.at`` reference. Its cross backward
+        is a BLAS matmul, bounded against the reference in test_model."""
+        self.check_scatter_add_pipeline(tmp_path, capsys, monkeypatch, mode,
+                                        {"_table_grads": scatter_table_grads},
+                                        "--config", cfg_file)
+
+    def test_pairwise_product_matches_scatter_add_pipeline(self, tmp_path, cfg_file, capsys,
+                                                           monkeypatch):
+        """A whole pairwise-product run is byte-identical with both the
+        cross backward and the table gradient swapped for the ``ufunc.at``
+        references."""
+        self.check_scatter_add_pipeline(
+            tmp_path, capsys, monkeypatch, "connection_share",
+            {"_cross_backward": scatter_cross_backward, "_table_grads": scatter_table_grads},
+            "--config", cfg_file, "--set", "model.cross_kind=pairwise_product")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lotshare import masking, nn
+from lotshare import masking, model, nn
 from lotshare.errors import ConfigError, MaskFormatError, ShapeError
 from lotshare.masking import (MaskOverlapStats, TaskMask, deserialize_mask, overlap_stats,
                               prune_connections, prune_neurons,
@@ -300,3 +300,20 @@ def test_mask_layers_are_private_and_read_only():
     src[0][:] = 0.0
     src[1][:] = 1.0
     assert (m.layers[0] == 1.0).all() and (m.layers[1] == 0.0).all()
+
+
+def test_update_gate_made_once_per_layout():
+    def params_of(cards, dim):
+        return model.init_params(model.ModelConfig(cards, dim, (6, 3, 1), model.CrossKind.NONE,
+                                                   model.SharingMode.CONNECTION_SHARE), 0)
+
+    params = params_of((3, 4), 3)
+    mask = TaskMask.all_ones(params.mlp_weights, Task.CTR)
+    gate = mask.update_gate(params)
+    assert gate == (None, None, *mask.layers, None, None)
+    assert mask.update_gate(params) is gate
+    assert mask.update_gate(params.copy()) is gate    # the copy shares the layout
+    other = params_of((6, 2, 2), 2)     # 3 fields of dim 2 make the MLP's 6 inputs too
+    fresh = mask.update_gate(other)
+    assert fresh == (None, None, None, *mask.layers, None, None)
+    assert mask.update_gate(params) is not gate and mask.update_gate(params) == gate

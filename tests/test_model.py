@@ -310,29 +310,23 @@ def scatter_embedding_grads(ids, d_emb, cardinalities):
     return out
 
 
-def row_major_cross_backward(emb, d_x, cross_kind):
-    """``scatter_cross_backward`` with the field-major (F, d, n) result of
-    ``model._field_major_cross_backward``: a drop-in replacement for it."""
-    return scatter_cross_backward(emb, d_x, cross_kind).transpose(1, 2, 0)
-
-
 def scatter_table_grads(rows, d_emb, n_rows):
-    """Reference for ``model._field_major_table_grads``: an unbuffered
-    scatter-add of the (F, d, n) d_emb, in (sample, field) order, into the
-    zeroed stacked tables, then their touched rows."""
-    table = np.zeros((n_rows, d_emb.shape[1]))
-    np.add.at(table, rows, d_emb.transpose(2, 0, 1))
+    """Reference for ``model._table_grads``: an unbuffered scatter-add of
+    the (n, F, d) d_emb, in (sample, field) order, into the zeroed stacked
+    tables, then their touched rows."""
+    table = np.zeros((n_rows, d_emb.shape[2]))
+    np.add.at(table, rows, d_emb)
     touched = np.unique(rows)
     return touched, table[touched]
 
 
 def embedding_grads(ids, d_emb, cardinalities, size):
-    """The dense form of ``model._field_major_table_grads`` for per-field
-    ids (n, F) and a row-major d_emb (n, F, d): a flat vector of ``size``
-    entries, the tables back to back from entry 0, then zeros."""
+    """The dense form of ``model._table_grads`` for per-field ids (n, F)
+    and d_emb (n, F, d): a flat vector of ``size`` entries, the tables back
+    to back from entry 0, then zeros."""
     cards, d = np.array(cardinalities), d_emb.shape[2]
-    touched, values = model._field_major_table_grads(
-        ids + (np.cumsum(cards) - cards), d_emb.transpose(1, 2, 0), int(cards.sum()))
+    touched, values = model._table_grads(ids + (np.cumsum(cards) - cards), d_emb,
+                                         int(cards.sum()))
     flat = np.zeros(size)
     flat[:cards.sum() * d].reshape(-1, d)[touched] = values
     return flat
@@ -349,10 +343,37 @@ def edge_values(rng, shape):
     return x
 
 
+def dot_error_bound(emb, d_x):
+    """Elementwise bound on how far two float64 evaluations of the
+    pairwise-dot cross backward may each fall from the exact sum, added:
+    ``2·F·eps·(|d_flat| + Σⱼ |g_kj|·|emb_j|)``, where the sum of magnitudes
+    is ``scatter_cross_backward`` of the magnitudes. Each of the F terms of
+    one entry's sum may also round once in the subnormal range, by at most
+    half of the smallest subnormal, so the bound adds F of those."""
+    F = emb.shape[1]
+    magnitude = scatter_cross_backward(np.abs(emb), np.abs(d_x), CrossKind.PAIRWISE_DOT)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    return 2 * F * np.finfo(np.float64).eps * magnitude + F * tiny
+
+
+def upper_triangle_dot_backward(emb, d_x):
+    """A wrong pairwise-dot cross backward: dG holds each pair's gradient
+    only at (i, j), i < j, so field j misses its term from field i."""
+    n, F, d = emb.shape
+    pi, pj = np.triu_indices(F, k=1)
+    dG = np.zeros((n, F, F))
+    dG[:, pi, pj] = d_x[:, F * d:]
+    return d_x[:, :F * d].reshape(n, F, d) + dG @ emb
+
+
 class TestBackwardBitIdentity:
-    """The field-major cross backward and table gradient reproduce the
-    scatter-add references bit for bit; a wrong partner order for F >= 4
-    would pass the gradient check but fail here."""
+    """The cross backward and table gradient against the scatter-add
+    references. NONE and PAIRWISE_PRODUCT reproduce them bit for bit, and
+    a wrong partner order for F >= 4 would pass the gradient check but
+    fail here. PAIRWISE_DOT is a BLAS matmul whose summation order is not
+    the scatter-add's, so it is held to the rounding-error bound of both
+    sums (``dot_error_bound``), and the table gradient of its output to
+    the scatter-add bit for bit."""
 
     @pytest.mark.parametrize("cross", list(CrossKind))
     @pytest.mark.parametrize("F", [1, 2, 3, 5, 8])
@@ -364,10 +385,37 @@ class TestBackwardBitIdentity:
         emb = rng.standard_normal((n, F, d)) * 10.0 ** rng.integers(-6, 7, (n, F, d))
         width = cross_output_width(F, d, cross)
         d_x = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-6, 7, (n, width))
-        got = model._field_major_cross_backward(emb, d_x, cross)
-        want = scatter_cross_backward(emb, d_x, cross).transpose(1, 2, 0)
-        assert got.shape == want.shape == (F, d, n)
-        assert got.tobytes() == want.tobytes()
+        got = model._cross_backward(emb, d_x, cross)
+        want = scatter_cross_backward(emb, d_x, cross)
+        assert got.shape == want.shape == (n, F, d)
+        if cross is CrossKind.PAIRWISE_DOT:
+            assert (np.abs(got - want) <= dot_error_bound(emb, d_x)).all()
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), F=st.integers(1, 9), d=st.integers(1, 9),
+           n=st.integers(1, 64))
+    def test_pairwise_dot_within_error_bound(self, seed, F, d, n):
+        """The Gram-form backward against the scatter-add reference, entry
+        by entry, on values over 13 decades with +-0.0 and subnormals."""
+        rng = nn.make_rng(seed)
+        emb = edge_values(rng, (n, F, d))
+        d_x = edge_values(rng, (n, cross_output_width(F, d, CrossKind.PAIRWISE_DOT)))
+        got = model._cross_backward(emb, d_x, CrossKind.PAIRWISE_DOT)
+        want = scatter_cross_backward(emb, d_x, CrossKind.PAIRWISE_DOT)
+        assert got.shape == want.shape == (n, F, d) and got.dtype == np.float64
+        assert (np.abs(got - want) <= dot_error_bound(emb, d_x)).all()
+
+    def test_error_bound_rejects_one_triangle(self):
+        """The bound is tight enough to catch a dG filled above its diagonal
+        only, on the inputs of the bound test's shapes."""
+        rng = nn.make_rng(5)
+        emb = edge_values(rng, (64, 9, 9))
+        d_x = edge_values(rng, (64, cross_output_width(9, 9, CrossKind.PAIRWISE_DOT)))
+        want = scatter_cross_backward(emb, d_x, CrossKind.PAIRWISE_DOT)
+        wrong = upper_triangle_dot_backward(emb, d_x)
+        assert (np.abs(wrong - want) > dot_error_bound(emb, d_x)).any()
 
     @pytest.mark.parametrize("F", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("d", [1, 3, 8])
@@ -392,6 +440,10 @@ class TestBackwardBitIdentity:
 
     @pytest.mark.parametrize("cross", list(CrossKind))
     def test_backward_embedding_blocks(self, cross):
+        """``backward``'s table blocks are the scatter-add of its cross
+        backward's output: the reference's for NONE and PAIRWISE_PRODUCT,
+        and for PAIRWISE_DOT ``model._cross_backward``'s own, which
+        ``test_cross_backward`` bounds."""
         cfg = small_config(n_fields=5, dim=3, hidden=(6, 4), cross=cross,
                            cards=(1, 2, 7, 3, 1))
         p = model.init_params(cfg, 21)
@@ -404,7 +456,9 @@ class TestBackwardBitIdentity:
             if li < len(p.mlp_weights) - 1:
                 d_out = d_out * (cache.layer_inputs[li + 1] > 0)
             d_out = d_out @ p.mlp_weights[li].T
-        d_emb = scatter_cross_backward(cache.emb, d_out, cross)
+        cross_backward = (model._cross_backward if cross is CrossKind.PAIRWISE_DOT
+                          else scatter_cross_backward)
+        d_emb = cross_backward(cache.emb, d_out, cross)
         want = scatter_embedding_grads(ids, d_emb, cfg.field_cardinalities)
         for g, w in zip(grads.dense.embeddings, want):
             assert g.tobytes() == w.tobytes()
@@ -412,21 +466,26 @@ class TestBackwardBitIdentity:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), F=st.integers(1, 9), d=st.integers(1, 9),
            n=st.integers(1, 300), cross=st.sampled_from(list(CrossKind)))
-    def test_field_major_path_matches_scatter_adds(self, seed, F, d, n, cross):
+    def test_backward_path_matches_scatter_adds(self, seed, F, d, n, cross):
         """Cross backward then table gradient, as ``backward`` chains them,
-        against both scatter-add references: one-row and few-row fields
-        repeat rows across samples, equal ids recur across one sample's
-        fields, and the values include +-0.0 and denormals."""
+        against both scatter-add references (for PAIRWISE_DOT, the table
+        reference of the cross output, which is bounded as above): one-row
+        and few-row fields repeat rows across samples, equal ids recur
+        across one sample's fields, and the values include +-0.0 and
+        denormals."""
         rng = nn.make_rng(seed)
         cards = tuple(int(c) for c in rng.choice([1, 2, 3, 40], size=F))
         ids = np.stack([rng.integers(0, c, n) for c in cards], axis=1)
         emb = edge_values(rng, (n, F, d))
         d_x = edge_values(rng, (n, cross_output_width(F, d, cross)))
         rows = ids + (np.cumsum(cards) - cards)
-        d_emb = model._field_major_cross_backward(emb, d_x, cross)
-        touched, values = model._field_major_table_grads(rows, d_emb, sum(cards))
-        want = np.concatenate(
-            scatter_embedding_grads(ids, scatter_cross_backward(emb, d_x, cross), cards))
+        d_emb = model._cross_backward(emb, d_x, cross)
+        touched, values = model._table_grads(rows, d_emb, sum(cards))
+        want_emb = scatter_cross_backward(emb, d_x, cross)
+        if cross is CrossKind.PAIRWISE_DOT:
+            assert (np.abs(d_emb - want_emb) <= dot_error_bound(emb, d_x)).all()
+            want_emb = d_emb
+        want = np.concatenate(scatter_embedding_grads(ids, want_emb, cards))
         assert touched.tolist() == np.unique(rows).tolist()
         assert values.shape == (len(touched), d) and values.dtype == np.float64
         assert values.tobytes() == want[touched].tobytes()
@@ -463,8 +522,8 @@ def z_gated_backward(d_logits, emb, rows, layer_inputs, pre_acts, weights, layer
             d_w *= layers[li]
         np.add(mlp.mlp_weights[li], d_w, out=mlp.mlp_weights[li])
         np.add(mlp.mlp_biases[li], d_b, out=mlp.mlp_biases[li])
-    d_emb = model._field_major_cross_backward(emb, d_out, cfg.cross_kind)
-    touched, values = model._field_major_table_grads(rows, d_emb, len(params.tables))
+    d_emb = model._cross_backward(emb, d_out, cfg.cross_kind)
+    touched, values = model._table_grads(rows, d_emb, len(params.tables))
     return mlp.flat, touched, values
 
 

@@ -3,6 +3,8 @@ import pytest
 
 from lotshare import model, nn
 from lotshare.errors import ShapeError
+from lotshare.masking import TaskMask
+from lotshare.model import Task
 
 from test_flat_params import dense_grads
 
@@ -277,3 +279,57 @@ class TestAdamGate:
         assert (p.tables != 0).tolist() == [[True, False], [False, True]]
         opt.step(grads, [np.zeros((2, 2)), np.ones((2, 3)), None])
         assert (opt.t_entry == [1, 0, 0, 1, 2, 2, 2, 2, 2, 2, 2]).all()
+
+
+class TestAdamGateMemo:
+    """``Adam.step`` scans a gate taken to stay as it is (a tuple of
+    read-only arrays that own their data, as ``TaskMask.update_gate`` gives) once,
+    while the same object comes back, and scans every other gate afresh."""
+
+    @staticmethod
+    def _setup(seed):
+        rng = nn.make_rng(seed)
+        shapes = [(3, 2), (2, 4), (4, 1)]
+        p = params_of(rng.standard_normal((5, 2)), *(rng.standard_normal(s) for s in shapes[1:]))
+        masks = [TaskMask([rng.integers(0, 2, s).astype(float) for s in shapes[1:]], t)
+                 for t in (Task.CTR, Task.CVR)]
+        return rng, p, masks
+
+    @staticmethod
+    def _state(opt):
+        return [a.tobytes() for a in (opt.flat, opt.m, opt.v, opt.t_entry)]
+
+    def test_alternating_masks_match_rescan(self):
+        rng, p, masks = self._setup(0)
+        q = p.copy()
+        memo, rescan = nn.Adam(p, 0.1), nn.Adam(q, 0.1)
+        for which in [0, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1]:
+            gate = masks[which].update_gate(p)
+            assert gate is masks[which].update_gate(q)
+            blocks = [rng.standard_normal(b.shape) for b in p.blocks()]
+            memo.step(grads_of(p, *blocks), gate)
+            rescan.step(grads_of(q, *blocks), list(gate))
+            assert self._state(memo) == self._state(rescan)
+        assert memo._shut(gate) is memo._shut(gate)
+
+    @pytest.mark.parametrize("form", ["list", "tuple", "read-only view"])
+    def test_gate_changed_in_place_is_rescanned(self, form):
+        """A gate whose arrays can change is scanned on every step, even when
+        the same object comes back."""
+        rng, p, masks = self._setup(1)
+        q = p.copy()
+        arrays = [None, *(np.array(m) for m in masks[0].layers)]
+        if form == "read-only view":
+            views = [None, *(a.view() for a in arrays[1:])]
+            for v in views[1:]:
+                v.flags.writeable = False
+            gate = tuple(views)
+        else:
+            gate = (list if form == "list" else tuple)(arrays)
+        opt, fresh = nn.Adam(p, 0.1), nn.Adam(q, 0.1)
+        for step in range(4):
+            blocks = [rng.standard_normal(b.shape) for b in p.blocks()]
+            opt.step(grads_of(p, *blocks), gate)
+            fresh.step(grads_of(q, *blocks), [None if a is None else a.copy() for a in arrays])
+            assert self._state(opt) == self._state(fresh)
+            arrays[1 + step % 2][...] = rng.integers(0, 2, arrays[1 + step % 2].shape)

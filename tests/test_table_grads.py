@@ -60,8 +60,7 @@ class TestCompactTableGrads:
         want = bincount_embedding_grads(ids, d_emb, cards, size)
         assert embedding_grads(ids, d_emb, cards, size).tobytes() == want.tobytes()
         offsets = np.cumsum(cards) - np.array(cards)
-        rows, values = model._field_major_table_grads(ids + offsets, d_emb.transpose(1, 2, 0),
-                                                      sum(cards))
+        rows, values = model._table_grads(ids + offsets, d_emb, sum(cards))
         assert rows.tolist() == sorted(set((ids + offsets).ravel().tolist()))
         assert values.shape == (len(rows), d)
         assert not np.signbit(values[values == 0.0]).any()
@@ -81,8 +80,7 @@ class TestCompactTableGrads:
             if li < len(weights) - 1:
                 d_out = d_out * (cache.layer_inputs[li + 1] > 0)
             d_out = d_out @ weights[li].T
-        d_emb = model._field_major_cross_backward(cache.emb, d_out, cfg.cross_kind)
-        d_emb = d_emb.transpose(2, 0, 1)
+        d_emb = model._cross_backward(cache.emb, d_out, cfg.cross_kind)
         tables = p.layout.table_size
         want = bincount_embedding_grads(ids, d_emb, cfg.field_cardinalities, tables)
         assert grads.dense.flat.shape == (p.layout.size,)
@@ -131,7 +129,7 @@ def _compact_step_grads(layout, rng, step, idle_from, scale, d):
     d_emb = rng.standard_normal((n, 1, d)) * scale * 10.0 ** rng.integers(-3, 4, (n, 1, d))
     if rng.random() < 0.3:   # every row's terms cancel to +0.0
         rows, d_emb = np.concatenate([rows, rows]), np.concatenate([d_emb, -d_emb])
-    touched, values = model._field_major_table_grads(rows, d_emb.transpose(1, 2, 0), n_rows)
+    touched, values = model._table_grads(rows, d_emb, n_rows)
     mlp = rng.standard_normal(layout.size - layout.table_size) * scale
     return model.Grads(layout, mlp, touched, values)
 
