@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn
 from .errors import ConfigError, MaskFormatError, ShapeError
 from .model import ModelParams, TASKS, Task, check_mask_shapes
 
@@ -25,7 +26,7 @@ class TaskMask:
     layers: list[np.ndarray]  # read-only float64 {0,1}, shape-matching mlp_weights
     task: Task
     pruning_round: int = 0
-    _gate: tuple = field(default=(None, None), init=False, repr=False)   # (layout, gate)
+    _gate: nn.Gate | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.task = Task(self.task)
@@ -36,21 +37,19 @@ class TaskMask:
                 raise ValueError("mask entries must be 0 or 1")
             m.flags.writeable = False
 
-    def update_gate(self, params: ModelParams) -> tuple:
-        """The per-block gate ``nn.Adam.step`` takes for this mask over
-        ``params``' blocks: None (ungated) for each embedding table, this
+    def update_gate(self, params: ModelParams) -> nn.Gate:
+        """The ``nn.Gate`` that ``nn.Adam.step`` takes for this mask over
+        ``params``' layout: None (ungated) for each embedding table, this
         mask's layers for the MLP weights, and None for each bias.
 
-        The tuple is made once and made again only for another params
-        layout, so ``nn.Adam`` scans it once for all the steps it is passed
-        to. That relies on the mask's contract: its layers are never
-        rebound, and never made writeable again."""
-        layout, gate = self._gate
-        if layout != params.layout:
-            gate = ((None,) * len(params.embeddings) + tuple(self.layers)
-                    + (None,) * len(params.mlp_biases))
-            self._gate = (params.layout, gate)
-        return gate
+        It is made once and made again only for another params layout, so
+        the entries this mask shuts are worked out once for every step of
+        a search round or of joint training, however often the task
+        switches."""
+        if self._gate is None or self._gate.layout != params.layout:
+            self._gate = nn.Gate((None,) * len(params.embeddings) + tuple(self.layers)
+                                 + (None,) * len(params.mlp_biases), params.layout)
+        return self._gate
 
     @classmethod
     def all_ones(cls, mlp_weights: list[np.ndarray], task: Task) -> "TaskMask":

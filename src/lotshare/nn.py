@@ -76,15 +76,30 @@ def _bias_table(beta: float, n: int) -> np.ndarray:
     return 1.0 - beta ** np.arange(n)
 
 
-def _frozen(per_block) -> bool:
-    """Whether the per-block gate ``per_block`` is taken to stay as it is: a
-    tuple whose entries are None or read-only arrays that own their data,
-    so no view of a writeable array, as ``masking.TaskMask.update_gate``
-    gives. numpy lets an array's owner make it writeable again; a caller
-    that passes such a gate must not do so while an ``Adam`` may hold it."""
-    return type(per_block) is tuple and all(
-        g is None or (type(g) is np.ndarray and not g.flags.writeable and g.base is None)
-        for g in per_block)
+class Gate(tuple):
+    """The gate of one mask over one params layout: a tuple with one entry
+    per block of ``layout``, None for an ungated block or a 0/1 array the
+    size of that block; ``bench/tracing.py`` reads these entries. ``shut``
+    holds the flat indices of the entries it shuts, ascending, ``intp`` and
+    read only, worked out here once. A gate made from arrays that change
+    later keeps the ``shut`` it was made with."""
+
+    def __new__(cls, per_block, layout):
+        self = super().__new__(cls, per_block)
+        spans = layout.spans
+        if len(self) != len(spans):
+            raise ShapeError(f"Gate: gate has {len(self)} blocks, "
+                             f"parameters have {len(spans)}")
+        shut = [np.empty(0, dtype=np.intp)]
+        for i, (gate, (start, stop, _)) in enumerate(zip(self, spans)):
+            if gate is not None:
+                if np.size(gate) != stop - start:
+                    raise ShapeError(f"Gate: gate {i} has {np.size(gate)} entries, "
+                                     f"block has {stop - start}")
+                shut.append(np.flatnonzero(np.asarray(gate) == 0) + start)
+        self.layout, self.shut = layout, np.concatenate(shut)
+        self.shut.flags.writeable = False
+        return self
 
 
 class Adam:
@@ -110,14 +125,15 @@ class Adam:
 
     Table rows are lazy: only the rows the gradient names step. A gate-shut
     entry steps too, then gets its old bits back (``step``). An ungated
-    block is all open, so its clocks count every step.
+    block is all open, so its clocks count every step. Adam keeps no gate:
+    each step reads the ``Gate`` it is given, whose shut entries are worked
+    out once, when the gate is made.
     """
 
     def __init__(self, params, lr: float):
         """Zero moments and clocks for ``params``: 20 bytes per entry. A
         MemoryError on the way is a ConfigError that names the entry count."""
-        self.flat = params.flat
-        self.sizes = tuple(stop - start for start, stop, _ in params.layout.spans)
+        self.flat, self.layout = params.flat, params.layout
         self.tables, self.dim = params.tables.size, params.tables.shape[1]
         self.lr = lr
         try:
@@ -131,19 +147,19 @@ class Adam:
                               "does not fit in memory") from None
         self.t = 0
         self._bc1 = self._bc2 = np.empty(0)
-        self._gate = self._gate_shut = None   # the last frozen gate and its scan
         # p, m, v and the clocks over the tables, one record per row
         self._table_rows = [
             (a[:self.tables].view(np.dtype((np.void, a.itemsize * self.dim))), a.dtype)
             for a in (self.flat, self.m, self.v, self.t_entry)]
 
-    def step(self, grads, update_masks=None) -> None:
+    def step(self, grads, update_masks: Gate | None = None) -> None:
         """One update from ``grads``, a ``model.Grads`` of this layout: the
         table rows it names (``rows``) with their gradients (``values``),
         and every entry past the tables (``mlp``). Only those are read, so a
         step costs the batch's rows, not the tables. ``update_masks`` is
-        None, all blocks ungated, or one entry per block: None for an
-        ungated block, or a 0/1 array the size of that block.
+        None, all entries open, or a ``Gate`` made for this layout, of which
+        only ``shut`` is read. A gradient or gate of another layout is a
+        ShapeError, raised before any state moves.
 
         Every given entry steps in place. The gate-shut ones are read out of
         ``flat``, ``m``, ``v`` and ``t_entry`` by flat index before and put
@@ -155,7 +171,12 @@ class Adam:
             raise ShapeError(f"Adam.step: table gradient {values.shape} at {len(rows)} "
                              f"rows and {g.size} other entries, for tables of dim {d} "
                              f"and {self.flat.size - tables} other entries")
-        shut = self._shut(update_masks)
+        if update_masks is None:
+            shut = np.empty(0, dtype=np.intp)
+        elif update_masks.layout != self.layout:
+            raise ShapeError("Adam.step: the gate was made for another parameter layout")
+        else:
+            shut = update_masks.shut
         self.t += 1
         if len(self._bc1) <= self.t:   # no clock exceeds t; double past it
             n = max(1024, 2 * self.t)
@@ -170,32 +191,6 @@ class Adam:
         self._update(*(a[tables:] for a in state), g)
         for a, old in zip(state, kept):
             a[shut] = old
-
-    def _shut(self, per_block) -> np.ndarray:
-        """Flat indices of the entries the per-block gate ``per_block``
-        shuts, ascending. Only gated blocks are scanned, so ungated tables
-        cost nothing. A gate taken to stay as it is (``_frozen``) is scanned
-        once: while every step passes that same object, its scan is reused."""
-        shut = [np.empty(0, dtype=np.intp)]
-        if per_block is None:
-            return shut[0]
-        if per_block is self._gate:
-            return self._gate_shut
-        if len(per_block) != len(self.sizes):
-            raise ShapeError(f"Adam.step: gate has {len(per_block)} blocks, "
-                             f"parameters have {len(self.sizes)}")
-        start = 0
-        for i, (gate, n) in enumerate(zip(per_block, self.sizes)):
-            if gate is not None:
-                if np.size(gate) != n:
-                    raise ShapeError(f"Adam.step: gate {i} has {np.size(gate)} entries, "
-                                     f"block has {n}")
-                shut.append(np.flatnonzero(np.asarray(gate) == 0) + start)
-            start += n
-        shut = np.concatenate(shut)
-        if _frozen(per_block):
-            self._gate, self._gate_shut = per_block, shut
-        return shut
 
     def _update(self, p, m, v, te, g) -> None:
         """Adam in place on every entry of parameters ``p``, moments ``m``,

@@ -14,9 +14,9 @@ microseconds a call:
 - backward, the whole of ``model.backward``, and its parts: the cross
   backward, the table gradient, and the MLP backward, which is what the
   backward takes beyond the other two;
-- the Adam step gated by the mask's per-block gate, the same step given a
-  fresh list of that gate each call, so that it is scanned every step, and
-  the ungated step.
+- the Adam step gated by the mask's gate, and the ungated step;
+- the gate resolve, ``nn.Gate`` over the mask's per-block gate: the scan
+  for the flat shut index, which a mask pays once per params layout.
 
 BLAS runs on one thread, pinned before numpy is imported:
 
@@ -77,8 +77,8 @@ def main() -> None:
         "cross backward": lambda: model._cross_backward(emb, d_x, cfg.cross_kind),
         "table gradient": lambda: model._table_grads(rows, d_emb, len(params.tables)),
         "Adam gated": lambda: opt.step(grads, gate),
-        "Adam gated, rescanned": lambda: opt.step(grads, list(gate)),
         "Adam ungated": lambda: opt.step(grads),
+        "gate resolve": lambda: nn.Gate(tuple(gate), params.layout),
     }
     best = {name: min(timeit.repeat(op, number=args.number, repeat=args.repeat)) / args.number
             for name, op in ops.items()}

@@ -193,7 +193,8 @@ def test_criterion_5_layer_share_special_case(capsys):
             else:
                 dlogit = 2 * (preds - batch.labels) * preds * (1 - preds) / batch.n
             grads = model.backward(dlogit, cache, shared, cfg, mask=masks[task])
-            shared_opt.step(grads, zero_emb + masks[task].layers + zero_bias)
+            shared_opt.step(grads, nn.Gate(zero_emb + masks[task].layers + zero_bias,
+                                           shared.layout))
 
             # the task's own half-width tower on the same batch
             tw = towers[task]
@@ -203,8 +204,8 @@ def test_criterion_5_layer_share_special_case(capsys):
             else:
                 d2 = 2 * (p2 - batch.labels) * p2 * (1 - p2) / batch.n
             g2 = model.backward(d2, c2, tw, sub_cfg)
-            tower_opts[task].step(g2,
-                                  zero_emb + ones_w[task] + zero_bias_sub[task])
+            tower_opts[task].step(g2, nn.Gate(zero_emb + ones_w[task] + zero_bias_sub[task],
+                                              tw.layout))
 
             for t in (Task.CTR, Task.CVR):
                 a = model.forward(batch.ids, shared, cfg, t, mask=masks[t])

@@ -181,7 +181,7 @@ def _schedule(case, params, rng):
             out.append((ones.update_gate(params), weight_gates(params, ones)))
         elif case == "zero_emb_bias":
             gates = zero_emb_bias_gates(params, ctr)
-            out.append((gates, gates))
+            out.append((nn.Gate(gates, params.layout), gates))
         elif case == "alternating":
             m = ctr if step % 3 else cvr
             out.append((m.update_gate(params), weight_gates(params, m)))
@@ -195,7 +195,7 @@ def _schedule(case, params, rng):
         elif case == "random_blocks":
             gates = [(rng.random(b.shape) < 0.7).astype(float) if rng.random() < 0.6 else None
                      for b in params.blocks()]
-            out.append((gates, gates))
+            out.append((nn.Gate(gates, params.layout), gates))
     return out
 
 
@@ -248,7 +248,8 @@ class TestAdamBitIdentity:
             g = rng.standard_normal(6)
             gate = (rng.random(6) < 0.8).astype(float)
             gate[0] = 1.0
-            opt.step(dense_grads(layout, np.concatenate([[0.0], g])), [None, gate])
+            opt.step(dense_grads(layout, np.concatenate([[0.0], g])),
+                     nn.Gate([None, gate], layout))
             adam_step(ref_flat, g, state, 0.01, gate)
         assert opt.t_entry[1] == 1100 and opt.t_entry.min() < 1024
         assert flat.tobytes() == ref_flat.tobytes()
@@ -346,7 +347,8 @@ class TestEntryClocks:
         tables = params.layout.table_size
         assert (opt.t_entry[:tables].reshape(named.size, -1) == named[:, None]).all()
         assert len(np.unique(named)) > 2   # rows sat out different steps
-        clocks = np.split(opt.t_entry, np.cumsum(opt.sizes)[:-1])[len(params.embeddings):]
+        clocks = [opt.t_entry[start:stop]
+                  for start, stop, _ in params.layout.spans[len(params.embeddings):]]
         for clock, count in zip(clocks, opened):
             assert (clock == count.ravel()).all()
         for clock in clocks[len(opened):]:   # biases are never gated

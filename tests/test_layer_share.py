@@ -94,8 +94,9 @@ def test_tower_masks_match_two_tower_reference():
     opt = nn.Adam(shared, lr)
     trunk_opt = TextbookAdam(ref.trunk_w, lr)
     tower_opts = {t: TextbookAdam(ref.tower_w[t], lr) for t in TASKS}
-    fixed = {t: [np.zeros_like(e) for e in shared.embeddings] + towers[t].layers
-             + [np.zeros_like(b) for b in shared.mlp_biases] for t in TASKS}
+    fixed = {t: nn.Gate([np.zeros_like(e) for e in shared.embeddings] + towers[t].layers
+                        + [np.zeros_like(b) for b in shared.mlp_biases], shared.layout)
+             for t in TASKS}
 
     max_diff, steps, seen = 0.0, 0, set()
     for epoch in range(10):

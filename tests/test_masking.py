@@ -317,3 +317,17 @@ def test_update_gate_made_once_per_layout():
     fresh = mask.update_gate(other)
     assert fresh == (None, None, None, *mask.layers, None, None)
     assert mask.update_gate(params) is not gate and mask.update_gate(params) == gate
+    # the gate's flat shut index is the mask's zero entries, placed at the
+    # MLP weights' spans of each layout
+    rng = np.random.default_rng(0)
+    holed = TaskMask([(rng.random(w.shape) < 0.5).astype(float) for w in params.mlp_weights],
+                     Task.CVR)
+    for m in (mask, holed):
+        for p in (params, other):
+            gate = m.update_gate(p)
+            spans = p.layout.spans[len(p.embeddings):][:len(p.mlp_weights)]
+            expected = [np.flatnonzero(layer == 0) + start
+                        for layer, (start, _, _) in zip(m.layers, spans, strict=True)]
+            assert isinstance(gate, nn.Gate) and gate.layout is p.layout
+            assert np.array_equal(gate.shut, np.concatenate(expected))
+            assert gate.shut.size == m.total_count() - m.survivor_count()

@@ -199,7 +199,7 @@ class TestAdam:
         opt = nn.Adam(p, lr=0.01)
         for _ in range(5):
             opt.step(grads_of(p, *(rng.standard_normal(b.shape) for b in p.blocks())),
-                     [gate, gate, None])
+                     nn.Gate([gate, gate, None], p.layout))
         for i, (b, before) in enumerate(zip(p.blocks(), frozen_before)):
             span = slice(16 * i, 16 * i + 16)
             m, v = opt.m[span].reshape(4, 4), opt.v[span].reshape(4, 4)
@@ -217,9 +217,10 @@ class TestAdam:
         w = rng.standard_normal(2048)
         p = params_of(w.reshape(-1, 1), w, w)
         opt = nn.Adam(p, lr=1e-3)
+        gate = nn.Gate([np.ones((2048, 1)), np.ones(2048), None], p.layout)
         for _ in range(50):
             g = rng.standard_normal(2048)
-            opt.step(grads_of(p, g, g, g), [np.ones((2048, 1)), np.ones(2048), None])
+            opt.step(grads_of(p, g, g, g), gate)
         for arr in (p.flat, opt.m, opt.v):
             assert arr[:2048].tobytes() == arr[2048:4096].tobytes() == arr[4096:].tobytes()
         assert (opt.t_entry == 50).all()
@@ -244,8 +245,8 @@ class TestAdam:
 
 
 class TestAdamGate:
-    """``Adam.step``'s gate: None, or one entry per block, each None or a
-    0/1 array the size of its block."""
+    """``Adam.step``'s gate: None, or an ``nn.Gate`` with one entry per
+    block, each None or a 0/1 array the size of its block."""
 
     def _opt(self):
         p = params_of(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros(1))
@@ -253,83 +254,84 @@ class TestAdamGate:
 
     @pytest.mark.parametrize("blocks", [0, 1, 2, 4])
     def test_block_count_checked(self, blocks):
-        p, opt = self._opt()
+        p, _ = self._opt()
         with pytest.raises(ShapeError, match=f"gate has {blocks} blocks, parameters have 3"):
-            opt.step(grads_of(p, np.ones(4), np.ones(6), np.ones(1)), [None] * blocks)
-        assert opt.t == 0
+            nn.Gate([None] * blocks, p.layout)
 
     def test_block_size_checked(self):
-        p, opt = self._opt()
-        grads = grads_of(p, np.ones(4), np.ones(6), np.ones(1))
+        p, _ = self._opt()
         for block, gate in [(0, np.ones(3)), (1, np.ones((3, 2, 2))), (2, np.ones(2)),
                             (1, np.ones(0))]:
             gates = [None] * 3
             gates[block] = gate
             with pytest.raises(ShapeError, match=f"gate {block} has {gate.size} entries"):
-                opt.step(grads, gates)
-        assert opt.t == 0
+                nn.Gate(gates, p.layout)
 
     def test_table_gate_applies_per_entry(self):
         """A table gate shuts single entries of a named row, and a shut
         table block stays put while the rest steps."""
         p, opt = self._opt()
         grads = grads_of(p, np.ones(4), np.ones(6), np.ones(1))
-        opt.step(grads, [np.array([[1.0, 0.0], [0.0, 1.0]]), None, None])
+        opt.step(grads, nn.Gate([np.array([[1.0, 0.0], [0.0, 1.0]]), None, None], p.layout))
         assert (opt.t_entry == [1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1]).all()
         assert (p.tables != 0).tolist() == [[True, False], [False, True]]
-        opt.step(grads, [np.zeros((2, 2)), np.ones((2, 3)), None])
+        opt.step(grads, nn.Gate([np.zeros((2, 2)), np.ones((2, 3)), None], p.layout))
         assert (opt.t_entry == [1, 0, 0, 1, 2, 2, 2, 2, 2, 2, 2]).all()
 
+    def test_gate_of_another_layout_is_refused(self):
+        """A gate made for another layout is a ShapeError before any state
+        moves, even when its blocks would fit."""
+        p, opt = self._opt()
+        opt.step(grads_of(p, np.ones(4), np.ones(6), np.ones(1)))
+        before = [opt.t] + [a.tobytes() for a in (opt.flat, opt.m, opt.v, opt.t_entry)]
+        other = params_of(np.zeros((1, 4)), np.zeros((3, 2)), np.zeros(1))
+        for gate in (nn.Gate([None] * 3, other.layout),
+                     nn.Gate([None, np.ones((3, 2)), None], other.layout)):
+            with pytest.raises(ShapeError, match="another parameter layout"):
+                opt.step(grads_of(p, np.ones(4), np.ones(6), np.ones(1)), gate)
+        assert [opt.t] + [a.tobytes() for a in (opt.flat, opt.m, opt.v, opt.t_entry)] == before
 
-class TestAdamGateMemo:
-    """``Adam.step`` scans a gate taken to stay as it is (a tuple of
-    read-only arrays that own their data, as ``TaskMask.update_gate`` gives) once,
-    while the same object comes back, and scans every other gate afresh."""
+
+class TestGate:
+    """``nn.Gate.shut`` is the flat index of every entry the gate shuts."""
 
     @staticmethod
-    def _setup(seed):
+    def _oracle(gate, layout):
+        """``np.flatnonzero`` of the concatenated blocks, None read as all ones."""
+        return np.flatnonzero(np.concatenate(
+            [np.ones(stop - start) if g is None else np.ravel(g)
+             for g, (start, stop, _) in zip(gate, layout.spans)]) == 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shut_matches_oracle(self, seed):
+        """Random table and MLP gates, some blocks ungated, at several
+        densities."""
         rng = nn.make_rng(seed)
-        shapes = [(3, 2), (2, 4), (4, 1)]
-        p = params_of(rng.standard_normal((5, 2)), *(rng.standard_normal(s) for s in shapes[1:]))
-        masks = [TaskMask([rng.integers(0, 2, s).astype(float) for s in shapes[1:]], t)
-                 for t in (Task.CTR, Task.CVR)]
-        return rng, p, masks
+        shapes = [(rng.integers(1, 6), 2), (2, rng.integers(1, 5)), (rng.integers(1, 4),)]
+        p = params_of(*(np.zeros(s) for s in shapes))
+        for density in (0.1, 0.5, 0.9):
+            gate = [(rng.random(s) < density).astype(float) if rng.random() < 0.7 else None
+                    for s in shapes]
+            shut = nn.Gate(gate, p.layout).shut
+            assert np.array_equal(shut, self._oracle(gate, p.layout))
 
-    @staticmethod
-    def _state(opt):
-        return [a.tobytes() for a in (opt.flat, opt.m, opt.v, opt.t_entry)]
+    @pytest.mark.parametrize("fill", ["zeros", "ones", "none"])
+    def test_uniform_gates(self, fill):
+        p = params_of(np.zeros((3, 2)), np.zeros((2, 4)), np.zeros(5))
+        make = {"zeros": np.zeros, "ones": np.ones, "none": lambda shape: None}[fill]
+        gate = [make(b.shape) for b in p.blocks()]
+        shut = nn.Gate(gate, p.layout).shut
+        assert np.array_equal(shut, self._oracle(gate, p.layout))
+        assert shut.size == (p.layout.size if fill == "zeros" else 0)
 
-    def test_alternating_masks_match_rescan(self):
-        rng, p, masks = self._setup(0)
-        q = p.copy()
-        memo, rescan = nn.Adam(p, 0.1), nn.Adam(q, 0.1)
-        for which in [0, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 1]:
-            gate = masks[which].update_gate(p)
-            assert gate is masks[which].update_gate(q)
-            blocks = [rng.standard_normal(b.shape) for b in p.blocks()]
-            memo.step(grads_of(p, *blocks), gate)
-            rescan.step(grads_of(q, *blocks), list(gate))
-            assert self._state(memo) == self._state(rescan)
-        assert memo._shut(gate) is memo._shut(gate)
-
-    @pytest.mark.parametrize("form", ["list", "tuple", "read-only view"])
-    def test_gate_changed_in_place_is_rescanned(self, form):
-        """A gate whose arrays can change is scanned on every step, even when
-        the same object comes back."""
-        rng, p, masks = self._setup(1)
-        q = p.copy()
-        arrays = [None, *(np.array(m) for m in masks[0].layers)]
-        if form == "read-only view":
-            views = [None, *(a.view() for a in arrays[1:])]
-            for v in views[1:]:
-                v.flags.writeable = False
-            gate = tuple(views)
-        else:
-            gate = (list if form == "list" else tuple)(arrays)
-        opt, fresh = nn.Adam(p, 0.1), nn.Adam(q, 0.1)
-        for step in range(4):
-            blocks = [rng.standard_normal(b.shape) for b in p.blocks()]
-            opt.step(grads_of(p, *blocks), gate)
-            fresh.step(grads_of(q, *blocks), [None if a is None else a.copy() for a in arrays])
-            assert self._state(opt) == self._state(fresh)
-            arrays[1 + step % 2][...] = rng.integers(0, 2, arrays[1 + step % 2].shape)
+    def test_shut_is_ascending_intp_read_only(self):
+        rng = nn.make_rng(3)
+        p = params_of(np.zeros((4, 3)), np.zeros((3, 5)), np.zeros(6))
+        gate = nn.Gate([(rng.random(b.shape) < 0.5).astype(float) for b in p.blocks()],
+                       p.layout)
+        assert gate.shut.dtype == np.intp and gate.shut.size > 0
+        assert (np.diff(gate.shut) > 0).all()
+        assert not gate.shut.flags.writeable
+        with pytest.raises(ValueError):
+            gate.shut[0] = 0
+        assert isinstance(gate, tuple) and len(gate) == 3 and gate.layout is p.layout

@@ -199,9 +199,10 @@ class TestRowSparseAdam:
         rng = nn.make_rng(5)
         gates = [None, (rng.random(params.embeddings[1].shape) < 0.5).astype(float)]
         gates += [None] * (len(params.blocks()) - 2)
+        gate = nn.Gate(gates, params.layout)
         for step in range(40):
             grads = _compact_step_grads(params.layout, rng, step, 20, 1.0, cfg.embedding_dim)
-            opt.step(grads, gates)
+            opt.step(grads, gate)
             assert "dense" not in grads.__dict__
             ref.step(list(grads), gates, named_rows(grads))
         assert params.flat.tobytes() == flat_bytes(ref_blocks)
